@@ -8,21 +8,10 @@ the closed-form prediction in terms of phi(r).  The two low-n windows
 """
 
 import argparse
-from fractions import Fraction
-from math import gcd
 
-from fareytight.slopes import make_slope
+from fareytight.slopes import Slope, make_slope, rationals_in
 from fareytight.tori import phi
 from fareytight.atlas import Fillability, verdict_summary
-
-
-def rationals_in(lo: Fraction, hi: Fraction, bound: int):
-    for q in range(2, bound + 1):
-        p_min = -((-lo.numerator * q) // lo.denominator)
-        p_max = -((-hi.numerator * q) // hi.denominator) - 1
-        for p in range(max(p_min, 1), p_max + 1):
-            if gcd(p, q) == 1:
-                yield make_slope(p, q)
 
 
 def predicted(n: int, f: int) -> dict:
@@ -35,7 +24,7 @@ def predicted(n: int, f: int) -> dict:
     }
 
 
-def sweep(label: str, lo: Fraction, hi: Fraction, bound: int, expect) -> int:
+def sweep(label: str, lo: Slope, hi: Slope, bound: int, expect) -> int:
     bad = 0
     rows = 0
     for r in rationals_in(lo, hi, bound):
@@ -60,20 +49,20 @@ def main() -> int:
 
     bad = 0
     for n in range(args.n_min, args.n_max + 1):
-        lo = Fraction(2 * n - 1, 2 * n * n)
-        hi = Fraction(2, 2 * n + 1)
+        lo = make_slope(2 * n - 1, 2 * n * n)
+        hi = make_slope(2, 2 * n + 1)
         bad += sweep("n=%d" % n, lo, hi, args.bound, lambda f, n=n: predicted(n, f))
     bad += sweep(
         "n=2 low",
-        Fraction(9, 25),
-        Fraction(4, 11),
+        make_slope(9, 25),
+        make_slope(4, 11),
         args.bound,
         lambda f: {Fillability.STEIN: 2 * f + 2, Fillability.STRONG_NOT_EXACT: f - 2},
     )
     bad += sweep(
         "n=3 low",
-        Fraction(13, 49),
-        Fraction(4, 15),
+        make_slope(13, 49),
+        make_slope(4, 15),
         args.bound,
         lambda f: {Fillability.STEIN: 5 * f + 2, Fillability.STRONG_NOT_EXACT: f - 2},
     )

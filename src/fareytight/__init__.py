@@ -18,6 +18,7 @@ from .slopes import (
     make_slope,
     neighbors_in_interval,
     parse_slope,
+    rationals_in,
     slope_sort_key,
 )
 from .paths import (
@@ -25,7 +26,6 @@ from .paths import (
     FareyPath,
     blocks,
     concat,
-    decrement_path,
     edge_runs,
     lengthen_through,
     minimal_path,
@@ -47,7 +47,6 @@ from .tori import (
 from .cables import (
     IDENTITY,
     MobiusMap,
-    apply_map,
     cable_surgery_slope,
     legendrian_cable_surgery,
     reglue_map,

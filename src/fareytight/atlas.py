@@ -24,7 +24,6 @@ from .slopes import (
     is_edge,
     make_slope,
     neighbors_in_interval,
-    slope_sort_key,
     _pos_lt,
 )
 from .paths import FareyPath, concat
@@ -264,7 +263,3 @@ def structure_record(sid: TightStructureId) -> dict:
     if verdict.note is not None:
         rec["note"] = verdict.note
     return rec
-
-
-def sorted_slopes(slopes) -> list[Slope]:
-    return sorted(slopes, key=slope_sort_key)

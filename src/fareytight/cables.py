@@ -51,12 +51,12 @@ class MobiusMap:
         )
 
     def __pow__(self, k: int) -> "MobiusMap":
-        if k < 0:
-            raise DomainError("negative powers are not needed; invert by hand")
-        out = IDENTITY
-        for _ in range(k):
-            out = out.compose(self)
-        return out
+        """M**k = I + k*N for every integer k, where N = M - I.  With
+        determinant 1 and trace 2, N*N = 0, so the binomial sum stops at
+        its linear term."""
+        if self.a + self.d != 2:
+            raise DomainError("closed-form powers need a map of trace 2")
+        return MobiusMap(1 + k * (self.a - 1), k * self.b, k * self.c, 1 + k * (self.d - 1))
 
     def to_json(self) -> dict:
         return {"m": [[self.a, self.b], [self.c, self.d]]}
@@ -93,10 +93,6 @@ def reglue_map(p: int, q: int, sign: int) -> MobiusMap:
     if sign == -1:
         return MobiusMap(1 + p * q, -p * p, q * q, 1 - p * q)
     raise DomainError("sign must be +1 or -1")
-
-
-def apply_map(m: MobiusMap, s: Slope) -> Slope:
-    return m.apply(s)
 
 
 def legendrian_cable_surgery(

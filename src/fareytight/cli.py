@@ -9,22 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 
-from .slopes import DomainError, ParseError, Slope, make_slope, parse_slope, slope_sort_key
-from .slopes import cf_minus
+from .slopes import DomainError, ParseError, Slope, cf_minus, parse_slope, slope_sort_key
+from .slopes import rationals_in
 from .paths import blocks, minimal_path
 from .tori import count_tight, enumerate_tight, phi
 from .cables import cable_surgery_slope, reglue_map
 from .atlas import (
     Fillability,
     MixedTorus,
+    classify,
     enumerate_structures,
     exceptional_slopes,
     full_path,
     structure_record,
+    triangle_position,
     verdict_summary,
 )
 
@@ -62,19 +62,17 @@ def emit_dot_path(path) -> str:
 def emit_dot_triangle(r: Slope) -> str:
     spots: dict[tuple[int, int], list] = {}
     for sid in enumerate_structures(r):
-        spots.setdefault((sid.k, sid.l), []).append(structure_record(sid))
+        spots.setdefault((sid.k, sid.l), []).append(classify(sid).status.value)
     lines = [
         "digraph classification_triangle {",
         '  label="surgery coefficient %s";' % r,
         "  node [shape=box, style=filled];",
     ]
     max_k = max(k for k, _ in spots)
-    for (k, l), recs in sorted(spots.items()):
-        statuses = sorted({rec["status"] for rec in recs})
+    for (k, l), found in sorted(spots.items()):
+        statuses = sorted(set(found))
         color = _DOT_COLORS[statuses[0]] if len(statuses) == 1 else "orange"
-        tallies = "\\n".join(
-            "%s %d" % (st, sum(1 for rec in recs if rec["status"] == st)) for st in statuses
-        )
+        tallies = "\\n".join("%s %d" % (st, found.count(st)) for st in statuses)
         lines.append(
             '  "k%d_l%d" [label="k=%d l=%d\\n%s", fillcolor="%s"];' % (k, l, k, l, tallies, color)
         )
@@ -185,36 +183,28 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    records = [structure_record(sid) for sid in enumerate_structures(args.r)]
+    sids = enumerate_structures(args.r)
     if args.format == "json":
+        records = [structure_record(sid) for sid in sids]
         print(_json(records))
-    elif args.format == "tsv":
-        print("r\tk\tl\tposition\tstatus\tcite\tnote")
-        for rec in records:
-            print(
-                "%s\t%d\t%d\t%s\t%s\t%s\t%s"
-                % (
-                    rec["r"],
-                    rec["k"],
-                    rec["l"],
-                    rec["position"],
-                    rec["status"],
-                    rec["cite"] or "",
-                    rec.get("note", ""),
-                )
-            )
+        statuses = {rec["status"] for rec in records}
     else:
-        for rec in records:
-            line = "k=%d l=%d position=%s status=%s" % (
-                rec["k"],
-                rec["l"],
-                rec["position"],
-                rec["status"],
-            )
-            if rec["cite"]:
-                line += " cite=%s" % rec["cite"]
-            print(line)
-    if args.strict and any(rec["status"] == Fillability.NOT_COVERED.value for rec in records):
+        # text and tsv never show P, so no record (and no P.to_json()) is built
+        verdicts = [classify(sid) for sid in sids]
+        if args.format == "tsv":
+            print("r\tk\tl\tposition\tstatus\tcite\tnote")
+        for sid, verdict in zip(sids, verdicts):
+            position, status = triangle_position(sid).tag, verdict.status.value
+            if args.format == "tsv":
+                cells = (sid.r, sid.k, sid.l, position, status, verdict.cite or "", verdict.note or "")
+                print("%s\t%d\t%d\t%s\t%s\t%s\t%s" % cells)
+            else:
+                line = "k=%d l=%d position=%s status=%s" % (sid.k, sid.l, position, status)
+                if verdict.cite:
+                    line += " cite=%s" % verdict.cite
+                print(line)
+        statuses = {verdict.status.value for verdict in verdicts}
+    if args.strict and Fillability.NOT_COVERED.value in statuses:
         return 4
     return 0
 
@@ -239,32 +229,12 @@ def _cmd_summary(args) -> int:
     return 0
 
 
-def _rationals_in(a: Slope, b: Slope, bound: int) -> list[Slope]:
-    """Reduced p/q with q <= bound in the interval [a, b) within (0,1)."""
-    for end in (a, b):
-        if end.is_infinite or not 0 < end.num <= end.den:
-            raise DomainError("sweep interval must lie inside (0,1]")
-    lo = Fraction(a.num, a.den)
-    hi = Fraction(b.num, b.den)
-    if not lo < hi:
-        raise DomainError("empty sweep interval")
-    out = []
-    for q in range(2, bound + 1):
-        p_min = math.ceil(lo * q)
-        p_max = math.ceil(hi * q) - 1  # strictly below hi
-        for p in range(max(p_min, 1), p_max + 1):
-            if math.gcd(p, q) == 1:
-                out.append(make_slope(p, q))
-    out.sort(key=slope_sort_key)
-    return out
-
-
 _SWEEP_COLUMNS = [status.json_key for status in Fillability]
 
 
 def _cmd_sweep(args) -> int:
     a, b = args.interval
-    rows = [(r, _summary_obj(r)) for r in _rationals_in(a, b, args.bound)]
+    rows = [(r, _summary_obj(r)) for r in rationals_in(a, b, args.bound)]
     if args.format == "json":
         print(_json([{"r": str(r), **obj} for r, obj in rows]))
     else:
@@ -349,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--sign", type=int, choices=[1, -1], default=-1)
-    p.add_argument("--power", type=int, default=1, help="number of iterations")
+    p.add_argument("--power", type=int, default=1, help="exponent k of M**k, any integer")
     p.add_argument("--apply", type=_slope, default=None, help="slope to map")
     _add_format(p, ["text", "json"])
     p.set_defaults(func=_cmd_cable_map)

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .slopes import (
-    ONE,
-    ContinuedFraction,
     DomainError,
     Slope,
-    cf_minus,
-    cf_value,
     cw_interval_contains,
     det,
     is_edge,
@@ -66,6 +63,13 @@ class FareyPath:
     def __len__(self) -> int:
         return len(self.vertices) - 1
 
+    @cached_property
+    def signed_blocks(self) -> "BlockDecomposition":
+        """Blocks of the edges after the first, the ones a decorated path
+        signs.  Kept on the path, so every shuffle class on it shares
+        one decomposition."""
+        return BlockDecomposition(edge_runs(self, 1, len(self) - 1))
+
     def __str__(self) -> str:
         return " → ".join(str(v) for v in self.vertices)
 
@@ -75,13 +79,13 @@ def minimal_path(a: Slope, b: Slope) -> FareyPath:
 
     Greedy construction: while the current vertex u is not adjacent to
     b, step to the Farey neighbour of b lying in the open clockwise arc
-    (u, b) that is closest to u; that neighbour is unique.
+    (u, b) that is closest to u; that neighbour is unique.  The loop
+    ends because each step moves one edge along the geodesic.
     """
     if a == b:
         raise DomainError("minimal path endpoints must be distinct")
     verts = [a]
     u = a
-    guard = 0
     while not is_edge(u, b):
         v0, w0 = _fan_basis(u)
         kb = _fan_param(v0, w0, b)
@@ -95,32 +99,8 @@ def minimal_path(a: Slope, b: Slope) -> FareyPath:
                 break
         else:
             raise DomainError("no clockwise step from %s towards %s" % (u, b))
-        guard += 1
-        if guard > 10_000:
-            raise DomainError("path construction did not terminate")
     verts.append(b)
     return FareyPath(tuple(verts))
-
-
-def decrement_path(x: Slope) -> tuple[Slope, ...]:
-    """Slopes obtained from x > 1 by repeatedly decrementing the last
-    entry of its minus continued fraction (dropping trailing 1s), down
-    to slope 1.
-
-    The result, reversed, is the vertex sequence of minimal_path(1, x).
-    """
-    out = [x]
-    entries = list(cf_minus(x).entries)
-    while True:
-        entries[-1] -= 1
-        while entries and entries[-1] == 1:
-            entries.pop()
-            if entries:
-                entries[-1] -= 1
-        if not entries:
-            out.append(ONE)
-            return tuple(out)
-        out.append(cf_value(ContinuedFraction(tuple(entries))))
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,6 @@ def _pos_lt(a: Slope, b: Slope) -> bool:
     return det(a, b) < 0
 
 
-def _pos_le(a: Slope, b: Slope) -> bool:
-    return a == b or _pos_lt(a, b)
-
-
 def slope_sort_key(s: Slope):
     """Sort key realising the linear position order (inf last)."""
     if s.is_infinite:
@@ -161,6 +157,33 @@ def farey_sum(a: Slope, b: Slope) -> Slope:
     if num == 0 and den == 0:
         raise DomainError("mediant of opposite infinities is undefined")
     return make_slope(num, den)
+
+
+def rationals_in(a: Slope, b: Slope, bound: int) -> list[Slope]:
+    """Reduced p/q with q <= bound in [a, b), ascending; a and b lie in (0,1].
+
+    Walks the Farey sequence of order bound: a bounded Stern-Brocot
+    descent finds its consecutive terms u < a <= v, and the next-term
+    rule steps from there, so no sort is needed.
+    """
+    for end in (a, b):
+        if end.is_infinite or not 0 < end.num <= end.den:
+            raise DomainError("sweep interval must lie inside (0,1]")
+    if not _pos_lt(a, b):
+        raise DomainError("empty sweep interval")
+    u, v = (0, 1), (1, 0)
+    while v[1] + u[1] <= bound:
+        m = (u[0] + v[0], u[1] + v[1])
+        if m[0] * a.den < a.num * m[1]:
+            u = m
+        else:
+            v = m
+    out = []
+    while v[0] * b.den < b.num * v[1]:
+        out.append(Slope(*v))
+        k = (bound + u[1]) // v[1]
+        u, v = v, (k * v[0] - u[0], k * v[1] - u[1])
+    return out
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -56,9 +56,9 @@ def signed_blocks(path: FareyPath) -> BlockDecomposition:
     """Block decomposition of the signed edges (all edges but the first).
 
     The unsigned first edge is excluded even when it is geometrically
-    contiguous with the first signed block.
+    contiguous with the first signed block.  Computed once per path.
     """
-    return BlockDecomposition(edge_runs(path, 1, len(path) - 1))
+    return path.signed_blocks
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from fareytight.slopes import INF, Slope, make_slope
+from fareytight.slopes import INF, ONE, ContinuedFraction, Slope, cf_minus, cf_value, make_slope
 
 
 def circle_pos(s: Slope) -> Fraction:
@@ -168,14 +168,23 @@ def random_unit_rational(rng, max_den: int) -> Slope:
             return make_slope(p, q)
 
 
-def random_rational_in(rng, lo: Fraction, hi: Fraction, max_den: int) -> Slope:
-    """Reduced rational in [lo, hi) with denominator <= max_den."""
+def decrement_path(x: Slope) -> tuple[Slope, ...]:
+    """Slopes obtained from x > 1 by repeatedly decrementing the last
+    entry of its minus continued fraction (dropping trailing 1s), down
+    to slope 1.
+
+    The result, reversed, is the vertex sequence of minimal_path(1, x),
+    built from the continued fraction alone instead of the fan search.
+    """
+    out = [x]
+    entries = list(cf_minus(x).entries)
     while True:
-        q = rng.randint(2, max_den)
-        p_min = math.ceil(lo * q)
-        p_max = math.ceil(hi * q) - 1
-        if p_max < p_min:
-            continue
-        p = rng.randint(p_min, p_max)
-        if math.gcd(abs(p), q) == 1:
-            return make_slope(p, q)
+        entries[-1] -= 1
+        while entries and entries[-1] == 1:
+            entries.pop()
+            if entries:
+                entries[-1] -= 1
+        if not entries:
+            out.append(ONE)
+            return tuple(out)
+        out.append(cf_value(ContinuedFraction(tuple(entries))))

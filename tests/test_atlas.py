@@ -22,7 +22,6 @@ from fareytight.atlas import (
     full_path,
     mixed_tori,
     n_of,
-    sorted_slopes,
     structure_record,
     triangle_position,
     verdict_summary,
@@ -213,11 +212,6 @@ def test_exceptional_slopes_paper_mode_drops_zero():
     t = MixedTorus(S("1/4"), S("2/9"), S("1/3"))
     assert exceptional_slopes(t) == frozenset({ZERO, S("1/5")})
     assert exceptional_slopes(t, paper_mode=True) == frozenset({S("1/5")})
-
-
-def test_sorted_slopes_order():
-    out = sorted_slopes({S("1/2"), ZERO, INF, S("-1/3"), S("2")})
-    assert [str(s) for s in out] == ["-1/3", "0", "1/2", "2", "inf"]
 
 
 def test_classify_base_is_stein():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ZERO, make_slope, parse_slope
 from fareytight.paths import minimal_path
@@ -15,7 +17,6 @@ from fareytight.tori import (
 from fareytight.cables import (
     IDENTITY,
     MobiusMap,
-    apply_map,
     cable_surgery_slope,
     legendrian_cable_surgery,
     reglue_map,
@@ -58,8 +59,23 @@ def test_mobius_compose_and_pow():
     assert m ** 0 == IDENTITY
     assert m ** 2 == m.compose(m)
     assert m ** 3 == m.compose(m).compose(m)
+    assert (m ** -1).compose(m) == m.compose(m ** -1) == IDENTITY
     with pytest.raises(DomainError):
-        m ** -1
+        MobiusMap(2, 1, 1, 1) ** 2  # trace 3: no closed form I + kN
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.integers(-29, 29),
+    st.sampled_from([1, -1]),
+    st.integers(-60, 60),
+)
+def test_mobius_pow_is_a_group_action(p, q, sign, k):
+    assume(q != 0 and gcd(p, abs(q)) == 1)
+    m = reglue_map(p, q, sign)
+    assert (m ** k).compose(m ** -k) == IDENTITY
+    assert m ** (k + 1) == (m ** k).compose(m)
 
 
 def test_reglue_map_fixture_5_2():
@@ -67,18 +83,18 @@ def test_reglue_map_fixture_5_2():
     assert (m.a, m.b, m.c, m.d) == (11, -25, 4, -9)
     # maps the standard geodesic start [inf, 0, 1/3, 2/5] onto the
     # geodesic from the surgery slope
-    assert apply_map(m, INF) == S("9/25")
-    assert apply_map(m, ZERO) == S("4/11")
-    assert apply_map(m, S("1/3")) == S("3/8")
-    assert apply_map(m, S("2/5")) == S("2/5")
-    assert apply_map(m, S("1/2")) == S("1/3")
+    assert m.apply(INF) == S("9/25")
+    assert m.apply(ZERO) == S("4/11")
+    assert m.apply(S("1/3")) == S("3/8")
+    assert m.apply(S("2/5")) == S("2/5")
+    assert m.apply(S("1/2")) == S("1/3")
 
 
 def test_reglue_map_fixture_3_1():
     m = reglue_map(3, 1, -1)
     assert (m.a, m.b, m.c, m.d) == (4, -9, 1, -2)
-    assert apply_map(m, ZERO) == S("1/4")
-    assert apply_map(m, INF) == S("2/9")
+    assert m.apply(ZERO) == S("1/4")
+    assert m.apply(INF) == S("2/9")
 
 
 def test_reglue_map_fixes_cabling_slope():
@@ -92,7 +108,7 @@ def test_reglue_map_fixes_cabling_slope():
             m = reglue_map(p, q, sign)
             assert m.a * m.d - m.b * m.c == 1
             fixed = make_slope(q, p) if q > 0 else make_slope(q, p)
-            assert apply_map(m, fixed) == fixed, (p, q, sign)
+            assert m.apply(fixed) == fixed, (p, q, sign)
 
 
 def test_reglue_map_sends_meridian_to_surgery_slope():
@@ -104,7 +120,7 @@ def test_reglue_map_sends_meridian_to_surgery_slope():
             continue
         for sign in (1, -1):
             m = reglue_map(p, q, sign)
-            assert apply_map(m, INF) == cable_surgery_slope(p, q, sign), (p, q, sign)
+            assert m.apply(INF) == cable_surgery_slope(p, q, sign), (p, q, sign)
 
 
 def test_image_slope_formula():
@@ -120,7 +136,7 @@ def test_image_slope_formula():
         if gcd(abs(n), d) != 1:
             continue
         s = make_slope(n, d)
-        out = apply_map(m, s)
+        out = m.apply(s)
         num = q * q * d + (1 - p * q) * n
         den = (1 + p * q) * d - p * p * n
         if den == 0:
@@ -133,7 +149,7 @@ def test_reglue_squared_gives_twice_cabled_slope():
     for n in range(2, 13):
         m = reglue_map(n, 1, -1)
         twice = m ** 2
-        assert apply_map(twice, INF) == make_slope(2 * n - 1, 2 * n * n), n
+        assert twice.apply(INF) == make_slope(2 * n - 1, 2 * n * n), n
 
 
 def standard_torus(div="1/2", counts=(0,)):
@@ -195,7 +211,7 @@ def test_legendrian_cable_surgery_existing_vertex():
     path = minimal_path(S("9/25"), S("1/2"))
     x = SolidTorusStructure(S("9/25"), S("1/2"), ShuffleClass(path, (0,)))
     out = legendrian_cable_surgery(x, 5, 2, 1)
-    assert out.meridian == apply_map(reglue_map(5, 2, -1), S("9/25"))
+    assert out.meridian == reglue_map(5, 2, -1).apply(S("9/25"))
     assert out.meridian == S("19/50")
     assert out.dividing == S("1/2")
 
@@ -206,7 +222,7 @@ def test_legendrian_cable_surgery_iterated_count():
     assert once.meridian == S("1/4")
     twice = legendrian_cable_surgery(standard_torus(), 2, 1, 2)
     assert twice.meridian == make_slope(3, 8)
-    assert apply_map(reglue_map(2, 1, -1) ** 2, INF) == S("3/8")
+    assert (reglue_map(2, 1, -1) ** 2).apply(INF) == S("3/8")
 
 
 def test_legendrian_cable_surgery_well_formed_class():

@@ -52,6 +52,12 @@ def test_path_json(capsys):
     }
 
 
+def test_path_long_geodesic(capsys):
+    code, out, _ = run(capsys, "path", "1/20000", "1/2")
+    assert code == 0
+    assert out.rstrip("\n").split(" → ") == ["1/%d" % j for j in range(20000, 1, -1)]
+
+
 def test_path_dot(capsys):
     code, out, _ = run(capsys, "path", "9/25", "1/2", "--format", "dot")
     assert code == 0
@@ -79,6 +85,20 @@ def test_cable_map_matrix(capsys):
 def test_cable_map_apply_power(capsys):
     _, out, _ = run(capsys, "cable-map", "4", "1", "--power", "2", "--apply", "inf")
     assert out == "7/32\n"
+
+
+def test_cable_map_negative_power(capsys):
+    code, out, _ = run(capsys, "cable-map", "5", "2", "--power", "-1")
+    assert code == 0
+    assert out == "[[-9,25],[-4,11]]\n"
+
+
+def test_cable_map_huge_power(capsys):
+    k = 10**9
+    # M = [[11,-25],[4,-9]] = I + N, so M**k = I + kN
+    code, out, _ = run(capsys, "cable-map", "5", "2", "--power", str(k))
+    assert code == 0
+    assert out == "[[%d,%d],[%d,%d]]\n" % (1 + 10 * k, -25 * k, 4 * k, 1 - 10 * k)
 
 
 def test_cable_map_json_apply(capsys):

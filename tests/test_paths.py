@@ -10,12 +10,11 @@ from fareytight.paths import (
     FareyPath,
     blocks,
     concat,
-    decrement_path,
     lengthen_through,
     minimal_path,
 )
 
-from helpers import geodesic_length_oracle, random_unit_rational
+from helpers import decrement_path, geodesic_length_oracle, random_unit_rational
 
 
 def S(text):

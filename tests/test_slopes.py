@@ -22,6 +22,7 @@ from fareytight.slopes import (
     make_slope,
     neighbors_in_interval,
     parse_slope,
+    rationals_in,
     slope_sort_key,
 )
 
@@ -248,3 +249,52 @@ def test_sort_key_orders_by_position():
 def test_det_antisymmetry():
     a, b = S("9/25"), S("4/11")
     assert det(a, b) == -det(b, a) == -1
+
+
+def rationals_scan(lo: Fraction, hi: Fraction, bound: int) -> list:
+    """Brute force: every p/q with q <= bound, kept when reduced and in [lo, hi)."""
+    found = {Fraction(p, q) for q in range(1, bound + 1) for p in range(q + 1)}
+    return [make_slope(x.numerator, x.denominator) for x in sorted(found) if lo <= x < hi]
+
+
+@pytest.mark.parametrize(
+    "a, b, bound",
+    [
+        ("9/25", "4/11", 200),
+        ("13/49", "4/15", 200),
+        ("1/12", "1/2", 80),
+        ("3/8", "2/5", 40),
+        ("1/2", "1", 30),
+        ("1/1000", "1/999", 50),
+        ("1/3", "1/2", 6),
+        ("1/3", "1/2", 1),
+        ("1/3", "1/2", 0),
+    ],
+)
+def test_farey_interval_matches_scan(a, b, bound):
+    lo, hi = S(a), S(b)
+    want = rationals_scan(Fraction(lo.num, lo.den), Fraction(hi.num, hi.den), bound)
+    assert rationals_in(lo, hi, bound) == want
+
+
+def test_farey_interval_matches_scan_random():
+    rng = random.Random(2023)
+    for _ in range(60):
+        x, y = (Fraction(rng.randint(1, 97), 97) for _ in range(2))
+        if x == y:
+            continue
+        lo, hi = min(x, y), max(x, y)
+        bound = rng.randint(1, 60)
+        got = rationals_in(make_slope(lo.numerator, lo.denominator),
+                           make_slope(hi.numerator, hi.denominator), bound)
+        assert got == rationals_scan(lo, hi, bound), (lo, hi, bound)
+
+
+def test_farey_interval_domain():
+    for a, b in (("0", "1/2"), ("1/2", "3/2"), ("inf", "1/2"), ("-1/3", "1/2")):
+        with pytest.raises(DomainError):
+            rationals_in(S(a), S(b), 10)
+    with pytest.raises(DomainError):
+        rationals_in(S("1/2"), S("1/2"), 10)
+    with pytest.raises(DomainError):
+        rationals_in(S("1/2"), S("1/3"), 10)

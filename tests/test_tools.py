@@ -1,0 +1,34 @@
+"""The benchmark's smoke run and the scripts, each run as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_perfbench_smoke():
+    # fails when a function the traced run looks up by name disappears
+    res = run_script("perfbench/run.py", "--smoke")
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_sweep_windows_script():
+    res = run_script("scripts/sweep_windows.py", "--bound", "40", "--n-max", "5")
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_export_dot_script(tmp_path):
+    res = run_script("scripts/export_dot.py", "--out-dir", str(tmp_path))
+    assert res.returncode == 0, res.stdout + res.stderr
+    written = [Path(line) for line in res.stdout.split()]
+    assert written and all(p.parent == tmp_path and p.read_text().startswith("digraph") for p in written)
