@@ -12,6 +12,7 @@ ranges is reported as NotCoveredByPaper rather than guessed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +27,7 @@ from .slopes import (
     neighbors_in_interval,
     _pos_lt,
 )
-from .paths import FareyPath, concat
+from .paths import FareyPath, concat, minimal_path
 from .tori import DecoratedPath, ShuffleClass, enumerate_tight, signed_blocks
 
 
@@ -207,7 +208,14 @@ def _uniform(cls: ShuffleClass) -> bool:
 
 
 def classify(sid: TightStructureId) -> FillabilityVerdict:
-    """Fillability verdict by rule table, first match wins."""
+    """Fillability verdict by rule table, first match wins.
+
+    Besides r, a verdict reads (k, l) only through the triangle position
+    (Base, Top, Side low/high, Interior) and P only through whether P is
+    uniform and whether its last signed block is all plus, all minus or
+    mixed.  verdict_summary relies on this to classify one structure per
+    combination instead of every structure.
+    """
     n = n_of(sid.r)
     pos = triangle_position(sid)
     if pos.tag == "Base":
@@ -241,10 +249,60 @@ def classify(sid: TightStructureId) -> FillabilityVerdict:
     return FillabilityVerdict(Fillability.NOT_COVERED, None)
 
 
+def _position_classes(n: int) -> list[tuple[int, int, int]]:
+    """(k, l, cells): one cell of each triangle position present for this
+    n, with the number of cells in that position."""
+    out = [(1, 0, n)]  # Base
+    if n >= 2:
+        out.append((n, 0, 1))  # Top
+    if n >= 3:
+        out += [(2, 0, n - 2), (2, n - 2, n - 2)]  # Side low, Side high
+    if n >= 4:
+        out.append((2, 1, (n - 2) * (n - 3) // 2))  # Interior
+    return out
+
+
+def _p_kinds(path: FareyPath) -> list[tuple[ShuffleClass, int]]:
+    """(P, classes): one shuffle class on the path of each kind classify
+    tells apart, with the number of classes of that kind.
+
+    With signed block sizes s_1..s_m, phi = prod(s_i + 1) and
+    rho = phi/(s_m + 1) choices on the blocks before the last, the kinds
+    are all plus (1), all minus (1), last block all plus but not uniform
+    (rho - 1), last block all minus but not uniform (rho - 1) and last
+    block mixed (phi - 2 rho).  Kinds with no class are left out.
+    """
+    sizes = signed_blocks(path).sizes
+    if not sizes:
+        return [(ShuffleClass(path, ()), 1)]
+    phi = math.prod(size + 1 for size in sizes)
+    rho = phi // (sizes[-1] + 1)
+    plus, minus = (0,) * len(sizes), sizes
+    kinds = [
+        (plus, 1),
+        (minus, 1),
+        ((1,) + plus[1:], rho - 1),
+        ((0,) + minus[1:], rho - 1),
+        (plus[:-1] + (1,), phi - 2 * rho),
+    ]
+    return [(ShuffleClass(path, counts), classes) for counts, classes in kinds if classes]
+
+
 def verdict_summary(r: Slope) -> dict[Fillability, int]:
-    """Verdict tallies over all structures of the r-surgery; statuses
-    with count 0 are omitted."""
-    tally = Counter(classify(sid).status for sid in enumerate_structures(r))
+    """Verdict tallies over all n(n+1)/2 * phi(r) structures of the
+    r-surgery; statuses with count 0 are omitted.
+
+    No structure is enumerated: the geodesic from r to 1/n is built once,
+    and classify runs on one representative (k, l, P) per triangle
+    position and kind of P (at most 25 calls), each verdict weighted by
+    the number of structures it stands for.
+    """
+    n = n_of(r)
+    kinds = _p_kinds(minimal_path(r, make_slope(1, n)))
+    tally = Counter()
+    for k, l, cells in _position_classes(n):
+        for P, classes in kinds:
+            tally[classify(TightStructureId(r, k, l, P)).status] += cells * classes
     return {status: tally[status] for status in Fillability if tally[status]}
 
 

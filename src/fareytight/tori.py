@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .slopes import (
     DomainError,
@@ -92,6 +93,13 @@ class ShuffleClass:
         return DecoratedPath(self.path, tuple(signs))
 
     def to_json(self) -> dict:
+        """JSON-ready form of the class.  Built once per class and shared
+        by every caller (every record of a structure on this class), so
+        treat it as read-only."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> dict:
         # the unsigned first edge is reported as its own block with count 0
         runs = [[e + 1 for e in run] for run in self.blocks.runs]
         return {

@@ -3,15 +3,18 @@
 Everything here recomputes answers from first principles (Fraction
 arithmetic, mediant recursion, explicit orbit enumeration) without
 going through the library's own fan/block machinery, so library bugs
-cannot cancel out.
+cannot cancel out.  The exception is enumerated_tally, which runs the
+library's classify on every enumerated structure: it checks the
+aggregate in verdict_summary against the per-structure rules.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 
 from fareytight.slopes import INF, ONE, ContinuedFraction, Slope, cf_minus, cf_value, make_slope
+from fareytight.atlas import Fillability, classify, enumerate_structures
 
 
 def circle_pos(s: Slope) -> Fraction:
@@ -188,3 +191,11 @@ def decrement_path(x: Slope) -> tuple[Slope, ...]:
             out.append(ONE)
             return tuple(out)
         out.append(cf_value(ContinuedFraction(tuple(entries))))
+
+
+def enumerated_tally(r: Slope) -> dict:
+    """Verdict tallies of the r-surgery by classifying every enumerated
+    structure, statuses with count 0 omitted: the per-structure count
+    that atlas.verdict_summary replaces by one classify per class."""
+    tally = Counter(classify(sid).status for sid in enumerate_structures(r))
+    return {status: tally[status] for status in Fillability if tally[status]}

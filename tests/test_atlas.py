@@ -3,10 +3,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slope
 from fareytight.paths import minimal_path
-from fareytight.tori import ShuffleClass, phi
+from fareytight.tori import ShuffleClass, phi, signed_blocks
 from fareytight.atlas import (
     CITE_BASE_ROW,
     CITE_INTERIOR,
@@ -27,7 +29,7 @@ from fareytight.atlas import (
     verdict_summary,
 )
 
-from helpers import random_unit_rational
+from helpers import enumerated_tally, random_unit_rational
 
 
 def S(text):
@@ -307,6 +309,39 @@ def test_verdict_summary_fixtures():
         Fillability.STEIN: 18,
         Fillability.STRONG_NOT_EXACT: 6,
     }
+
+
+def test_verdict_summary_matches_enumeration_exhaustive():
+    rs = [make_slope(p, q) for q in range(2, 51) for p in range(1, q) if gcd(p, q) == 1]
+    # the inputs reach every shape the aggregate treats apart: n = 1 to
+    # n >= 4, no signed blocks (phi = 1), one and several blocks, a last
+    # block of size 1 and of size >= 2
+    shapes = set()
+    for r in rs:
+        n = n_of(r)
+        sizes = signed_blocks(minimal_path(r, make_slope(1, n))).sizes
+        shapes |= {("n", min(n, 4)), ("blocks", min(len(sizes), 2))}
+        if sizes:
+            shapes.add(("last", min(sizes[-1], 2)))
+    assert shapes == {("n", 1), ("n", 2), ("n", 3), ("n", 4), ("blocks", 0), ("blocks", 1),
+                      ("blocks", 2), ("last", 1), ("last", 2)}
+    # and every classified window: Thm 1.4, Thm 1.5, Thm 1.3 for n = 2..5
+    assert {S("9/25"), S("13/49"), S("3/8"), S("5/18"), S("7/32"), S("9/50")} <= set(rs)
+    for r in rs:
+        assert verdict_summary(r) == enumerated_tally(r), r
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 150).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
+@example((16, 73))  # Thm 1.3 window, n = 4, two signed blocks
+@example((20, 111))  # Thm 1.3 window, n = 5, two signed blocks
+@example((23, 105))  # Thm 1.3 window, n = 4, first of two blocks of size 2
+@example((41, 187))  # Thm 1.3 window, n = 4, three signed blocks
+@example((17, 47))  # Thm 1.4 window, last block of size 3
+def test_verdict_summary_matches_enumeration(pq):
+    assume(gcd(*pq) == 1)
+    r = make_slope(*pq)
+    assert verdict_summary(r) == enumerated_tally(r)
 
 
 def test_verdict_summary_uncovered_slope():

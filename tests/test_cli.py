@@ -184,6 +184,16 @@ def test_summary_json_exact_bytes(capsys):
     assert out == '{"total":12,"stein":10,"strong_not_exact":2}\n'
 
 
+def test_summary_large_triangle_json(capsys):
+    # n = 1999, phi = 1, below the Thm 1.3 window: Base n*phi, Interior
+    # (n-2)(n-3)/2*phi, Top and Sides (2n-3)*phi
+    code, out, _ = run(capsys, "summary", "1/2000", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"total":1999000,"stein":1999,"strong_not_exact":1993006,"not_covered_by_paper":3995}\n'
+    )
+
+
 def test_summary_text(capsys):
     code, out, _ = run(capsys, "summary", "7/32")
     assert out == (

@@ -86,6 +86,8 @@ def test_shuffle_class_to_json():
         "blocks": [[1], [2, 3, 4]],
         "minus": [0, 2],
     }
+    # built once per class: every record on the class shares it
+    assert cls.to_json() is cls.to_json()
 
 
 def test_count_tight_fixtures():
