@@ -119,6 +119,12 @@ class BlockDecomposition:
         return tuple(len(r) for r in self.runs)
 
 
+def same_block(u: Slope, w: Slope) -> bool:
+    """True when the edges u -- v and v -- w of a path, meeting at some
+    vertex v, lie in one continued fraction block: |det(u, w)| == 2."""
+    return abs(det(u, w)) == 2
+
+
 def edge_runs(path: FareyPath, first_edge: int, last_edge: int) -> tuple[tuple[int, ...], ...]:
     """Maximal mergeable runs among edges first_edge..last_edge inclusive."""
     vs = path.vertices
@@ -126,7 +132,7 @@ def edge_runs(path: FareyPath, first_edge: int, last_edge: int) -> tuple[tuple[i
         return ()
     runs = [[first_edge]]
     for e in range(first_edge + 1, last_edge + 1):
-        if abs(det(vs[e - 1], vs[e + 1])) == 2:
+        if same_block(vs[e - 1], vs[e + 1]):
             runs[-1].append(e)
         else:
             runs.append([e])

@@ -10,7 +10,6 @@ signed blocks, which reproduces the continued fraction count phi.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,12 +19,18 @@ from .slopes import (
     Slope,
     cf_minus,
     cw_interval_contains,
-    det,
     is_edge,
     make_slope,
     _pos_lt,
 )
-from .paths import BlockDecomposition, FareyPath, edge_runs, lengthen_through, minimal_path
+from .paths import (
+    BlockDecomposition,
+    FareyPath,
+    edge_runs,
+    lengthen_through,
+    minimal_path,
+    same_block,
+)
 
 
 @dataclass(frozen=True)
@@ -205,42 +210,65 @@ def lengthen_decorated(d: DecoratedPath, t: Slope) -> DecoratedPath:
     raise DomainError("slope %s is not interior to any edge of the path" % t)
 
 
-def _successors(verts: tuple[Slope, ...], signs: tuple[int, ...]):
-    # consistent shortenings: drop an interior vertex when the outer
-    # vertices span an edge and the two merged edges agree in sign (the
-    # unsigned first edge merges with anything and stays unsigned)
-    for i in range(1, len(verts) - 1):
-        if not is_edge(verts[i - 1], verts[i + 1]):
-            continue
-        if i == 1:
-            yield verts[:1] + verts[2:], signs[1:]
-        elif signs[i - 2] == signs[i - 1]:
-            yield verts[:i] + verts[i + 1 :], signs[: i - 1] + signs[i:]
-    # shuffles: adjacent signed edges in one block may swap their signs
-    for j in range(1, len(verts) - 2):
-        if signs[j - 1] != signs[j] and abs(det(verts[j], verts[j + 2])) == 2:
-            yield verts, signs[: j - 1] + (signs[j], signs[j - 1]) + signs[j + 1 :]
-
-
 def consistently_shorten(d: DecoratedPath) -> DecoratedPath | None:
     """Shorten d to a decorated minimal path, shuffling inside blocks as
-    needed; None when no sequence of moves reaches the minimal path."""
-    target = minimal_path(d.path.start, d.path.end).vertices
-    start = (d.path.vertices, d.signs)
-    if start[0] == target:
-        return d
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        state = queue.popleft()
-        for nxt in _successors(*state):
-            if nxt in seen:
-                continue
-            if nxt[0] == target:
-                return DecoratedPath(FareyPath(nxt[0]), nxt[1])
-            seen.add(nxt)
-            queue.append(nxt)
-    return None
+    needed; None when no sequence of moves reaches the minimal path.
+
+    The moves are Honda's: signs shuffle freely inside a continued
+    fraction block, two edges whose outer vertices span a Farey edge
+    merge into that edge when their signs agree (the merged edge keeps
+    the sign), and the unsigned first edge absorbs its neighbour
+    whatever its sign.  The reduction drops removable vertices one at a
+    time.  At a vertex i > 1 the det of the outer vertices is +-1, so
+    edge i-1 ends one block and edge i starts the next; a consistent
+    merge exists exactly when some sign x occurs in both blocks, and
+    then shuffles bring an x onto each of the two edges.
+
+    Neither the order of the merges nor the choice of x changes the
+    answer: shuffles generate every arrangement inside a block, so a
+    block's state is just its minus count; a merge never splits a
+    block, so what one merge allows, a later state still allows; and a
+    consistent merge keeps the contact structure, so every sequence of
+    merges that reaches the minimal path ends in the same shuffle
+    class.  When no sign occurs in both blocks, every shuffle puts
+    opposite signs on edges i-1 and i, whose union spans an edge: that
+    layer is overtwisted whatever else happens, so the failure is final.
+
+    At most len(d.path) merges, each O(len): O(len**2) in all.  The
+    result is one valid representative; only its shuffle class is
+    determined.
+    """
+    target = minimal_path(d.path.start, d.path.end)
+    verts = list(d.path.vertices)
+    signs = [0] + list(d.signs)  # signs[e] is the sign of edge e
+    i = 1
+    while i < len(verts) - 1:
+        if not is_edge(verts[i - 1], verts[i + 1]):
+            i += 1
+            continue
+        if i > 1:
+            lo = i - 1  # first edge of the block that edge i-1 ends
+            while lo > 1 and same_block(verts[lo - 1], verts[lo + 1]):
+                lo -= 1
+            hi = i  # last edge of the block that edge i starts
+            while hi < len(verts) - 2 and same_block(verts[hi], verts[hi + 2]):
+                hi += 1
+            left, right = signs[lo:i], signs[i : hi + 1]
+            x = next((x for x in (1, -1) if x in left and x in right), None)
+            if x is None:
+                return None
+            j = lo + left.index(x)
+            signs[j], signs[i - 1] = signs[i - 1], x
+            j = i + right.index(x)
+            signs[j], signs[i] = signs[i], x
+        # edge i-1 becomes verts[i-1] -- verts[i+1] and keeps its sign
+        del verts[i], signs[i]
+        # only the vertices on either side of the dropped one have new
+        # neighbours, so every vertex before i-1 stays unremovable
+        i = max(1, i - 1)
+    if tuple(verts) != target.vertices:
+        return None
+    return DecoratedPath(target, tuple(signs[1:]))
 
 
 def is_tight(d: DecoratedPath) -> bool:

@@ -5,7 +5,9 @@ arithmetic, mediant recursion, explicit orbit enumeration) without
 going through the library's own fan/block machinery, so library bugs
 cannot cancel out.  The exception is enumerated_tally, which runs the
 library's classify on every enumerated structure: it checks the
-aggregate in verdict_summary against the per-structure rules.
+aggregate in verdict_summary against the per-structure rules, and
+bfs_shorten, the breadth-first search over sign sequences that
+tori.consistently_shorten replaces.
 """
 
 import math
@@ -13,8 +15,20 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 
-from fareytight.slopes import INF, ONE, ContinuedFraction, Slope, cf_minus, cf_value, make_slope
+from fareytight.slopes import (
+    INF,
+    ONE,
+    ContinuedFraction,
+    Slope,
+    cf_minus,
+    cf_value,
+    det,
+    is_edge,
+    make_slope,
+)
 from fareytight.atlas import Fillability, classify, enumerate_structures
+from fareytight.paths import FareyPath, minimal_path
+from fareytight.tori import DecoratedPath
 
 
 def circle_pos(s: Slope) -> Fraction:
@@ -199,3 +213,46 @@ def enumerated_tally(r: Slope) -> dict:
     that atlas.verdict_summary replaces by one classify per class."""
     tally = Counter(classify(sid).status for sid in enumerate_structures(r))
     return {status: tally[status] for status in Fillability if tally[status]}
+
+
+def _successors(verts: tuple[Slope, ...], signs: tuple[int, ...]):
+    # consistent shortenings: drop an interior vertex when the outer
+    # vertices span an edge and the two merged edges agree in sign (the
+    # unsigned first edge merges with anything and stays unsigned)
+    for i in range(1, len(verts) - 1):
+        if not is_edge(verts[i - 1], verts[i + 1]):
+            continue
+        if i == 1:
+            yield verts[:1] + verts[2:], signs[1:]
+        elif signs[i - 2] == signs[i - 1]:
+            yield verts[:i] + verts[i + 1 :], signs[: i - 1] + signs[i:]
+    # shuffles: adjacent signed edges in one block may swap their signs
+    for j in range(1, len(verts) - 2):
+        if signs[j - 1] != signs[j] and abs(det(verts[j], verts[j + 2])) == 2:
+            yield verts, signs[: j - 1] + (signs[j], signs[j - 1]) + signs[j + 1 :]
+
+
+def bfs_shorten(d: DecoratedPath) -> DecoratedPath | None:
+    """Shorten d to a decorated minimal path, shuffling inside blocks as
+    needed; None when no sequence of moves reaches the minimal path.
+
+    Breadth-first search over raw (vertices, signs) states, one shuffle
+    or merge per step: exponential in the number of extra vertices, so
+    keep inputs to about 14 edges plus a few mediants.
+    """
+    target = minimal_path(d.path.start, d.path.end).vertices
+    start = (d.path.vertices, d.signs)
+    if start[0] == target:
+        return d
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        state = queue.popleft()
+        for nxt in _successors(*state):
+            if nxt in seen:
+                continue
+            if nxt[0] == target:
+                return DecoratedPath(FareyPath(nxt[0]), nxt[1])
+            seen.add(nxt)
+            queue.append(nxt)
+    return None

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slope
+from fareytight.slopes import DomainError, INF, ONE, ZERO, farey_sum, is_edge, make_slope, parse_slope
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import (
     DecoratedPath,
@@ -20,7 +23,7 @@ from fareytight.tori import (
     signed_blocks,
 )
 
-from helpers import random_unit_rational, shuffle_orbit_count
+from helpers import bfs_shorten, random_unit_rational, shuffle_orbit_count
 
 
 def S(text):
@@ -279,3 +282,85 @@ def test_lengthened_tight_stays_tight():
         longer = lengthen_decorated(d, t)
         assert is_tight(longer)
         assert shuffle_canonical(consistently_shorten(longer)) == shuffle_canonical(d)
+
+
+_SIGN = st.sampled_from((1, -1))
+
+
+@st.composite
+def lengthened_paths(draw):
+    """A geodesic of at most 14 edges with random signs (a piece of the
+    geodesic from some p/q in (0,1) to 1 or inf), lengthened by 0-6
+    mediant insertions and sometimes re-signed at random."""
+    q = draw(st.integers(2, 300))
+    r = make_slope(draw(st.integers(1, q - 1)), q)
+    full = minimal_path(r, draw(st.sampled_from((ONE, INF)))).vertices
+    k = draw(st.integers(1, min(14, len(full) - 1)))
+    a = draw(st.integers(0, len(full) - 1 - k))
+    path = FareyPath(full[a : a + k + 1])
+    assert minimal_path(path.start, path.end) == path
+    d = DecoratedPath(path, tuple(draw(st.lists(_SIGN, min_size=k - 1, max_size=k - 1))))
+    for _ in range(draw(st.integers(0, 6))):
+        vs = d.path.vertices
+        e = draw(st.integers(0, len(vs) - 2))
+        d = lengthen_decorated(d, farey_sum(vs[e], vs[e + 1]))
+    if draw(st.booleans()):
+        m = len(d.signs)
+        d = DecoratedPath(d.path, tuple(draw(st.lists(_SIGN, min_size=m, max_size=m))))
+    return d
+
+
+def test_consistently_shorten_matches_bfs():
+    reached = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengthened_paths())
+    def check(d):
+        short, oracle = consistently_shorten(d), bfs_shorten(d)
+        assert (short is None) == (oracle is None), d
+        if short is None:
+            reached["overtwisted"] += 1
+        else:
+            assert shuffle_canonical(short) == shuffle_canonical(oracle), d
+            reached["tight"] += 1
+        vs = d.path.vertices
+        if len(vs) > 2 and is_edge(vs[0], vs[2]):
+            reached["first edge merge"] += 1
+
+    check()
+    assert reached["tight"] and reached["overtwisted"] and reached["first edge merge"], reached
+
+
+def _spread_mediants(d, count):
+    """Insert the mediants of count evenly spread edges of d's path."""
+    vs, m = d.path.vertices, len(d.path)
+    for k in range(1, count + 1):
+        e = k * m // (count + 1)
+        d = lengthen_decorated(d, farey_sum(vs[e], vs[e + 1]))
+    return d
+
+
+@pytest.mark.parametrize("n", [50, 20])
+def test_consistently_shorten_long_path_with_mediants(n):
+    # one signed block with alternating signs, so half of it is minus
+    path = minimal_path(make_slope(1, n), make_slope(1, 2))
+    d = DecoratedPath(path, tuple((-1) ** e for e in range(1, len(path))))
+    longer = _spread_mediants(d, 8)
+    assert len(longer.path) == len(path) + 8
+    short = consistently_shorten(longer)
+    assert short is not None
+    assert short.path == path
+    assert shuffle_canonical(short) == shuffle_canonical(d)
+    assert shuffle_canonical(d).minus_counts == (len(path) // 2,)
+
+
+def test_consistently_shorten_long_path_forced_opposite_merge():
+    # all + before the fourth mediant vertex (inside edge 4 * 48 // 9)
+    # and all - after it
+    path = minimal_path(make_slope(1, 50), make_slope(1, 2))
+    longer = _spread_mediants(DecoratedPath(path, (1,) * (len(path) - 1)), 8)
+    vs = longer.path.vertices
+    mid = vs.index(farey_sum(path.vertices[21], path.vertices[22]))
+    assert is_edge(vs[mid - 1], vs[mid + 1])
+    signs = tuple(1 if e < mid else -1 for e in range(1, len(longer.path)))
+    assert consistently_shorten(DecoratedPath(longer.path, signs)) is None
