@@ -6,6 +6,8 @@ q <= bound inside [(2n-1)/2n^2, 2/(2n+1)), and the two low-n windows
 [9/25, 4/11) and [13/49, 4/15) as well.  Each row's tally from
 verdict_summary is checked against the tally of classify over every
 enumerated structure; a row where they differ is marked MISMATCH.
+Both read the same rules (atlas._rule), so the check covers the
+aggregation only: the weighting by cells and classes, not the verdicts.
 """
 
 import argparse

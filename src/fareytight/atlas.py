@@ -12,7 +12,6 @@ ranges is reported as NotCoveredByPaper rather than guessed.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +27,8 @@ from .slopes import (
     _pos_lt,
 )
 from .paths import FareyPath, concat, minimal_path
-from .tori import DecoratedPath, ShuffleClass, enumerate_tight, signed_blocks
+from .tori import DecoratedPath, ShuffleClass, enumerate_tight, feature_counts
+from .tori import shuffle_canonical, signed_blocks
 
 
 class Fillability(str, Enum):
@@ -88,6 +88,17 @@ class TrianglePosition:
     tag: str  # Base, Top, Interior or Side
     side: str | None = None  # "low" (l=0) or "high" (l=n-k) when Side
 
+    @classmethod
+    def of(cls, n: int, k: int, l: int) -> TrianglePosition:
+        """Position of the cell (k, l) in the triangle of the n-th row."""
+        if k == 1:
+            return cls("Base")
+        if k == n:
+            return cls("Top")
+        if 1 <= l <= n - k - 1:
+            return cls("Interior")
+        return cls("Side", "low" if l == 0 else "high")
+
 
 @dataclass(frozen=True)
 class MixedTorus:
@@ -131,14 +142,7 @@ def enumerate_structures(r: Slope) -> list[TightStructureId]:
 
 
 def triangle_position(sid: TightStructureId) -> TrianglePosition:
-    n = n_of(sid.r)
-    if sid.k == 1:
-        return TrianglePosition("Base")
-    if sid.k == n:
-        return TrianglePosition("Top")
-    if 1 <= sid.l <= n - sid.k - 1:
-        return TrianglePosition("Interior")
-    return TrianglePosition("Side", "low" if sid.l == 0 else "high")
+    return TrianglePosition.of(n_of(sid.r), sid.k, sid.l)
 
 
 def full_path(sid: TightStructureId) -> DecoratedPath:
@@ -160,7 +164,7 @@ def mixed_tori(sid: TightStructureId) -> list[MixedTorus]:
     full = full_path(sid)
     vs = full.path.vertices
     runs = signed_blocks(full.path).runs
-    counts = [sum(1 for e in run if full.signs[e - 1] == -1) for run in runs]
+    counts = shuffle_canonical(full).minus_counts
     spots = set()
     for run, cnt in zip(runs, counts):
         if 0 < cnt < len(run):
@@ -201,44 +205,27 @@ def _in_interval(r: Slope, lo: Slope, hi: Slope) -> bool:
     return (r == lo or _pos_lt(lo, r)) and _pos_lt(r, hi)
 
 
-def _uniform(cls: ShuffleClass) -> bool:
-    total = sum(cls.blocks.sizes)
-    minus = sum(cls.minus_counts)
-    return minus == 0 or minus == total
-
-
-def classify(sid: TightStructureId) -> FillabilityVerdict:
-    """Fillability verdict by rule table, first match wins.
-
-    Besides r, a verdict reads (k, l) only through the triangle position
-    (Base, Top, Side low/high, Interior) and P only through whether P is
-    uniform and whether its last signed block is all plus, all minus or
-    mixed.  verdict_summary relies on this to classify one structure per
-    combination instead of every structure.
-    """
-    n = n_of(sid.r)
-    pos = triangle_position(sid)
+def _rule(r: Slope, n: int, pos: TrianglePosition, features: tuple[bool, ...]) -> FillabilityVerdict:
+    """Fillability verdict by rule table, first match wins.  A verdict
+    reads nothing but r, n, the triangle position and the features of P
+    (ShuffleClass.features)."""
+    uniform, last_all_plus, last_all_minus = features
     if pos.tag == "Base":
         return FillabilityVerdict(Fillability.STEIN, CITE_BASE_ROW)
     if pos.tag == "Interior":
         return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_INTERIOR)
-    if n == 2 and _in_interval(sid.r, make_slope(9, 25), make_slope(4, 11)):
-        if _uniform(sid.P):
+    if n == 2 and _in_interval(r, make_slope(9, 25), make_slope(4, 11)):
+        if uniform:
             return FillabilityVerdict(Fillability.STEIN, CITE_N2_INTERVAL)
         return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N2_INTERVAL)
-    if n == 3 and _in_interval(sid.r, make_slope(13, 49), make_slope(4, 15)):
-        if pos.tag == "Side" or _uniform(sid.P):
+    if n == 3 and _in_interval(r, make_slope(13, 49), make_slope(4, 15)):
+        if pos.tag == "Side" or uniform:
             return FillabilityVerdict(Fillability.STEIN, CITE_N3_INTERVAL)
         return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N3_INTERVAL)
-    if _in_interval(sid.r, make_slope(2 * n - 1, 2 * n * n), make_slope(2, 2 * n + 1)):
+    if _in_interval(r, make_slope(2 * n - 1, 2 * n * n), make_slope(2, 2 * n + 1)):
         if n <= 3 or pos.tag == "Top":
             return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
-        runs = sid.P.blocks.runs
-        last_size = len(runs[-1]) if runs else 0
-        last_minus = sid.P.minus_counts[-1] if runs else 0
-        if (pos.side == "low" and last_minus == 0) or (
-            pos.side == "high" and last_minus == last_size
-        ):
+        if (pos.side == "low" and last_all_plus) or (pos.side == "high" and last_all_minus):
             return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
         return FillabilityVerdict(
             Fillability.STRONG_STEIN_CONDITIONAL,
@@ -249,60 +236,39 @@ def classify(sid: TightStructureId) -> FillabilityVerdict:
     return FillabilityVerdict(Fillability.NOT_COVERED, None)
 
 
-def _position_classes(n: int) -> list[tuple[int, int, int]]:
-    """(k, l, cells): one cell of each triangle position present for this
-    n, with the number of cells in that position."""
-    out = [(1, 0, n)]  # Base
-    if n >= 2:
-        out.append((n, 0, 1))  # Top
-    if n >= 3:
-        out += [(2, 0, n - 2), (2, n - 2, n - 2)]  # Side low, Side high
-    if n >= 4:
-        out.append((2, 1, (n - 2) * (n - 3) // 2))  # Interior
+def classify(sid: TightStructureId) -> FillabilityVerdict:
+    """Fillability verdict of one structure, by _rule."""
+    n = n_of(sid.r)
+    return _rule(sid.r, n, TrianglePosition.of(n, sid.k, sid.l), sid.P.features)
+
+
+def cell_tallies(r: Slope) -> dict[TrianglePosition, Counter]:
+    """Verdict tallies over the phi(r) structures of one (k, l) cell, for
+    each triangle position present on the r-surgery.  No structure is
+    enumerated: _rule runs once per position and value of P's features,
+    weighted by the number of classes with those features."""
+    n = n_of(r)
+    # the cells with k in {1, 2, n} and l in {0, 1, n-k} meet every position
+    cells = [(k, l) for k in (1, 2, n) for l in (0, 1, n - k) if k <= n and l <= n - k]
+    kinds = feature_counts(minimal_path(r, make_slope(1, n)))
+    out = {}
+    for pos in dict.fromkeys(TrianglePosition.of(n, k, l) for k, l in cells):
+        out[pos] = Counter()
+        for features, classes in kinds.items():
+            out[pos][_rule(r, n, pos, features).status] += classes
     return out
-
-
-def _p_kinds(path: FareyPath) -> list[tuple[ShuffleClass, int]]:
-    """(P, classes): one shuffle class on the path of each kind classify
-    tells apart, with the number of classes of that kind.
-
-    With signed block sizes s_1..s_m, phi = prod(s_i + 1) and
-    rho = phi/(s_m + 1) choices on the blocks before the last, the kinds
-    are all plus (1), all minus (1), last block all plus but not uniform
-    (rho - 1), last block all minus but not uniform (rho - 1) and last
-    block mixed (phi - 2 rho).  Kinds with no class are left out.
-    """
-    sizes = signed_blocks(path).sizes
-    if not sizes:
-        return [(ShuffleClass(path, ()), 1)]
-    phi = math.prod(size + 1 for size in sizes)
-    rho = phi // (sizes[-1] + 1)
-    plus, minus = (0,) * len(sizes), sizes
-    kinds = [
-        (plus, 1),
-        (minus, 1),
-        ((1,) + plus[1:], rho - 1),
-        ((0,) + minus[1:], rho - 1),
-        (plus[:-1] + (1,), phi - 2 * rho),
-    ]
-    return [(ShuffleClass(path, counts), classes) for counts, classes in kinds if classes]
 
 
 def verdict_summary(r: Slope) -> dict[Fillability, int]:
     """Verdict tallies over all n(n+1)/2 * phi(r) structures of the
-    r-surgery; statuses with count 0 are omitted.
-
-    No structure is enumerated: the geodesic from r to 1/n is built once,
-    and classify runs on one representative (k, l, P) per triangle
-    position and kind of P (at most 25 calls), each verdict weighted by
-    the number of structures it stands for.
-    """
+    r-surgery, statuses with count 0 omitted: each tally of cell_tallies
+    weighted by the number of cells in its position."""
     n = n_of(r)
-    kinds = _p_kinds(minimal_path(r, make_slope(1, n)))
+    cells = {"Base": n, "Top": 1, "Side": n - 2, "Interior": (n - 2) * (n - 3) // 2}
     tally = Counter()
-    for k, l, cells in _position_classes(n):
-        for P, classes in kinds:
-            tally[classify(TightStructureId(r, k, l, P)).status] += cells * classes
+    for pos, found in cell_tallies(r).items():
+        for status, cnt in found.items():
+            tally[status] += cells[pos.tag] * cnt
     return {status: tally[status] for status in Fillability if tally[status]}
 
 

@@ -19,10 +19,13 @@ from .cables import cable_surgery_slope, reglue_map
 from .atlas import (
     Fillability,
     MixedTorus,
+    TrianglePosition,
+    cell_tallies,
     classify,
     enumerate_structures,
     exceptional_slopes,
     full_path,
+    n_of,
     structure_record,
     triangle_position,
     verdict_summary,
@@ -60,26 +63,27 @@ def emit_dot_path(path) -> str:
 
 
 def emit_dot_triangle(r: Slope) -> str:
-    spots: dict[tuple[int, int], list] = {}
-    for sid in enumerate_structures(r):
-        spots.setdefault((sid.k, sid.l), []).append(classify(sid).status.value)
+    n = n_of(r)
+    styles = {}  # label text and colour of a cell, per position
+    for pos, found in cell_tallies(r).items():
+        counts = sorted((status.value, cnt) for status, cnt in found.items())
+        color = _DOT_COLORS[counts[0][0]] if len(counts) == 1 else "orange"
+        styles[pos] = ("\\n".join("%s %d" % sc for sc in counts), color)
     lines = [
         "digraph classification_triangle {",
         '  label="surgery coefficient %s";' % r,
         "  node [shape=box, style=filled];",
     ]
-    max_k = max(k for k, _ in spots)
-    for (k, l), found in sorted(spots.items()):
-        statuses = sorted(set(found))
-        color = _DOT_COLORS[statuses[0]] if len(statuses) == 1 else "orange"
-        tallies = "\\n".join("%s %d" % (st, found.count(st)) for st in statuses)
-        lines.append(
-            '  "k%d_l%d" [label="k=%d l=%d\\n%s", fillcolor="%s"];' % (k, l, k, l, tallies, color)
-        )
-    for k in sorted({k for k, _ in spots}):
-        row = " ".join('"k%d_l%d";' % (k, l) for kk, l in sorted(spots) if kk == k)
+    for k in range(1, n + 1):
+        for l in range(n - k + 1):
+            tallies, color = styles[TrianglePosition.of(n, k, l)]
+            lines.append(
+                '  "k%d_l%d" [label="k=%d l=%d\\n%s", fillcolor="%s"];' % (k, l, k, l, tallies, color)
+            )
+    for k in range(1, n + 1):
+        row = " ".join('"k%d_l%d";' % (k, l) for l in range(n - k + 1))
         lines.append("  { rank=same; %s }" % row)
-    for k in range(1, max_k):
+    for k in range(1, n):
         lines.append('  "k%d_l0" -> "k%d_l0" [style=invis];' % (k, k + 1))
     lines.append("}")
     return "\n".join(lines)

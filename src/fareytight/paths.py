@@ -3,9 +3,8 @@
 A path is a finite sequence of slopes, consecutive ones spanning a Farey
 edge, that progresses monotonically clockwise around the circle.  The
 central construction is the minimal (geodesic) path between two slopes,
-computed greedily: from the current vertex, jump to the neighbour of the
-target that is as far clockwise as possible while staying inside the
-remaining arc.
+computed greedily: from the current vertex, step to its own Farey
+neighbour that lies inside the remaining arc and closest to the target.
 """
 
 from __future__ import annotations
@@ -78,9 +77,10 @@ def minimal_path(a: Slope, b: Slope) -> FareyPath:
     """Geodesic in the Farey graph from a clockwise to b.
 
     Greedy construction: while the current vertex u is not adjacent to
-    b, step to the Farey neighbour of b lying in the open clockwise arc
-    (u, b) that is closest to u; that neighbour is unique.  The loop
-    ends because each step moves one edge along the geodesic.
+    b, step to the Farey neighbour of u lying in the open clockwise arc
+    (u, b) that is closest to b; that neighbour is unique, and it need
+    not be adjacent to b (from 1/20 towards 1/2 the step goes to 1/19).
+    The loop ends because each step moves one edge along the geodesic.
     """
     if a == b:
         raise DomainError("minimal path endpoints must be distinct")

@@ -10,6 +10,7 @@ signed blocks, which reproduces the continued fraction count phi.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,6 +97,15 @@ class ShuffleClass:
             for e in run[len(run) - cnt :]:
                 signs[e - 1] = -1
         return DecoratedPath(self.path, tuple(signs))
+
+    @cached_property
+    def features(self) -> tuple[bool, bool, bool]:
+        """(uniform, last_all_plus, last_all_minus) of the signed edges;
+        both last flags are true when there is no signed block."""
+        runs, minus = self.blocks.runs, self.minus_counts
+        last_size, last_minus = (len(runs[-1]), minus[-1]) if runs else (0, 0)
+        # the signed blocks hold every edge but the first
+        return (sum(minus) in (0, len(self.path) - 1), last_minus == 0, last_minus == last_size)
 
     def to_json(self) -> dict:
         """JSON-ready form of the class.  Built once per class and shared
@@ -189,6 +199,26 @@ def enumerate_tight(r: Slope, s: Slope) -> list[SolidTorusStructure]:
     for counts in itertools.product(*[range(sz + 1) for sz in sizes]):
         out.append(SolidTorusStructure(r, s, ShuffleClass(path, counts)))
     return out
+
+
+def feature_counts(path: FareyPath) -> dict[tuple[bool, bool, bool], int]:
+    """Number of shuffle classes on the path with each value of
+    ShuffleClass.features, values no class takes left out.  With signed
+    block sizes s_1..s_m there are phi = prod(s_i + 1) classes, and
+    rho = phi/(s_m + 1) of them share each minus count on the last block."""
+    sizes = signed_blocks(path).sizes
+    if not sizes:
+        return {(True, True, True): 1}
+    phi = math.prod(size + 1 for size in sizes)
+    rho = phi // (sizes[-1] + 1)
+    counts = {
+        (True, True, False): 1,  # all plus
+        (True, False, True): 1,  # all minus
+        (False, True, False): rho - 1,  # last block all plus, P not uniform
+        (False, False, True): rho - 1,  # last block all minus, P not uniform
+        (False, False, False): phi - 2 * rho,  # last block mixed
+    }
+    return {features: classes for features, classes in counts.items() if classes}
 
 
 def lengthen_decorated(d: DecoratedPath, t: Slope) -> DecoratedPath:

@@ -3,10 +3,11 @@
 Everything here recomputes answers from first principles (Fraction
 arithmetic, mediant recursion, explicit orbit enumeration) without
 going through the library's own fan/block machinery, so library bugs
-cannot cancel out.  The exception is enumerated_tally, which runs the
-library's classify on every enumerated structure: it checks the
-aggregate in verdict_summary against the per-structure rules, and
-bfs_shorten, the breadth-first search over sign sequences that
+cannot cancel out.  The exceptions are classify_oracle, the rule chain
+that atlas._rule replaces, which reads P's block counts directly instead
+of its features; enumerated_tally, which runs classify_oracle on every
+enumerated structure to check the aggregates in atlas; and bfs_shorten,
+the breadth-first search over sign sequences that
 tori.consistently_shorten replaces.
 """
 
@@ -26,9 +27,22 @@ from fareytight.slopes import (
     is_edge,
     make_slope,
 )
-from fareytight.atlas import Fillability, classify, enumerate_structures
+from fareytight.atlas import (
+    CITE_BASE_ROW,
+    CITE_INTERIOR,
+    CITE_N2_INTERVAL,
+    CITE_N3_INTERVAL,
+    CITE_WIDE_INTERVAL,
+    Fillability,
+    FillabilityVerdict,
+    TightStructureId,
+    _in_interval,
+    enumerate_structures,
+    n_of,
+    triangle_position,
+)
 from fareytight.paths import FareyPath, minimal_path
-from fareytight.tori import DecoratedPath
+from fareytight.tori import DecoratedPath, ShuffleClass
 
 
 def circle_pos(s: Slope) -> Fraction:
@@ -207,11 +221,55 @@ def decrement_path(x: Slope) -> tuple[Slope, ...]:
         out.append(cf_value(ContinuedFraction(tuple(entries))))
 
 
+def _uniform(cls: ShuffleClass) -> bool:
+    total = sum(cls.blocks.sizes)
+    minus = sum(cls.minus_counts)
+    return minus == 0 or minus == total
+
+
+def classify_oracle(sid: TightStructureId) -> FillabilityVerdict:
+    """Fillability verdict by rule table, first match wins: the rule
+    chain as written before atlas.classify read P only through
+    ShuffleClass.features."""
+    n = n_of(sid.r)
+    pos = triangle_position(sid)
+    if pos.tag == "Base":
+        return FillabilityVerdict(Fillability.STEIN, CITE_BASE_ROW)
+    if pos.tag == "Interior":
+        return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_INTERIOR)
+    if n == 2 and _in_interval(sid.r, make_slope(9, 25), make_slope(4, 11)):
+        if _uniform(sid.P):
+            return FillabilityVerdict(Fillability.STEIN, CITE_N2_INTERVAL)
+        return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N2_INTERVAL)
+    if n == 3 and _in_interval(sid.r, make_slope(13, 49), make_slope(4, 15)):
+        if pos.tag == "Side" or _uniform(sid.P):
+            return FillabilityVerdict(Fillability.STEIN, CITE_N3_INTERVAL)
+        return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N3_INTERVAL)
+    if _in_interval(sid.r, make_slope(2 * n - 1, 2 * n * n), make_slope(2, 2 * n + 1)):
+        if n <= 3 or pos.tag == "Top":
+            return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
+        runs = sid.P.blocks.runs
+        last_size = len(runs[-1]) if runs else 0
+        last_minus = sid.P.minus_counts[-1] if runs else 0
+        if (pos.side == "low" and last_minus == 0) or (
+            pos.side == "high" and last_minus == last_size
+        ):
+            return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
+        return FillabilityVerdict(
+            Fillability.STRONG_STEIN_CONDITIONAL,
+            CITE_WIDE_INTERVAL,
+            note="Stein exactly when the matching side structure on the 1/%d-surgery "
+            "is Stein (open)" % (n + 1),
+        )
+    return FillabilityVerdict(Fillability.NOT_COVERED, None)
+
+
 def enumerated_tally(r: Slope) -> dict:
-    """Verdict tallies of the r-surgery by classifying every enumerated
-    structure, statuses with count 0 omitted: the per-structure count
-    that atlas.verdict_summary replaces by one classify per class."""
-    tally = Counter(classify(sid).status for sid in enumerate_structures(r))
+    """Verdict tallies of the r-surgery by running classify_oracle on
+    every enumerated structure, statuses with count 0 omitted: the
+    per-structure count that atlas.verdict_summary replaces by one
+    verdict per position and value of P's features."""
+    tally = Counter(classify_oracle(sid).status for sid in enumerate_structures(r))
     return {status: tally[status] for status in Fillability if tally[status]}
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slope
 from fareytight.paths import minimal_path
-from fareytight.tori import ShuffleClass, phi, signed_blocks
+from fareytight.tori import ShuffleClass, enumerate_tight, feature_counts, phi, signed_blocks
 from fareytight.atlas import (
     CITE_BASE_ROW,
     CITE_INTERIOR,
@@ -18,6 +19,8 @@ from fareytight.atlas import (
     Fillability,
     MixedTorus,
     TightStructureId,
+    TrianglePosition,
+    cell_tallies,
     classify,
     enumerate_structures,
     exceptional_slopes,
@@ -29,7 +32,7 @@ from fareytight.atlas import (
     verdict_summary,
 )
 
-from helpers import enumerated_tally, random_unit_rational
+from helpers import classify_oracle, enumerated_tally, random_unit_rational
 
 
 def S(text):
@@ -311,11 +314,14 @@ def test_verdict_summary_fixtures():
     }
 
 
-def test_verdict_summary_matches_enumeration_exhaustive():
-    rs = [make_slope(p, q) for q in range(2, 51) for p in range(1, q) if gcd(p, q) == 1]
-    # the inputs reach every shape the aggregate treats apart: n = 1 to
-    # n >= 4, no signed blocks (phi = 1), one and several blocks, a last
-    # block of size 1 and of size >= 2
+# every reduced p/q in (0,1) with q <= 50
+UNIT_RATIONALS_50 = [make_slope(p, q) for q in range(2, 51) for p in range(1, q) if gcd(p, q) == 1]
+
+
+def assert_every_shape(rs):
+    """The inputs reach every shape the aggregates treat apart: n = 1 to
+    n >= 4, no signed blocks (phi = 1), one and several blocks, a last
+    block of size 1 and of size >= 2, and every classified window."""
     shapes = set()
     for r in rs:
         n = n_of(r)
@@ -325,10 +331,36 @@ def test_verdict_summary_matches_enumeration_exhaustive():
             shapes.add(("last", min(sizes[-1], 2)))
     assert shapes == {("n", 1), ("n", 2), ("n", 3), ("n", 4), ("blocks", 0), ("blocks", 1),
                       ("blocks", 2), ("last", 1), ("last", 2)}
-    # and every classified window: Thm 1.4, Thm 1.5, Thm 1.3 for n = 2..5
+    # Thm 1.4, Thm 1.5, Thm 1.3 for n = 2..5
     assert {S("9/25"), S("13/49"), S("3/8"), S("5/18"), S("7/32"), S("9/50")} <= set(rs)
-    for r in rs:
+
+
+def test_verdict_summary_matches_enumeration_exhaustive():
+    assert_every_shape(UNIT_RATIONALS_50)
+    for r in UNIT_RATIONALS_50:
         assert verdict_summary(r) == enumerated_tally(r), r
+
+
+def test_classify_matches_oracle_exhaustive():
+    assert_every_shape(UNIT_RATIONALS_50)
+    for r in UNIT_RATIONALS_50:
+        n, tallies = n_of(r), cell_tallies(r)
+        cells = {}
+        for sid in enumerate_structures(r):
+            verdict = classify_oracle(sid)
+            assert classify(sid) == verdict, (sid.r, sid.k, sid.l, sid.P.minus_counts)
+            cells.setdefault((sid.k, sid.l), Counter())[verdict.status] += 1
+        for (k, l), found in cells.items():
+            assert tallies[TrianglePosition.of(n, k, l)] == found, (r, k, l)
+
+
+def test_feature_counts_match_enumeration_exhaustive():
+    assert_every_shape(UNIT_RATIONALS_50)
+    for r in UNIT_RATIONALS_50:
+        s = make_slope(1, n_of(r))
+        path = minimal_path(r, s)
+        found = Counter(c.iso_class.features for c in enumerate_tight(r, s))
+        assert feature_counts(path) == found, r
 
 
 @settings(max_examples=100, deadline=None)

@@ -267,6 +267,35 @@ def test_dot_triangle(capsys):
     assert "palegreen" in out
 
 
+def test_dot_triangle_golden(capsys):
+    # n = 4 inside the Thm 1.3 window: mixed Side cells, Interior and Base
+    code, out, _ = run(capsys, "dot", "triangle", "7/32")
+    assert code == 0
+    assert out == (
+        'digraph classification_triangle {\n'
+        '  label="surgery coefficient 7/32";\n'
+        '  node [shape=box, style=filled];\n'
+        '  "k1_l0" [label="k=1 l=0\\nStein 2", fillcolor="palegreen"];\n'
+        '  "k1_l1" [label="k=1 l=1\\nStein 2", fillcolor="palegreen"];\n'
+        '  "k1_l2" [label="k=1 l=2\\nStein 2", fillcolor="palegreen"];\n'
+        '  "k1_l3" [label="k=1 l=3\\nStein 2", fillcolor="palegreen"];\n'
+        '  "k2_l0" [label="k=2 l=0\\nStein 1\\nStrongSteinConditional 1", fillcolor="orange"];\n'
+        '  "k2_l1" [label="k=2 l=1\\nStrongNotExact 2", fillcolor="lightcoral"];\n'
+        '  "k2_l2" [label="k=2 l=2\\nStein 1\\nStrongSteinConditional 1", fillcolor="orange"];\n'
+        '  "k3_l0" [label="k=3 l=0\\nStein 1\\nStrongSteinConditional 1", fillcolor="orange"];\n'
+        '  "k3_l1" [label="k=3 l=1\\nStein 1\\nStrongSteinConditional 1", fillcolor="orange"];\n'
+        '  "k4_l0" [label="k=4 l=0\\nStein 2", fillcolor="palegreen"];\n'
+        '  { rank=same; "k1_l0"; "k1_l1"; "k1_l2"; "k1_l3"; }\n'
+        '  { rank=same; "k2_l0"; "k2_l1"; "k2_l2"; }\n'
+        '  { rank=same; "k3_l0"; "k3_l1"; }\n'
+        '  { rank=same; "k4_l0"; }\n'
+        '  "k1_l0" -> "k2_l0" [style=invis];\n'
+        '  "k2_l0" -> "k3_l0" [style=invis];\n'
+        '  "k3_l0" -> "k4_l0" [style=invis];\n'
+        '}\n'
+    )
+
+
 def test_dot_path(capsys):
     code, out, _ = run(capsys, "dot", "path", "13/49", "1/3")
     assert '"2/7" -> "1/3"' in out
