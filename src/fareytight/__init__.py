@@ -63,6 +63,7 @@ from .atlas import (
     full_path,
     mixed_tori,
     n_of,
+    structure_cells,
     structure_record,
     triangle_position,
     verdict_summary,

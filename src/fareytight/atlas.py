@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .slopes import (
     DomainError,
@@ -88,16 +89,23 @@ class TrianglePosition:
     tag: str  # Base, Top, Interior or Side
     side: str | None = None  # "low" (l=0) or "high" (l=n-k) when Side
 
-    @classmethod
-    def of(cls, n: int, k: int, l: int) -> TrianglePosition:
-        """Position of the cell (k, l) in the triangle of the n-th row."""
+    @staticmethod
+    def of(n: int, k: int, l: int) -> TrianglePosition:
+        """Position of the cell (k, l) in the triangle of the n-th row:
+        one of five shared instances, so that a listing looks up what it
+        made for the position of each cell by identity."""
         if k == 1:
-            return cls("Base")
+            return _BASE
         if k == n:
-            return cls("Top")
+            return _TOP
         if 1 <= l <= n - k - 1:
-            return cls("Interior")
-        return cls("Side", "low" if l == 0 else "high")
+            return _INTERIOR
+        return _SIDE_LOW if l == 0 else _SIDE_HIGH
+
+
+_BASE, _TOP = TrianglePosition("Base"), TrianglePosition("Top")
+_INTERIOR = TrianglePosition("Interior")
+_SIDE_LOW, _SIDE_HIGH = TrianglePosition("Side", "low"), TrianglePosition("Side", "high")
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,42 @@ class FillabilityVerdict:
             raise DomainError("covered verdicts must cite their source result")
 
 
+def structure_cells(r: Slope) -> Iterator[tuple[int, int, TrianglePosition, tuple]]:
+    """The structures of the r-surgery one (k, l) cell at a time, k
+    ascending, l ascending: (k, l, position, classes), where classes
+    pairs each of the phi(r) choices of P, in enumeration order, with
+    its verdict in that cell.
+
+    r is checked before the first cell: n_of raises on a coefficient
+    outside (0,1), and enumerate_tight checks each class's endpoints
+    once, which are the checks TightStructureId makes per structure.
+    _rule runs once per position and value of P.features, and every
+    cell of a position shares one classes tuple."""
+    n = n_of(r)
+    classes = tuple(st.iso_class for st in enumerate_tight(r, make_slope(1, n)))
+    # a generator function would run these checks only at the first next()
+    return _cells(r, n, classes)
+
+
+def _cells(r: Slope, n: int, classes: tuple[ShuffleClass, ...]):
+    paired = {}  # per position
+    for k in range(1, n + 1):
+        for l in range(0, n - k + 1):
+            pos = TrianglePosition.of(n, k, l)
+            found = paired.get(pos)
+            if found is None:
+                verdicts = {}  # per value of P.features
+                for P in classes:
+                    if P.features not in verdicts:
+                        verdicts[P.features] = _rule(r, n, pos, P.features)
+                found = paired[pos] = tuple((P, verdicts[P.features]) for P in classes)
+            yield k, l, pos, found
+
+
 def enumerate_structures(r: Slope) -> list[TightStructureId]:
     """All (k, l, P), k ascending, l ascending, P in enumeration order;
-    n(n+1)/2 * phi(r) entries."""
+    n(n+1)/2 * phi(r) entries.  The listing commands walk
+    structure_cells instead, which builds no object per structure."""
     n = n_of(r)
     classes = [st.iso_class for st in enumerate_tight(r, make_slope(1, n))]
     out = []

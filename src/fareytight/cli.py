@@ -1,18 +1,20 @@
 """Command line front end: single queries, batch sweeps, DOT export.
 
-Exit codes: 0 success, 2 malformed input, 3 domain error, 4 when
---strict is set and some structure falls outside the encoded
-classification (status NotCoveredByPaper).
+Exit codes: 0 success, 1 when the reader closed stdout before the
+output ended, 2 malformed input, 3 domain error, 4 when --strict is set
+and some structure falls outside the encoded classification (status
+NotCoveredByPaper).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .slopes import DomainError, ParseError, Slope, cf_minus, parse_slope, slope_sort_key
-from .slopes import rationals_in
+from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_slope
+from .slopes import rationals_in, slope_sort_key
 from .paths import blocks, minimal_path
 from .tori import count_tight, enumerate_tight, phi
 from .cables import cable_surgery_slope, reglue_map
@@ -21,13 +23,9 @@ from .atlas import (
     MixedTorus,
     TrianglePosition,
     cell_tallies,
-    classify,
-    enumerate_structures,
     exceptional_slopes,
-    full_path,
     n_of,
-    structure_record,
-    triangle_position,
+    structure_cells,
     verdict_summary,
 )
 
@@ -152,25 +150,64 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _write_cells(cells, head: str, bodies, sep: str = "", ends=None) -> None:
+    """Write a listing of structure_cells one cell per write.  A row is
+    head % (k, l), then bodies(position, classes)[i] for the i-th class,
+    then ends(k, l) when given; rows are separated by sep."""
+    lead = ""
+    for k, l, position, classes in cells:
+        h, e = head % (k, l), ends(k, l) if ends else ""
+        sys.stdout.write(lead + h + (e + sep + h).join(bodies(position, classes)) + e)
+        lead = sep
+
+
+def _p_json(classes) -> list[str]:
+    """The JSON text of P.to_json() for each P, all on one path: one
+    prefix for the path and its blocks, then each P's minus counts."""
+    obj = classes[0].to_json()
+    prefix = '{"path":%s,"blocks":%s,"minus":[0' % (_json(obj["path"]), _json(obj["blocks"]))
+    return [prefix + "".join([",%d" % c for c in P.minus_counts]) + "]}" for P in classes]
+
+
+def _reciprocal_tails(n: int):
+    """ends(k, l) for the text of `enumerate r`: the edges 1/n -> ... -> 1/k
+    that full_path appends to P, with l minus signs at the clockwise end,
+    then the newline."""
+    edges = [" →+ %s" % make_slope(1, j) for j in range(n - 1, 0, -1)]
+    plus = "".join(edges)
+    minus = plus.replace("+", "-")
+    # plus[:cut[j]] holds the edges into 1/(n-1), ..., 1/j
+    cut = [0] * (n + 1)
+    for j, edge in zip(range(n - 1, 0, -1), edges):
+        cut[j] = cut[j + 1] + len(edge)
+    return lambda k, l: plus[: cut[k + l]] + minus[cut[k + l] : cut[k]] + "\n"
+
+
 def _cmd_enumerate(args) -> int:
     if args.s is None:
-        sids = enumerate_structures(args.r)
+        cells = structure_cells(args.r)  # raises on a bad r before any output
+        r, texts = str(args.r), []
+
+        def bodies(position, classes):
+            if not texts:  # one text per P, the same in every cell
+                Ps = [P for P, _ in classes]
+                if args.format == "json":
+                    texts.extend(t + "}" for t in _p_json(Ps))
+                elif args.format == "tsv":
+                    texts.extend("\t%s\n" % P for P in Ps)
+                else:
+                    texts.extend(str(P) for P in Ps)
+            return texts
+
         if args.format == "json":
-            print(
-                _json(
-                    [
-                        {"r": str(sid.r), "k": sid.k, "l": sid.l, "P": sid.P.to_json()}
-                        for sid in sids
-                    ]
-                )
-            )
+            sys.stdout.write("[")
+            _write_cells(cells, '{"r":%s,"k":%%d,"l":%%d,"P":' % _json(r), bodies, ",")
+            sys.stdout.write("]\n")
         elif args.format == "tsv":
-            print("r\tk\tl\tP")
-            for sid in sids:
-                print("%s\t%d\t%d\t%s" % (sid.r, sid.k, sid.l, sid.P))
+            sys.stdout.write("r\tk\tl\tP\n")
+            _write_cells(cells, r + "\t%d\t%d", bodies)
         else:
-            for sid in sids:
-                print("k=%d l=%d %s" % (sid.k, sid.l, full_path(sid)))
+            _write_cells(cells, "k=%d l=%d ", bodies, ends=_reciprocal_tails(n_of(args.r)))
     else:
         structures = enumerate_tight(args.r, args.s)
         if args.format == "json":
@@ -186,29 +223,47 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _verdict_text(fmt: str, position, verdict) -> str:
+    """The part of a classify row after P: position, status, cite, note."""
+    tag, status, cite, note = position.tag, verdict.status.value, verdict.cite, verdict.note
+    if fmt == "json":
+        text = ',"position":%s,"status":%s,"cite":%s' % (_json(tag), _json(status), _json(cite))
+        return text + (',"note":%s}' % _json(note) if note is not None else "}")
+    if fmt == "tsv":
+        return "\t%s\t%s\t%s\t%s\n" % (tag, status, cite or "", note or "")
+    return " position=%s status=%s%s\n" % (tag, status, " cite=%s" % cite if cite else "")
+
+
 def _cmd_classify(args) -> int:
-    sids = enumerate_structures(args.r)
-    if args.format == "json":
-        records = [structure_record(sid) for sid in sids]
-        print(_json(records))
-        statuses = {rec["status"] for rec in records}
+    cells = structure_cells(args.r)  # raises on a bad r before any output
+    r, fmt = str(args.r), args.format
+    verdict_texts, statuses, p_json = {}, set(), []
+
+    def bodies(position, classes):
+        texts = verdict_texts.get(position)
+        if texts is None:
+            made = {}  # a verdict reads only P's features: one text per value
+            for P, verdict in classes:
+                if P.features not in made:
+                    made[P.features] = _verdict_text(fmt, position, verdict)
+                    statuses.add(verdict.status)
+            texts = verdict_texts[position] = [made[P.features] for P, _ in classes]
+        if fmt != "json":
+            return texts
+        if not p_json:
+            p_json.extend(_p_json([P for P, _ in classes]))
+        return map(str.__add__, p_json, texts)
+
+    if fmt == "json":
+        sys.stdout.write("[")
+        _write_cells(cells, '{"r":%s,"k":%%d,"l":%%d,"P":' % _json(r), bodies, ",")
+        sys.stdout.write("]\n")
+    elif fmt == "tsv":
+        sys.stdout.write("r\tk\tl\tposition\tstatus\tcite\tnote\n")
+        _write_cells(cells, r + "\t%d\t%d", bodies)
     else:
-        # text and tsv never show P, so no record (and no P.to_json()) is built
-        verdicts = [classify(sid) for sid in sids]
-        if args.format == "tsv":
-            print("r\tk\tl\tposition\tstatus\tcite\tnote")
-        for sid, verdict in zip(sids, verdicts):
-            position, status = triangle_position(sid).tag, verdict.status.value
-            if args.format == "tsv":
-                cells = (sid.r, sid.k, sid.l, position, status, verdict.cite or "", verdict.note or "")
-                print("%s\t%d\t%d\t%s\t%s\t%s\t%s" % cells)
-            else:
-                line = "k=%d l=%d position=%s status=%s" % (sid.k, sid.l, position, status)
-                if verdict.cite:
-                    line += " cite=%s" % verdict.cite
-                print(line)
-        statuses = {verdict.status.value for verdict in verdicts}
-    if args.strict and Fillability.NOT_COVERED.value in statuses:
+        _write_cells(cells, "k=%d l=%d", bodies)
+    if args.strict and Fillability.NOT_COVERED in statuses:
         return 4
     return 0
 
@@ -392,6 +447,12 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`).  Point stdout at
+        # devnull so that the flush at exit cannot fail again, as the
+        # signal module's documentation recommends.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

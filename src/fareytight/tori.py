@@ -98,14 +98,21 @@ class ShuffleClass:
                 signs[e - 1] = -1
         return DecoratedPath(self.path, tuple(signs))
 
-    @cached_property
+    @property
     def features(self) -> tuple[bool, bool, bool]:
         """(uniform, last_all_plus, last_all_minus) of the signed edges;
-        both last flags are true when there is no signed block."""
-        runs, minus = self.blocks.runs, self.minus_counts
-        last_size, last_minus = (len(runs[-1]), minus[-1]) if runs else (0, 0)
-        # the signed blocks hold every edge but the first
-        return (sum(minus) in (0, len(self.path) - 1), last_minus == 0, last_minus == last_size)
+        both last flags are true when there is no signed block.  Kept on
+        the instance after the first access, without the lock that
+        functools.cached_property takes before Python 3.12."""
+        found = self.__dict__.get("_features")
+        if found is None:
+            runs, minus = self.blocks.runs, self.minus_counts
+            last_size, last_minus = (len(runs[-1]), minus[-1]) if runs else (0, 0)
+            # the signed blocks hold every edge but the first
+            uniform = sum(minus) in (0, len(self.path) - 1)
+            found = (uniform, last_minus == 0, last_minus == last_size)
+            self.__dict__["_features"] = found
+        return found
 
     def to_json(self) -> dict:
         """JSON-ready form of the class.  Built once per class and shared

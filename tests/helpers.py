@@ -8,16 +8,23 @@ that atlas._rule replaces, which reads P's block counts directly instead
 of its features; enumerated_tally, which runs classify_oracle on every
 enumerated structure to check the aggregates in atlas; and bfs_shorten,
 the breadth-first search over sign sequences that
-tori.consistently_shorten replaces.
+tori.consistently_shorten replaces; and listing_oracle, the
+per-structure `classify` and `enumerate r` listings that the CLI's
+per-cell writes replace.
 """
 
+import contextlib
+import io
+import json
 import math
+import sys
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 
 from fareytight.slopes import (
     INF,
+    DomainError,
     ONE,
     ContinuedFraction,
     Slope,
@@ -37,10 +44,14 @@ from fareytight.atlas import (
     FillabilityVerdict,
     TightStructureId,
     _in_interval,
+    classify,
     enumerate_structures,
+    full_path,
     n_of,
+    structure_record,
     triangle_position,
 )
+from fareytight.cli import _build_parser
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import DecoratedPath, ShuffleClass
 
@@ -314,3 +325,80 @@ def bfs_shorten(d: DecoratedPath) -> DecoratedPath | None:
             seen.add(nxt)
             queue.append(nxt)
     return None
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _enumerate_listing(args) -> int:
+    # `enumerate r` as the CLI listed it, one structure at a time
+    sids = enumerate_structures(args.r)
+    if args.format == "json":
+        print(
+            _json(
+                [
+                    {"r": str(sid.r), "k": sid.k, "l": sid.l, "P": sid.P.to_json()}
+                    for sid in sids
+                ]
+            )
+        )
+    elif args.format == "tsv":
+        print("r\tk\tl\tP")
+        for sid in sids:
+            print("%s\t%d\t%d\t%s" % (sid.r, sid.k, sid.l, sid.P))
+    else:
+        for sid in sids:
+            print("k=%d l=%d %s" % (sid.k, sid.l, full_path(sid)))
+    return 0
+
+
+def _classify_listing(args) -> int:
+    # `classify r` as the CLI listed it: one TightStructureId, classify
+    # and (for JSON) structure_record per structure
+    sids = enumerate_structures(args.r)
+    if args.format == "json":
+        records = [structure_record(sid) for sid in sids]
+        print(_json(records))
+        statuses = {rec["status"] for rec in records}
+    else:
+        # text and tsv never show P, so no record (and no P.to_json()) is built
+        verdicts = [classify(sid) for sid in sids]
+        if args.format == "tsv":
+            print("r\tk\tl\tposition\tstatus\tcite\tnote")
+        for sid, verdict in zip(sids, verdicts):
+            position, status = triangle_position(sid).tag, verdict.status.value
+            if args.format == "tsv":
+                cells = (sid.r, sid.k, sid.l, position, status, verdict.cite or "", verdict.note or "")
+                print("%s\t%d\t%d\t%s\t%s\t%s\t%s" % cells)
+            else:
+                line = "k=%d l=%d position=%s status=%s" % (sid.k, sid.l, position, status)
+                if verdict.cite:
+                    line += " cite=%s" % verdict.cite
+                print(line)
+        statuses = {verdict.status.value for verdict in verdicts}
+    if args.strict and Fillability.NOT_COVERED.value in statuses:
+        return 4
+    return 0
+
+
+_PARSER = _build_parser()
+
+
+def listing_oracle(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `fareytight classify r ...` or
+    `fareytight enumerate r ...` (no s), as the CLI wrote them one
+    structure at a time: the per-structure listings that
+    atlas.structure_cells and the CLI's per-cell writes replace.  The
+    slope must parse."""
+    args = _PARSER.parse_args(argv)
+    assert args.command == "classify" or args.s is None, argv
+    oracle = _classify_listing if args.command == "classify" else _enumerate_listing
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = oracle(args)
+        except DomainError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            code = 3
+    return code, out.getvalue(), err.getvalue()

@@ -27,6 +27,7 @@ from fareytight.atlas import (
     full_path,
     mixed_tori,
     n_of,
+    structure_cells,
     structure_record,
     triangle_position,
     verdict_summary,
@@ -386,6 +387,31 @@ def test_verdict_summary_uncovered_slope():
         Fillability.STEIN: 12,
         Fillability.NOT_COVERED: 6,
     }
+
+
+def test_structure_cells_match_enumeration(monkeypatch):
+    import fareytight.atlas as atlas
+
+    calls = Counter()
+    rule = atlas._rule
+    monkeypatch.setattr(atlas, "_rule", lambda *a: calls.update([a[2:]]) or rule(*a))
+    for text in ("2/3", "1/3", "9/25", "13/49", "7/32", "41/187", "1/7"):
+        r = S(text)
+        calls.clear()
+        walked = [(k, l, pos, P, verdict) for k, l, pos, classes in structure_cells(r)
+                  for P, verdict in classes]
+        # one rule evaluation per position and value of P's features
+        assert set(calls.values()) == {1}, text
+        assert len(calls) == len({(pos, P.features) for _, _, pos, P, _ in walked}), text
+        listed = [(sid.k, sid.l, triangle_position(sid), sid.P, classify(sid))
+                  for sid in enumerate_structures(r)]
+        assert walked == listed, text
+
+
+def test_structure_cells_checks_r_before_the_first_cell():
+    for text in ("0", "1", "3/2", "-1/3", "inf"):
+        with pytest.raises(DomainError):
+            structure_cells(S(text))  # raises without being iterated
 
 
 def test_position_tallies():

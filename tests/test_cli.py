@@ -1,12 +1,36 @@
+import contextlib
+import hashlib
+import io
 import json
+from math import gcd
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fareytight.cli import main
+
+from helpers import listing_oracle
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def listing_commands(r: str):
+    """`classify r` and `enumerate r` in every format; classify with
+    --strict, whose only other effect is the exit code."""
+    for fmt in ("text", "json", "tsv"):
+        yield ["classify", r, "--format", fmt, "--strict"]
+        yield ["enumerate", r, "--format", fmt]
 
 
 def test_phi_text(capsys):
@@ -321,3 +345,61 @@ def test_unknown_command_exit_code(capsys):
 
 def test_missing_args_exit_code(capsys):
     assert run(capsys, "path", "1/2")[0] == 2
+
+
+# length and sha256 of stdout, captured before the listings were
+# streamed one cell at a time
+LISTING_GOLDENS = [
+    (["classify", "7960/23481", "--format", "json"], 17567706,
+     "8b5dc206c649fe21bc695a2f6d85d6c9dff63f94b8a5b6bdf013a2639b80a2d3"),
+    (["classify", "1/300", "--format", "tsv"], 2044632,
+     "5bff0dd89f7f7b5e7429fa06b78f16ada580e40b59a05231a0b91eef0d10aaf1"),
+    (["enumerate", "3905/19029", "--format", "tsv"], 8115388,
+     "db7541966ce22a3b5f90a15c7e95a237a331b9221de32ff2e5685d4ba87fb804"),
+]
+
+
+def test_listing_goldens():
+    for argv, size, digest in LISTING_GOLDENS:
+        code, out, err = run_captured(argv)
+        data = out.encode("utf-8")
+        assert (code, err) == (0, ""), argv
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), argv
+
+
+def test_listing_domain_errors_write_nothing():
+    # r is checked before the first byte of a listing is written
+    for argv in (["classify", "3/2", "--format", "json"], ["classify", "0", "--format", "tsv"],
+                 ["enumerate", "inf"]):
+        assert run_captured(argv) == (3, "", "error: surgery coefficient must lie in (0,1)\n")
+
+
+UNIT_RATIONALS_40 = ["%d/%d" % (p, q) for q in range(2, 41) for p in range(1, q) if gcd(p, q) == 1]
+
+
+def test_listings_match_oracle_exhaustive():
+    # n = 1 (2/3) up to n = 39 (1/40); uncovered (1/3); Thm 1.4 (9/25)
+    # and Thm 1.3 for n = 2..4 (3/8, 5/18, 7/32)
+    assert {"2/3", "1/40", "1/3", "9/25", "3/8", "5/18", "7/32"} <= set(UNIT_RATIONALS_40)
+    for r in UNIT_RATIONALS_40:
+        for argv in listing_commands(r):
+            assert run_captured(argv) == listing_oracle(argv), argv
+
+
+# p >= q/30 keeps n below 30: the oracle's `enumerate r` text builds a
+# path of up to n + len(P) edges per structure, and the exhaustive test
+# above already reaches n = 39
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 150).flatmap(
+    lambda q: st.tuples(st.integers(max(1, q // 30), q - 1), st.just(q))
+))
+@example((3, 5))  # n = 1
+@example((7, 20))  # uncovered Top and Sides: exit 4 under --strict
+@example((17, 47))  # Thm 1.4 window, last block of size 3
+@example((13, 49))  # Thm 1.5 window
+@example((41, 187))  # Thm 1.3 window, n = 4, three signed blocks
+@example((20, 111))  # Thm 1.3 window, n = 5
+def test_listings_match_oracle(pq):
+    assume(gcd(*pq) == 1)
+    for argv in listing_commands("%d/%d" % pq):
+        assert run_captured(argv) == listing_oracle(argv), argv

@@ -1,4 +1,5 @@
-"""The benchmark's smoke run and the scripts, each run as its own process."""
+"""The benchmark's smoke run, the scripts and the CLI, each run as its
+own process."""
 
 import os
 import subprocess
@@ -8,11 +9,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(*argv):
+def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(*argv):
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *argv], cwd=ROOT, env=script_env(), capture_output=True, text=True,
+        timeout=300,
     )
 
 
@@ -37,3 +43,23 @@ def test_export_dot_script(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
     written = [Path(line) for line in res.stdout.split()]
     assert written and all(p.parent == tmp_path and p.read_text().startswith("digraph") for p in written)
+
+
+def test_listing_into_closed_pipe():
+    # `fareytight ... | head -1`: the reader goes away after one line of a
+    # listing far longer than a pipe's buffer
+    for argv in (["classify", "1/300", "--format", "tsv"], ["enumerate", "1/60"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fareytight.cli", *argv], cwd=ROOT, env=script_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first.startswith((b"r\tk\tl\t", b"k=1 l=0 1/60 ")), first
+        assert (code, err) == (1, b""), argv
