@@ -29,7 +29,7 @@ def main() -> int:
         print(out)
     for r in TRIANGLES:
         out = args.out_dir / ("triangle_%s.dot" % r.replace("/", "_"))
-        out.write_text(emit_dot_triangle(parse_slope(r)))
+        out.write_text("".join(emit_dot_triangle(parse_slope(r))))
         print(out)
     return 0
 

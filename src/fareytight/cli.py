@@ -12,11 +12,13 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
+from typing import Iterator
 
 from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_slope
 from .slopes import rationals_in, slope_sort_key
 from .paths import blocks, minimal_path
-from .tori import count_tight, enumerate_tight, phi
+from .tori import ShuffleClass, all_minus_counts, count_tight, phi
 from .cables import cable_surgery_slope, reglue_map
 from .atlas import (
     Fillability,
@@ -60,31 +62,28 @@ def emit_dot_path(path) -> str:
     return "\n".join(lines)
 
 
-def emit_dot_triangle(r: Slope) -> str:
+def emit_dot_triangle(r: Slope) -> Iterator[str]:
+    """DOT text of r's verdict triangle, one row of cells per chunk and no
+    newline at the end; r is checked before the first chunk."""
     n = n_of(r)
     styles = {}  # label text and colour of a cell, per position
     for pos, found in cell_tallies(r).items():
         counts = sorted((status.value, cnt) for status, cnt in found.items())
         color = _DOT_COLORS[counts[0][0]] if len(counts) == 1 else "orange"
         styles[pos] = ("\\n".join("%s %d" % sc for sc in counts), color)
-    lines = [
-        "digraph classification_triangle {",
-        '  label="surgery coefficient %s";' % r,
-        "  node [shape=box, style=filled];",
-    ]
+    yield 'digraph classification_triangle {\n  label="surgery coefficient %s";' % r
+    yield "\n  node [shape=box, style=filled];"
     for k in range(1, n + 1):
-        for l in range(n - k + 1):
-            tallies, color = styles[TrianglePosition.of(n, k, l)]
-            lines.append(
-                '  "k%d_l%d" [label="k=%d l=%d\\n%s", fillcolor="%s"];' % (k, l, k, l, tallies, color)
-            )
+        yield "".join(
+            '\n  "k%d_l%d" [label="k=%d l=%d\\n%s", fillcolor="%s"];'
+            % ((k, l, k, l) + styles[TrianglePosition.of(n, k, l)])
+            for l in range(n - k + 1)
+        )
     for k in range(1, n + 1):
         row = " ".join('"k%d_l%d";' % (k, l) for l in range(n - k + 1))
-        lines.append("  { rank=same; %s }" % row)
-    for k in range(1, n):
-        lines.append('  "k%d_l0" -> "k%d_l0" [style=invis];' % (k, k + 1))
-    lines.append("}")
-    return "\n".join(lines)
+        yield "\n  { rank=same; %s }" % row
+    yield "".join('\n  "k%d_l0" -> "k%d_l0" [style=invis];' % (k, k + 1) for k in range(1, n))
+    yield "\n}"
 
 
 def _cmd_phi(args) -> int:
@@ -161,12 +160,12 @@ def _write_cells(cells, head: str, bodies, sep: str = "", ends=None) -> None:
         lead = sep
 
 
-def _p_json(classes) -> list[str]:
-    """The JSON text of P.to_json() for each P, all on one path: one
-    prefix for the path and its blocks, then each P's minus counts."""
-    obj = classes[0].to_json()
+def _p_json(path, counts) -> Iterator[str]:
+    """The JSON text of P.to_json() for each tuple of minus counts on the
+    path, made lazily from one prefix for the path and its blocks."""
+    obj = ShuffleClass(path, (0,) * len(path.signed_blocks.runs)).to_json()
     prefix = '{"path":%s,"blocks":%s,"minus":[0' % (_json(obj["path"]), _json(obj["blocks"]))
-    return [prefix + "".join([",%d" % c for c in P.minus_counts]) + "]}" for P in classes]
+    return (prefix + "".join([",%d" % c for c in cs]) + "]}" for cs in counts)
 
 
 def _reciprocal_tails(n: int):
@@ -192,7 +191,7 @@ def _cmd_enumerate(args) -> int:
             if not texts:  # one text per P, the same in every cell
                 Ps = [P for P, _ in classes]
                 if args.format == "json":
-                    texts.extend(t + "}" for t in _p_json(Ps))
+                    texts.extend(t + "}" for t in _p_json(Ps[0].path, [P.minus_counts for P in Ps]))
                 elif args.format == "tsv":
                     texts.extend("\t%s\n" % P for P in Ps)
                 else:
@@ -209,17 +208,21 @@ def _cmd_enumerate(args) -> int:
         else:
             _write_cells(cells, "k=%d l=%d ", bodies, ends=_reciprocal_tails(n_of(args.r)))
     else:
-        structures = enumerate_tight(args.r, args.s)
+        path = minimal_path(args.r, args.s)  # raises on a bad pair before any output
+        counts = all_minus_counts(path)  # one class at least
         if args.format == "json":
-            print(_json([st.iso_class.to_json() for st in structures]))
+            texts = _p_json(path, counts)
+            sys.stdout.write("[" + next(texts))
+            sys.stdout.writelines("," + t for t in texts)
+            sys.stdout.write("]\n")
         elif args.format == "tsv":
             print("r\ts\tminus\tP")
-            for st in structures:
-                minus = ",".join(str(c) for c in st.iso_class.minus_counts)
-                print("%s\t%s\t%s\t%s" % (st.meridian, st.dividing, minus, st.iso_class))
+            for c in counts:
+                minus = ",".join(str(cnt) for cnt in c)
+                print("%s\t%s\t%s\t%s" % (args.r, args.s, minus, ShuffleClass(path, c)))
         else:
-            for st in structures:
-                print(st.iso_class)
+            for c in counts:
+                print(ShuffleClass(path, c))
     return 0
 
 
@@ -251,7 +254,7 @@ def _cmd_classify(args) -> int:
         if fmt != "json":
             return texts
         if not p_json:
-            p_json.extend(_p_json([P for P, _ in classes]))
+            p_json.extend(_p_json(classes[0][0].path, [P.minus_counts for P, _ in classes]))
         return map(str.__add__, p_json, texts)
 
     if fmt == "json":
@@ -336,7 +339,8 @@ def _cmd_dot(args) -> int:
         if len(args.slopes) != 1:
             print("error: dot triangle expects one slope", file=sys.stderr)
             return 2
-        print(emit_dot_triangle(parse_slope(args.slopes[0])))
+        sys.stdout.writelines(emit_dot_triangle(parse_slope(args.slopes[0])))
+        sys.stdout.write("\n")
     return 0
 
 
@@ -344,6 +348,7 @@ def _add_format(sub, choices, default="text"):
     sub.add_argument("--format", choices=choices, default=default)
 
 
+@cache  # built on the first call, then shared by every later main()
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fareytight",

@@ -105,11 +105,14 @@ def minimal_path(a: Slope, b: Slope) -> FareyPath:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Partition of a path's edge indices into maximal contiguous runs.
+    """Partition of a path's edge indices into continued fraction blocks.
 
-    Two adjacent edges (sharing vertex v[i+1]) are in the same block iff
-    |det(v[i], v[i+2])| == 2, i.e. the two outer vertices are the two
-    Farey children of an edge and the three vertices span a fan.
+    Two adjacent edges v[i] -- v[i+1] -- v[i+2] are in the same block
+    iff |det(v[i], v[i+2])| == 2.  Then v[i] and v[i+2] are the third
+    vertices of the two Farey triangles on the edge from v[i+1] to one
+    vertex p, the block's pivot, and every vertex of the block is a
+    Farey neighbour of p: the block runs through consecutive members of
+    p's fan.
     """
 
     runs: tuple[tuple[int, ...], ...]
@@ -119,20 +122,15 @@ class BlockDecomposition:
         return tuple(len(r) for r in self.runs)
 
 
-def same_block(u: Slope, w: Slope) -> bool:
-    """True when the edges u -- v and v -- w of a path, meeting at some
-    vertex v, lie in one continued fraction block: |det(u, w)| == 2."""
-    return abs(det(u, w)) == 2
-
-
 def edge_runs(path: FareyPath, first_edge: int, last_edge: int) -> tuple[tuple[int, ...], ...]:
-    """Maximal mergeable runs among edges first_edge..last_edge inclusive."""
+    """Maximal runs among edges first_edge..last_edge inclusive that
+    share a block, by the rule of BlockDecomposition."""
     vs = path.vertices
     if first_edge > last_edge:
         return ()
     runs = [[first_edge]]
     for e in range(first_edge + 1, last_edge + 1):
-        if same_block(vs[e - 1], vs[e + 1]):
+        if abs(det(vs[e - 1], vs[e + 1])) == 2:
             runs[-1].append(e)
         else:
             runs.append([e])

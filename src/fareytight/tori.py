@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .slopes import (
     DomainError,
@@ -30,7 +31,6 @@ from .paths import (
     edge_runs,
     lengthen_through,
     minimal_path,
-    same_block,
 )
 
 
@@ -198,14 +198,15 @@ def count_tight_upper(x: Slope, s: Slope) -> int:
     return out
 
 
+def all_minus_counts(path: FareyPath) -> Iterator[tuple[int, ...]]:
+    """Minus counts of every shuffle class on the path, lexicographically."""
+    return itertools.product(*[range(size + 1) for size in signed_blocks(path).sizes])
+
+
 def enumerate_tight(r: Slope, s: Slope) -> list[SolidTorusStructure]:
     """All tight structures, in lexicographic minus-count order."""
     path = minimal_path(r, s)
-    sizes = signed_blocks(path).sizes
-    out = []
-    for counts in itertools.product(*[range(sz + 1) for sz in sizes]):
-        out.append(SolidTorusStructure(r, s, ShuffleClass(path, counts)))
-    return out
+    return [SolidTorusStructure(r, s, ShuffleClass(path, c)) for c in all_minus_counts(path)]
 
 
 def feature_counts(path: FareyPath) -> dict[tuple[bool, bool, bool], int]:
@@ -248,32 +249,40 @@ def lengthen_decorated(d: DecoratedPath, t: Slope) -> DecoratedPath:
 
 
 def consistently_shorten(d: DecoratedPath) -> DecoratedPath | None:
-    """Shorten d to a decorated minimal path, shuffling inside blocks as
-    needed; None when no sequence of moves reaches the minimal path.
+    """Shorten d to a decorated minimal path by merging edges of equal
+    sign; None when the moves cannot reach the minimal path.
 
-    The moves are Honda's: signs shuffle freely inside a continued
-    fraction block, two edges whose outer vertices span a Farey edge
-    merge into that edge when their signs agree (the merged edge keeps
-    the sign), and the unsigned first edge absorbs its neighbour
-    whatever its sign.  The reduction drops removable vertices one at a
-    time.  At a vertex i > 1 the det of the outer vertices is +-1, so
-    edge i-1 ends one block and edge i starts the next; a consistent
-    merge exists exactly when some sign x occurs in both blocks, and
-    then shuffles bring an x onto each of the two edges.
+    The moves are Honda's: signs shuffle inside a continued fraction
+    block, two edges whose outer vertices span a Farey edge merge into
+    it when their signs agree, and the unsigned first edge absorbs its
+    neighbour.  Each keeps the contact structure, so their order does
+    not matter.  The loop drops the leftmost removable vertex i (v[i-1]
+    -- v[i+1] an edge): at i == 1 the first edge absorbs, at i > 1 edges
+    i-1 and i merge if their signs agree, and the answer is None if not.
+    Shuffling the blocks that meet at i never changes that answer.
 
-    Neither the order of the merges nor the choice of x changes the
-    answer: shuffles generate every arrangement inside a block, so a
-    block's state is just its minus count; a merge never splits a
-    block, so what one merge allows, a later state still allows; and a
-    consistent merge keeps the contact structure, so every sequence of
-    merges that reaches the minimal path ends in the same shuffle
-    class.  When no sign occurs in both blocks, every shuffle puts
-    opposite signs on edges i-1 and i, whose union spans an edge: that
-    layer is overtwisted whatever else happens, so the failure is final.
+    Lemma: at a removable i > 1, let the left block end with edge i-1
+    and the right block start with edge i.  A long left (right) block
+    has the pivot v[i+1] (v[i-1]), and at most one is long.  If edges
+    i-2 and i-1 share a block, v[i-2] and v[i] are two steps apart in
+    v[i-1]'s fan, with the pivot between them and adjacent to both.
+    The common neighbours of v[i-1] and v[i] are the fan members next
+    to v[i]; the clockwise path cannot step back to the one between
+    v[i-1] and v[i], so v[i+1] is the pivot and v[i-2] -- v[i+1] is an
+    edge.  Mirrored, a long right block makes v[i-1] -- v[i+2] an edge;
+    both would give v[i-1] -- v[i+1] a third triangle.
 
-    At most len(d.path) merges, each O(len): O(len**2) in all.  The
-    result is one valid representative; only its shuffle class is
-    determined.
+    The loop drops a long block's vertices next, as each neighbours the
+    pivot: at i-1, i-2, ... on the left; at i on the right, v[i-1]
+    staying unremovable (a third triangle again).  The removals depend
+    only on the vertices, so call a group the edges of d that end in
+    one signed edge; the block and the edge across i share a group.  A
+    shuffle at i moves signs only inside a group, no move changes which
+    signs a group holds, and one edge holds one sign.  So the moves
+    succeed exactly when each group is uniform, as merging only equal
+    signs tests, and then no shuffle moves anything: the result keeps
+    d's signs.  O(len**2); the closing check rejects removals that stop
+    short of minimal_path.
     """
     target = minimal_path(d.path.start, d.path.end)
     verts = list(d.path.vertices)
@@ -283,21 +292,8 @@ def consistently_shorten(d: DecoratedPath) -> DecoratedPath | None:
         if not is_edge(verts[i - 1], verts[i + 1]):
             i += 1
             continue
-        if i > 1:
-            lo = i - 1  # first edge of the block that edge i-1 ends
-            while lo > 1 and same_block(verts[lo - 1], verts[lo + 1]):
-                lo -= 1
-            hi = i  # last edge of the block that edge i starts
-            while hi < len(verts) - 2 and same_block(verts[hi], verts[hi + 2]):
-                hi += 1
-            left, right = signs[lo:i], signs[i : hi + 1]
-            x = next((x for x in (1, -1) if x in left and x in right), None)
-            if x is None:
-                return None
-            j = lo + left.index(x)
-            signs[j], signs[i - 1] = signs[i - 1], x
-            j = i + right.index(x)
-            signs[j], signs[i] = signs[i], x
+        if i > 1 and signs[i - 1] != signs[i]:
+            return None
         # edge i-1 becomes verts[i-1] -- verts[i+1] and keeps its sign
         del verts[i], signs[i]
         # only the vertices on either side of the dropped one have new

@@ -8,6 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fareytight.cli import main
+from fareytight.slopes import parse_slope
+from fareytight.tori import enumerate_tight
 
 from helpers import listing_oracle
 
@@ -158,6 +160,16 @@ def test_enumerate_two_slopes_json(capsys):
     assert [d["minus"] for d in data] == [[0, 0], [0, 1], [0, 2], [0, 3]]
 
 
+def test_enumerate_two_slopes_json_bytes():
+    # streamed one class at a time from one prefix for the path and its
+    # blocks: the bytes of one json.dumps over every class; 2/5 -> 1/2
+    # has no signed block, 30/113 -> 1/3 has two
+    for r, s in [("9/25", "1/2"), ("2/5", "1/2"), ("30/113", "1/3"), ("13/49", "1/3")]:
+        classes = [st.iso_class.to_json() for st in enumerate_tight(parse_slope(r), parse_slope(s))]
+        want = json.dumps(classes, separators=(",", ":")) + "\n"
+        assert run_captured(["enumerate", r, s, "--format", "json"]) == (0, want, ""), (r, s)
+
+
 def test_enumerate_one_slope_json(capsys):
     code, out, _ = run(capsys, "enumerate", "1/4", "--format", "json")
     data = json.loads(out)
@@ -216,6 +228,12 @@ def test_summary_large_triangle_json(capsys):
     assert out == (
         '{"total":1999000,"stein":1999,"strong_not_exact":1993006,"not_covered_by_paper":3995}\n'
     )
+
+
+def test_commands_in_one_process_share_no_options():
+    # main() builds its parser once per process: --strict must not stay set
+    assert run_captured(["summary", "1/3", "--strict"])[0] == 4
+    assert run_captured(["summary", "1/3"])[0] == 0
 
 
 def test_summary_text(capsys):
@@ -370,7 +388,7 @@ def test_listing_goldens():
 def test_listing_domain_errors_write_nothing():
     # r is checked before the first byte of a listing is written
     for argv in (["classify", "3/2", "--format", "json"], ["classify", "0", "--format", "tsv"],
-                 ["enumerate", "inf"]):
+                 ["enumerate", "inf"], ["dot", "triangle", "3/2"]):
         assert run_captured(argv) == (3, "", "error: surgery coefficient must lie in (0,1)\n")
 
 

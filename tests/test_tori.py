@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fareytight.slopes import DomainError, INF, ONE, ZERO, farey_sum, is_edge, make_slope, parse_slope
+from fareytight.slopes import DomainError, INF, ONE, ZERO, det, farey_sum, is_edge, make_slope, parse_slope
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import (
     DecoratedPath,
@@ -310,6 +311,19 @@ def lengthened_paths(draw):
     return d
 
 
+def _greedy_merges(path):
+    """(vertices, i) before each merge that consistently_shorten's loop
+    makes when no sign stops it: the leftmost removable vertex i first."""
+    verts, i = list(path.vertices), 1
+    while i < len(verts) - 1:
+        if is_edge(verts[i - 1], verts[i + 1]):
+            yield verts, i
+            del verts[i]
+            i = max(1, i - 1)
+        else:
+            i += 1
+
+
 def test_consistently_shorten_matches_bfs():
     reached = Counter()
 
@@ -326,9 +340,49 @@ def test_consistently_shorten_matches_bfs():
         vs = d.path.vertices
         if len(vs) > 2 and is_edge(vs[0], vs[2]):
             reached["first edge merge"] += 1
+        # the lemma of consistently_shorten, at every merge of its loop
+        for verts, i in _greedy_merges(d.path):
+            left = i > 2 and abs(det(verts[i - 2], verts[i])) == 2
+            right = i > 1 and i + 2 < len(verts) and abs(det(verts[i], verts[i + 2])) == 2
+            assert not (left and right), d
+            if left:
+                assert is_edge(verts[i - 2], verts[i + 1]), d
+                reached["merge next to a long left block"] += 1
+            if right:
+                assert is_edge(verts[i - 1], verts[i + 2]), d
+                reached["merge next to a long right block"] += 1
 
     check()
     assert reached["tight"] and reached["overtwisted"] and reached["first edge merge"], reached
+    assert reached["merge next to a long left block"], reached
+    assert reached["merge next to a long right block"], reached
+
+
+@pytest.mark.parametrize(
+    "verts, i, pivot",
+    [
+        (("-1", "0", "1/3", "1/2", "1"), 2, 1),  # right block 1/3 -> 1/2 -> 1 about 0
+        (("0", "1", "2", "3", "inf"), 3, 4),  # left block 1 -> 2 -> 3 about inf
+    ],
+)
+def test_consistently_shorten_next_to_long_block(verts, i, pivot):
+    # i is the only removable vertex; the long block on one side of it
+    # pivots about the vertex on the other side, so the block and the
+    # edge across i end as one edge and only uniform signs are tight.
+    # On the first path, (+, -, +) has a + in both blocks at 1/3 but
+    # opposite signs on the two edges there: it is overtwisted.
+    vs = tuple(S(v) for v in verts)
+    path = FareyPath(vs)
+    assert [j for j in range(1, 4) if is_edge(vs[j - 1], vs[j + 1])] == [i]
+    far = i + 2 if pivot < i else i - 2  # the block's vertex two steps from i
+    assert abs(det(vs[far], vs[i])) == 2 and is_edge(vs[far], vs[pivot])
+    for signs in itertools.product((1, -1), repeat=3):
+        d = DecoratedPath(path, signs)
+        short, oracle = consistently_shorten(d), bfs_shorten(d)
+        assert (short is None) == (oracle is None), signs
+        assert (short is not None) == (len(set(signs)) == 1), signs
+        if short is not None:
+            assert short == oracle
 
 
 def _spread_mediants(d, count):
