@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import islice
 from typing import Iterator
 
 from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_slope
@@ -149,14 +150,28 @@ def _cmd_count(args) -> int:
     return 0
 
 
+# a cell with more classes than this is written in slices of this many
+# rows, so that no write holds a whole cell of a large listing; smaller
+# cells keep one write each
+_ROWS_PER_WRITE = 512
+
+
 def _write_cells(cells, head: str, bodies, sep: str = "", ends=None) -> None:
-    """Write a listing of structure_cells one cell per write.  A row is
+    """Write a listing of structure_cells one cell per write, or one slice
+    of _ROWS_PER_WRITE rows per write for a larger cell.  A row is
     head % (k, l), then bodies(position, classes)[i] for the i-th class,
     then ends(k, l) when given; rows are separated by sep."""
     lead = ""
     for k, l, position, classes in cells:
         h, e = head % (k, l), ends(k, l) if ends else ""
-        sys.stdout.write(lead + h + (e + sep + h).join(bodies(position, classes)) + e)
+        glue, rows = e + sep + h, bodies(position, classes)
+        if len(classes) <= _ROWS_PER_WRITE:
+            sys.stdout.write(lead + h + glue.join(rows) + e)
+        else:
+            rows = iter(rows)
+            for start in range(0, len(classes), _ROWS_PER_WRITE):
+                piece = glue.join(islice(rows, _ROWS_PER_WRITE))
+                sys.stdout.write((sep if start else lead) + h + piece + e)
         lead = sep
 
 

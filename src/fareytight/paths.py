@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 from .slopes import (
     DomainError,
@@ -37,14 +38,27 @@ class FareyPath:
             raise DomainError("a path needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise DomainError("path vertices must be distinct")
-        for u, v in zip(vs, vs[1:]):
-            if not is_edge(u, v):
-                raise DomainError("%s -- %s is not a Farey edge" % (u, v))
-        # monotone clockwise: each vertex sits on the closed cw arc from
-        # its predecessor to the final vertex
-        for i in range(len(vs) - 1):
-            if not cw_interval_contains(vs[i + 1], vs[i], vs[-1], closed=True):
-                raise DomainError("path is not monotone clockwise")
+        # Both remaining checks on integers, in one pass.  Monotone
+        # clockwise: each vertex y sits on the closed cw arc from its
+        # predecessor x to the final vertex e (cw_interval_contains with
+        # closed=True, where y != x and x != e as the vertices are
+        # distinct, and det(y, e) == 0 only at y == e).  A non-edge
+        # anywhere wins over a turn back.
+        e = vs[-1]
+        en, ed = e.num, e.den
+        monotone = True
+        for x, y in pairwise(vs):
+            xy = x.num * y.den - y.num * x.den
+            if xy != 1 and xy != -1:
+                raise DomainError("%s -- %s is not a Farey edge" % (x, y))
+            ye = y.num * ed - en * y.den
+            if ye and monotone:
+                if x.num * ed - en * x.den < 0:
+                    monotone = xy < 0 and ye < 0
+                else:
+                    monotone = xy < 0 or ye < 0
+        if not monotone:
+            raise DomainError("path is not monotone clockwise")
 
     @property
     def start(self) -> Slope:
@@ -81,6 +95,11 @@ def minimal_path(a: Slope, b: Slope) -> FareyPath:
     (u, b) that is closest to b; that neighbour is unique, and it need
     not be adjacent to b (from 1/20 towards 1/2 the step goes to 1/19).
     The loop ends because each step moves one edge along the geodesic.
+
+    After each step, _block_rest appends the steps that stay in the
+    step's block with one division, so the loop runs about once per
+    block of the result, and the cost is one division per block plus
+    the vertices it outputs.
     """
     if a == b:
         raise DomainError("minimal path endpoints must be distinct")
@@ -95,12 +114,36 @@ def minimal_path(a: Slope, b: Slope) -> FareyPath:
             cand = _fan_member(v0, w0, k)
             if cw_interval_contains(cand, u, b):
                 verts.append(cand)
-                u = cand
                 break
         else:
             raise DomainError("no clockwise step from %s towards %s" % (u, b))
+        if not is_edge(cand, b):
+            verts.extend(_block_rest(u, cand, b))
+        u = verts[-1]
     verts.append(b)
     return FareyPath(tuple(verts))
+
+
+def _block_rest(prev: Slope, u: Slope, b: Slope) -> list[Slope]:
+    """The greedy steps after the step prev -> u that stay in its block,
+    for a b not adjacent to u.
+
+    With vectors U, U1 of prev, u, take the pivot P = U1 - U, the third
+    vertex of the Farey triangle on prev -- u away from the mediant
+    U1 + U.  Its fan members U + k*P have prev at k = 0 and u at k = 1.
+    Send P to inf: the members go to the integers, increasing away from
+    prev, and b to t = _fan_param(P, U, b).  The neighbours of j inside
+    (j, t) are j + 1/m, so while j + 1 < t the greedy step goes to
+    j + 1: the path runs through the members 2 .. ceil(t) - 1.
+
+    A block runs on past u only about a pivot outside the clockwise arc
+    (prev, u), and the mediant lies inside it unless that arc passes
+    inf (or starts there).  A path passes inf at most once, so it takes
+    at most one more greedy step than it has blocks.
+    """
+    P, base = (u.den - prev.den, u.num - prev.num), (prev.den, prev.num)
+    last = math.ceil(_fan_param(P, base, b)) - 1
+    return [_fan_member(P, base, k) for k in range(2, last + 1)]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ going through the library's own fan/block machinery, so library bugs
 cannot cancel out.  The exceptions are classify_oracle, the rule chain
 that atlas._rule replaces, which reads P's block counts directly instead
 of its features; enumerated_tally, which runs classify_oracle on every
-enumerated structure to check the aggregates in atlas; and bfs_shorten,
+enumerated structure to check the aggregates in atlas; greedy_minimal_path,
+the vertex-by-vertex greedy that paths.minimal_path replaces, and
+path_error_oracle, the checks that FareyPath now runs on integers;
+bfs_shorten,
 the breadth-first search over sign sequences that
 tori.consistently_shorten replaces; and listing_oracle, the
 per-structure `classify` and `enumerate r` listings that the CLI's
@@ -30,9 +33,13 @@ from fareytight.slopes import (
     Slope,
     cf_minus,
     cf_value,
+    cw_interval_contains,
     det,
     is_edge,
     make_slope,
+    _fan_basis,
+    _fan_member,
+    _fan_param,
 )
 from fareytight.atlas import (
     CITE_BASE_ROW,
@@ -162,6 +169,47 @@ def geodesic_length_oracle(a: Slope, b: Slope) -> int:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     raise AssertionError("no geodesic found from %s to %s" % (a, b))
+
+
+def greedy_minimal_path(a: Slope, b: Slope) -> FareyPath:
+    """Geodesic from a clockwise to b, one greedy Farey step at a time:
+    from the current vertex u, the neighbour of u in the open clockwise
+    arc (u, b) closest to b, until u is adjacent to b.  The construction
+    that paths.minimal_path speeds up by crossing a block at once."""
+    if a == b:
+        raise DomainError("minimal path endpoints must be distinct")
+    verts = [a]
+    u = a
+    while not is_edge(u, b):
+        v0, w0 = _fan_basis(u)
+        kb = _fan_param(v0, w0, b)
+        for k in (math.floor(kb), math.ceil(kb)):
+            cand = _fan_member(v0, w0, k)
+            if cw_interval_contains(cand, u, b):
+                verts.append(cand)
+                u = cand
+                break
+        else:
+            raise DomainError("no clockwise step from %s towards %s" % (u, b))
+    verts.append(b)
+    return FareyPath(tuple(verts))
+
+
+def path_error_oracle(vs) -> str | None:
+    """The message of the DomainError that FareyPath(vs) raises, or None:
+    the checks FareyPath made through is_edge and cw_interval_contains
+    before they were inlined on integers, one after the other."""
+    if len(vs) < 1:
+        return "a path needs at least one vertex"
+    if len(set(vs)) != len(vs):
+        return "path vertices must be distinct"
+    for u, v in zip(vs, vs[1:]):
+        if not is_edge(u, v):
+            return "%s -- %s is not a Farey edge" % (u, v)
+    for i in range(len(vs) - 1):
+        if not cw_interval_contains(vs[i + 1], vs[i], vs[-1], closed=True):
+            return "path is not monotone clockwise"
+    return None
 
 
 def shuffle_orbit_count(path) -> int:

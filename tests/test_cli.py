@@ -7,9 +7,9 @@ from math import gcd
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fareytight.cli import main
+from fareytight.cli import _ROWS_PER_WRITE, main
 from fareytight.slopes import parse_slope
-from fareytight.tori import enumerate_tight
+from fareytight.tori import enumerate_tight, phi
 
 from helpers import listing_oracle
 
@@ -400,6 +400,20 @@ def test_listings_match_oracle_exhaustive():
     # and Thm 1.3 for n = 2..4 (3/8, 5/18, 7/32)
     assert {"2/3", "1/40", "1/3", "9/25", "3/8", "5/18", "7/32"} <= set(UNIT_RATIONALS_40)
     for r in UNIT_RATIONALS_40:
+        for argv in listing_commands(r):
+            assert run_captured(argv) == listing_oracle(argv), argv
+
+
+def test_listings_match_oracle_at_write_slices():
+    # cells of as many rows as one write holds (1/r = [3,9,9,9]), one
+    # more, so that the second slice holds a single row ([3,4,4,4,20]),
+    # and exactly two full slices ([3,9,9,17])
+    for r, rows in (
+        ("711/2053", _ROWS_PER_WRITE),
+        ("1105/3019", _ROWS_PER_WRITE + 1),
+        ("1351/3901", 2 * _ROWS_PER_WRITE),
+    ):
+        assert phi(parse_slope(r)) == rows
         for argv in listing_commands(r):
             assert run_captured(argv) == listing_oracle(argv), argv
 

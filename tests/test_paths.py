@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fareytight import paths
 from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slope
 from fareytight.paths import (
     FareyPath,
@@ -14,7 +15,14 @@ from fareytight.paths import (
     minimal_path,
 )
 
-from helpers import decrement_path, geodesic_length_oracle, random_unit_rational
+from helpers import (
+    all_slopes_in_box,
+    decrement_path,
+    geodesic_length_oracle,
+    greedy_minimal_path,
+    path_error_oracle,
+    random_unit_rational,
+)
 
 
 def S(text):
@@ -49,18 +57,142 @@ def test_minimal_path_rejects_equal_endpoints():
 
 
 def test_path_validation():
-    with pytest.raises(DomainError):
-        P("0", "2/5")  # not an edge
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^0 -- 2/5 is not a Farey edge$"):
+        P("0", "2/5")
+    with pytest.raises(DomainError, match="^path is not monotone clockwise$"):
         P("0", "1", "1/2")  # backtracks
-    with pytest.raises(DomainError):
-        FareyPath((ZERO, ONE, ZERO))  # repeats a vertex
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^path vertices must be distinct$"):
+        FareyPath((ZERO, ONE, ZERO))
+    with pytest.raises(DomainError, match="^a path needs at least one vertex$"):
         FareyPath(())
+    # through inf and the negatives
+    assert len(P("5/2", "3", "inf", "-1", "-1/2")) == 4
+    assert len(P("1", "2", "inf", "-1", "0")) == 4
+    assert len(P("-1", "-1/2", "-1/3", "0")) == 3
+    with pytest.raises(DomainError, match="^inf -- 1/2 is not a Farey edge$"):
+        P("2", "inf", "1/2")
+    with pytest.raises(DomainError, match="^-1 -- -1/3 is not a Farey edge$"):
+        P("-2", "-1", "-1/3")
+    with pytest.raises(DomainError, match="^path is not monotone clockwise$"):
+        P("2", "inf", "3")  # the cw arc from 2 to 3 misses inf
+    with pytest.raises(DomainError, match="^path is not monotone clockwise$"):
+        P("-1/2", "-1", "inf")
+    with pytest.raises(DomainError, match="^path vertices must be distinct$"):
+        P("inf", "0", "inf")
+    # two defects: a repeat wins over a non-edge, and a non-edge
+    # anywhere wins over an earlier turn back
+    with pytest.raises(DomainError, match="^path vertices must be distinct$"):
+        P("0", "2/5", "0")
+    with pytest.raises(DomainError, match="^1/2 -- 3 is not a Farey edge$"):
+        P("-1", "0", "1", "1/2", "3")  # turns back at 1 -> 1/2
+    with pytest.raises(DomainError, match="^-1 -- 1 is not a Farey edge$"):
+        P("inf", "-1", "1", "0", "1/2")  # turns back at 1 -> 0
 
 
 def test_path_str_uses_arrows():
     assert str(P("2/5", "1/2")) == "2/5 → 1/2"
+
+
+def test_minimal_path_matches_greedy_oracle_exhaustive():
+    # every ordered pair of distinct slopes with |num|, den <= 12
+    box = all_slopes_in_box(12)
+    for a in box:
+        for b in box:
+            if a != b:
+                assert minimal_path(a, b) == greedy_minimal_path(a, b), (a, b)
+
+
+def _slope_from_cf(n, entries):
+    """n + 1/(c1 + 1/(c2 + ...)), cut at the last convergent whose
+    denominator is at most 10**6.  Small entries keep the geodesic
+    short enough for the oracle, which pays a division per edge."""
+    h0, k0, h1, k1 = 1, 0, n, 1
+    for c in entries:
+        h0, k0, h1, k1 = h1, k1, c * h1 + h0, c * k1 + k0
+        if k1 > 10**6:
+            return make_slope(h0, k0)
+    return make_slope(h1, k1)
+
+
+SLOPES = st.one_of(
+    st.just(INF),
+    st.builds(_slope_from_cf, st.integers(-40, 40), st.lists(st.integers(1, 500), max_size=6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SLOPES, SLOPES)
+@example(make_slope(1, 9000), make_slope(1, 2))  # one block
+@example(make_slope(7960, 23481), make_slope(1, 2))  # 1/r = [3,20,20,20]
+@example(make_slope(5, 2), make_slope(-1, 2))  # across inf
+@example(INF, make_slope(-123457, 1000000))  # into the negatives, den 10**6
+def test_minimal_path_matches_greedy_oracle(a, b):
+    assume(a != b)
+    assert minimal_path(a, b) == greedy_minimal_path(a, b)
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "swap", "repeat", "insert", "reverse"]),
+        st.integers(0, 10**6),
+        SLOPES,
+    ),
+    max_size=2,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SLOPES, SLOPES, EDITS)
+@example(S("-1"), S("3"), [("insert", 3, S("1/2"))])  # turn back, then a non-edge
+@example(S("2"), S("3"), [("insert", 1, INF)])
+def test_path_checks_match_oracle(a, b, edits):
+    # geodesics, and geodesics with a vertex dropped, swapped with the
+    # next, repeated or inserted, or read backwards: each error, and
+    # none, in turn
+    assume(a != b)
+    vs = list(minimal_path(a, b).vertices)
+    for kind, i, s in edits:
+        i %= len(vs)
+        if kind == "drop" and len(vs) > 1:
+            del vs[i]
+        elif kind == "swap" and i + 1 < len(vs):
+            vs[i], vs[i + 1] = vs[i + 1], vs[i]
+        elif kind == "repeat":
+            vs.insert(i, vs[(i * 7) % len(vs)])
+        elif kind == "reverse":
+            vs.reverse()
+        else:
+            vs.insert(i, s)
+    try:
+        FareyPath(tuple(vs))
+        message = None
+    except DomainError as exc:
+        message = str(exc)
+    assert message == path_error_oracle(tuple(vs))
+
+
+def test_minimal_path_divides_once_per_block(monkeypatch):
+    # per block one greedy step and one skip over the rest of the
+    # block, each a single division, and one more step where the path
+    # passes inf
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fan_param(*args)
+
+    fan_param = paths._fan_param
+    monkeypatch.setattr(paths, "_fan_param", counted)
+    for a, b, edges in (
+        ("1/9000", "1/2", 8998),  # one block
+        ("100000/299999", "1/2", 99999),  # one block
+        ("inf", "-30001/10000", 10000),  # one block, pivot -3, from inf
+        ("7960/23481", "1/2", 55),  # three blocks
+    ):
+        calls.clear()
+        path = minimal_path(S(a), S(b))
+        assert len(path) == edges
+        assert len(calls) <= 2 * len(blocks(path).runs) + 2, (a, b, len(calls))
 
 
 def test_minimal_path_length_matches_bfs_oracle():
