@@ -102,6 +102,17 @@ class TrianglePosition:
             return _INTERIOR
         return _SIDE_LOW if l == 0 else _SIDE_HIGH
 
+    @staticmethod
+    def cells(n: int) -> dict[TrianglePosition, int]:
+        """Number of cells (k, l) at each position of the triangle of the
+        n-th row, positions with no cells left out: the count of
+        TrianglePosition.of over the n(n+1)/2 cells, in closed form."""
+        if n == 1:
+            return {_BASE: 1}
+        found = {_BASE: n, _TOP: 1, _SIDE_LOW: n - 2, _SIDE_HIGH: n - 2,
+                 _INTERIOR: (n - 2) * (n - 3) // 2}
+        return {pos: cells for pos, cells in found.items() if cells}
+
 
 _BASE, _TOP = TrianglePosition("Base"), TrianglePosition("Top")
 _INTERIOR = TrianglePosition("Interior")
@@ -136,50 +147,30 @@ class FillabilityVerdict:
             raise DomainError("covered verdicts must cite their source result")
 
 
-def structure_cells(r: Slope) -> Iterator[tuple[int, int, TrianglePosition, tuple]]:
-    """The structures of the r-surgery one (k, l) cell at a time, k
-    ascending, l ascending: (k, l, position, classes), where classes
-    pairs each of the phi(r) choices of P, in enumeration order, with
-    its verdict in that cell.
+def structure_cells(r: Slope) -> tuple[tuple[ShuffleClass, ...], dict, Iterator]:
+    """The structures of the r-surgery as (classes, verdicts, cells):
+    classes holds the phi(r) choices of P in enumeration order, verdicts
+    is the table _verdicts, {position: {P.features: verdict}}, and cells
+    yields (k, l, position) for every cell, k ascending, l ascending.
+    The verdict of (k, l, P) is verdicts[position][P.features].
 
-    r is checked before the first cell: n_of raises on a coefficient
-    outside (0,1), and enumerate_tight checks each class's endpoints
-    once, which are the checks TightStructureId makes per structure.
-    _rule runs once per position and value of P.features, and every
-    cell of a position shares one classes tuple."""
+    r is checked here, not at the first cell: n_of raises on a
+    coefficient outside (0,1), and enumerate_tight checks each class's
+    endpoints once, which are the checks TightStructureId makes per
+    structure."""
     n = n_of(r)
     classes = tuple(st.iso_class for st in enumerate_tight(r, make_slope(1, n)))
-    # a generator function would run these checks only at the first next()
-    return _cells(r, n, classes)
-
-
-def _cells(r: Slope, n: int, classes: tuple[ShuffleClass, ...]):
-    paired = {}  # per position
-    for k in range(1, n + 1):
-        for l in range(0, n - k + 1):
-            pos = TrianglePosition.of(n, k, l)
-            found = paired.get(pos)
-            if found is None:
-                verdicts = {}  # per value of P.features
-                for P in classes:
-                    if P.features not in verdicts:
-                        verdicts[P.features] = _rule(r, n, pos, P.features)
-                found = paired[pos] = tuple((P, verdicts[P.features]) for P in classes)
-            yield k, l, pos, found
+    verdicts = _verdicts(r, n, feature_counts(classes[0].path))
+    cells = ((k, l, TrianglePosition.of(n, k, l)) for k in range(1, n + 1) for l in range(n - k + 1))
+    return classes, verdicts, cells
 
 
 def enumerate_structures(r: Slope) -> list[TightStructureId]:
     """All (k, l, P), k ascending, l ascending, P in enumeration order;
-    n(n+1)/2 * phi(r) entries.  The listing commands walk
-    structure_cells instead, which builds no object per structure."""
-    n = n_of(r)
-    classes = [st.iso_class for st in enumerate_tight(r, make_slope(1, n))]
-    out = []
-    for k in range(1, n + 1):
-        for l in range(0, n - k + 1):
-            for cls in classes:
-                out.append(TightStructureId(r, k, l, cls))
-    return out
+    n(n+1)/2 * phi(r) entries.  The listing commands read structure_cells
+    instead, which builds no object per structure."""
+    classes, _, cells = structure_cells(r)
+    return [TightStructureId(r, k, l, P) for k, l, _ in cells for P in classes]
 
 
 def triangle_position(sid: TightStructureId) -> TrianglePosition:
@@ -283,20 +274,26 @@ def classify(sid: TightStructureId) -> FillabilityVerdict:
     return _rule(sid.r, n, TrianglePosition.of(n, sid.k, sid.l), sid.P.features)
 
 
+def _verdicts(r: Slope, n: int, kinds) -> dict[TrianglePosition, dict[tuple, FillabilityVerdict]]:
+    """The verdict table of the r-surgery: {position: {features: verdict}}
+    for every position with cells and every value of P.features in kinds,
+    one _rule call each."""
+    return {pos: {features: _rule(r, n, pos, features) for features in kinds}
+            for pos in TrianglePosition.cells(n)}
+
+
 def cell_tallies(r: Slope) -> dict[TrianglePosition, Counter]:
     """Verdict tallies over the phi(r) structures of one (k, l) cell, for
     each triangle position present on the r-surgery.  No structure is
-    enumerated: _rule runs once per position and value of P's features,
-    weighted by the number of classes with those features."""
+    enumerated: each verdict of the table _verdicts is weighted by the
+    number of classes with its features."""
     n = n_of(r)
-    # the cells with k in {1, 2, n} and l in {0, 1, n-k} meet every position
-    cells = [(k, l) for k in (1, 2, n) for l in (0, 1, n - k) if k <= n and l <= n - k]
     kinds = feature_counts(minimal_path(r, make_slope(1, n)))
     out = {}
-    for pos in dict.fromkeys(TrianglePosition.of(n, k, l) for k, l in cells):
-        out[pos] = Counter()
-        for features, classes in kinds.items():
-            out[pos][_rule(r, n, pos, features).status] += classes
+    for pos, found in _verdicts(r, n, kinds).items():
+        tally = out[pos] = Counter()
+        for features, verdict in found.items():
+            tally[verdict.status] += kinds[features]
     return out
 
 
@@ -304,12 +301,11 @@ def verdict_summary(r: Slope) -> dict[Fillability, int]:
     """Verdict tallies over all n(n+1)/2 * phi(r) structures of the
     r-surgery, statuses with count 0 omitted: each tally of cell_tallies
     weighted by the number of cells in its position."""
-    n = n_of(r)
-    cells = {"Base": n, "Top": 1, "Side": n - 2, "Interior": (n - 2) * (n - 3) // 2}
+    cells = TrianglePosition.cells(n_of(r))
     tally = Counter()
     for pos, found in cell_tallies(r).items():
         for status, cnt in found.items():
-            tally[status] += cells[pos.tag] * cnt
+            tally[status] += cells[pos] * cnt
     return {status: tally[status] for status in Fillability if tally[status]}
 
 

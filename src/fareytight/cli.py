@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import islice
 from typing import Iterator
 
 from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_slope
@@ -156,31 +155,33 @@ def _cmd_count(args) -> int:
 _ROWS_PER_WRITE = 512
 
 
-def _write_cells(cells, head: str, bodies, sep: str = "", ends=None) -> None:
+def _write_cells(cells, head: str, rows: dict, sep: str = "", ends=None) -> None:
     """Write a listing of structure_cells one cell per write, or one slice
     of _ROWS_PER_WRITE rows per write for a larger cell.  A row is
-    head % (k, l), then bodies(position, classes)[i] for the i-th class,
-    then ends(k, l) when given; rows are separated by sep."""
+    head % (k, l), then rows[position][i] for the i-th class, then
+    ends(k, l) when given; rows are separated by sep."""
     lead = ""
-    for k, l, position, classes in cells:
-        h, e = head % (k, l), ends(k, l) if ends else ""
-        glue, rows = e + sep + h, bodies(position, classes)
-        if len(classes) <= _ROWS_PER_WRITE:
-            sys.stdout.write(lead + h + glue.join(rows) + e)
-        else:
-            rows = iter(rows)
-            for start in range(0, len(classes), _ROWS_PER_WRITE):
-                piece = glue.join(islice(rows, _ROWS_PER_WRITE))
-                sys.stdout.write((sep if start else lead) + h + piece + e)
+    for k, l, position in cells:
+        h, e, texts = head % (k, l), ends(k, l) if ends else "", rows[position]
+        glue = e + sep + h
+        for start in range(0, len(texts), _ROWS_PER_WRITE):
+            piece = glue.join(texts[start : start + _ROWS_PER_WRITE])
+            sys.stdout.write((sep if start else lead) + h + piece + e)
         lead = sep
 
 
-def _p_json(path, counts) -> Iterator[str]:
-    """The JSON text of P.to_json() for each tuple of minus counts on the
-    path, made lazily from one prefix for the path and its blocks."""
+def _p_head(path) -> str:
+    """The start of the JSON text of P.to_json() that every class on the
+    path shares: its path, its blocks and the unsigned first block's
+    minus count."""
     obj = ShuffleClass(path, (0,) * len(path.signed_blocks.runs)).to_json()
-    prefix = '{"path":%s,"blocks":%s,"minus":[0' % (_json(obj["path"]), _json(obj["blocks"]))
-    return (prefix + "".join([",%d" % c for c in cs]) + "]}" for cs in counts)
+    return '{"path":%s,"blocks":%s,"minus":[0' % (_json(obj["path"]), _json(obj["blocks"]))
+
+
+def _p_tail(counts) -> Iterator[str]:
+    """The rest of P's JSON text after _p_head, for each tuple of minus
+    counts, made lazily."""
+    return ("".join([",%d" % c for c in cs]) + "]}" for cs in counts)
 
 
 def _reciprocal_tails(n: int):
@@ -197,38 +198,43 @@ def _reciprocal_tails(n: int):
     return lambda k, l: plus[: cut[k + l]] + minus[cut[k + l] : cut[k]] + "\n"
 
 
+def _write_listing(fmt: str, r: Slope, classes, cells, rows: dict, columns: str, text_head: str,
+                   ends=None) -> None:
+    """Write the listing of `classify r` or `enumerate r` through
+    _write_cells: a JSON array, whose row head holds the text that P's
+    JSON shares on every class, TSV under a header ending in columns, or
+    text rows headed text_head."""
+    if fmt == "json":
+        sys.stdout.write("[")
+        head = '{"r":%s,"k":%%d,"l":%%d,"P":%s' % (_json(str(r)), _p_head(classes[0].path))
+        _write_cells(cells, head, rows, ",")
+        sys.stdout.write("]\n")
+    elif fmt == "tsv":
+        sys.stdout.write("r\tk\tl\t%s\n" % columns)
+        _write_cells(cells, "%s\t%%d\t%%d" % r, rows)
+    else:
+        _write_cells(cells, text_head, rows, ends=ends)
+
+
 def _cmd_enumerate(args) -> int:
     if args.s is None:
-        cells = structure_cells(args.r)  # raises on a bad r before any output
-        r, texts = str(args.r), []
-
-        def bodies(position, classes):
-            if not texts:  # one text per P, the same in every cell
-                Ps = [P for P, _ in classes]
-                if args.format == "json":
-                    texts.extend(t + "}" for t in _p_json(Ps[0].path, [P.minus_counts for P in Ps]))
-                elif args.format == "tsv":
-                    texts.extend("\t%s\n" % P for P in Ps)
-                else:
-                    texts.extend(str(P) for P in Ps)
-            return texts
-
+        classes, verdicts, cells = structure_cells(args.r)  # raises on a bad r before any output
         if args.format == "json":
-            sys.stdout.write("[")
-            _write_cells(cells, '{"r":%s,"k":%%d,"l":%%d,"P":' % _json(r), bodies, ",")
-            sys.stdout.write("]\n")
+            texts = [t + "}" for t in _p_tail(P.minus_counts for P in classes)]
         elif args.format == "tsv":
-            sys.stdout.write("r\tk\tl\tP\n")
-            _write_cells(cells, r + "\t%d\t%d", bodies)
+            texts = ["\t%s\n" % P for P in classes]
         else:
-            _write_cells(cells, "k=%d l=%d ", bodies, ends=_reciprocal_tails(n_of(args.r)))
+            texts = [str(P) for P in classes]
+        rows = dict.fromkeys(verdicts, texts)  # the same texts in every cell
+        ends = _reciprocal_tails(n_of(args.r)) if args.format == "text" else None
+        _write_listing(args.format, args.r, classes, cells, rows, "P", "k=%d l=%d ", ends)
     else:
         path = minimal_path(args.r, args.s)  # raises on a bad pair before any output
         counts = all_minus_counts(path)  # one class at least
         if args.format == "json":
-            texts = _p_json(path, counts)
-            sys.stdout.write("[" + next(texts))
-            sys.stdout.writelines("," + t for t in texts)
+            head, tails = _p_head(path), _p_tail(counts)
+            sys.stdout.write("[" + head + next(tails))
+            sys.stdout.writelines("," + head + t for t in tails)
             sys.stdout.write("]\n")
         elif args.format == "tsv":
             print("r\ts\tminus\tP")
@@ -253,34 +259,17 @@ def _verdict_text(fmt: str, position, verdict) -> str:
 
 
 def _cmd_classify(args) -> int:
-    cells = structure_cells(args.r)  # raises on a bad r before any output
-    r, fmt = str(args.r), args.format
-    verdict_texts, statuses, p_json = {}, set(), []
-
-    def bodies(position, classes):
-        texts = verdict_texts.get(position)
-        if texts is None:
-            made = {}  # a verdict reads only P's features: one text per value
-            for P, verdict in classes:
-                if P.features not in made:
-                    made[P.features] = _verdict_text(fmt, position, verdict)
-                    statuses.add(verdict.status)
-            texts = verdict_texts[position] = [made[P.features] for P, _ in classes]
-        if fmt != "json":
-            return texts
-        if not p_json:
-            p_json.extend(_p_json(classes[0][0].path, [P.minus_counts for P, _ in classes]))
-        return map(str.__add__, p_json, texts)
-
-    if fmt == "json":
-        sys.stdout.write("[")
-        _write_cells(cells, '{"r":%s,"k":%%d,"l":%%d,"P":' % _json(r), bodies, ",")
-        sys.stdout.write("]\n")
-    elif fmt == "tsv":
-        sys.stdout.write("r\tk\tl\tposition\tstatus\tcite\tnote\n")
-        _write_cells(cells, r + "\t%d\t%d", bodies)
-    else:
-        _write_cells(cells, "k=%d l=%d", bodies)
+    classes, verdicts, cells = structure_cells(args.r)  # raises on a bad r before any output
+    fmt = args.format
+    tails = list(_p_tail(P.minus_counts for P in classes)) if fmt == "json" else [""] * len(classes)
+    rows = {}
+    for position, found in verdicts.items():
+        # a verdict reads only P's features: one text per value
+        texts = {f: _verdict_text(fmt, position, verdict) for f, verdict in found.items()}
+        rows[position] = [tail + texts[P.features] for tail, P in zip(tails, classes)]
+    del tails  # the rows hold them
+    _write_listing(fmt, args.r, classes, cells, rows, "position\tstatus\tcite\tnote", "k=%d l=%d")
+    statuses = {verdict.status for found in verdicts.values() for verdict in found.values()}
     if args.strict and Fillability.NOT_COVERED in statuses:
         return 4
     return 0

@@ -68,6 +68,10 @@ def signed_blocks(path: FareyPath) -> BlockDecomposition:
     return path.signed_blocks
 
 
+# the values ShuffleClass.features takes, so that classes share them
+_FEATURES: dict[tuple[bool, bool, bool], tuple[bool, bool, bool]] = {}
+
+
 @dataclass(frozen=True)
 class ShuffleClass:
     """A decorated path up to shuffling: per-signed-block minus counts."""
@@ -111,7 +115,7 @@ class ShuffleClass:
             # the signed blocks hold every edge but the first
             uniform = sum(minus) in (0, len(self.path) - 1)
             found = (uniform, last_minus == 0, last_minus == last_size)
-            self.__dict__["_features"] = found
+            found = self.__dict__["_features"] = _FEATURES.setdefault(found, found)
         return found
 
     def to_json(self) -> dict:

@@ -115,6 +115,13 @@ def test_triangle_position_fixtures():
     assert pos(1, 0).tag == "Base"  # base beats side on the corner
 
 
+def test_triangle_cells_match_positions():
+    for n in range(1, 81):
+        found = Counter(TrianglePosition.of(n, k, l) for k in range(1, n + 1) for l in range(n - k + 1))
+        assert TrianglePosition.cells(n) == found, n
+        assert sum(TrianglePosition.cells(n).values()) == n * (n + 1) // 2, n
+
+
 def test_triangle_position_n1_is_base():
     p = triangle_position(sid_of("2/3", 1, 0, ()))
     assert p.tag == "Base"
@@ -353,6 +360,7 @@ def test_classify_matches_oracle_exhaustive():
             cells.setdefault((sid.k, sid.l), Counter())[verdict.status] += 1
         for (k, l), found in cells.items():
             assert tallies[TrianglePosition.of(n, k, l)] == found, (r, k, l)
+        assert tallies.keys() == TrianglePosition.cells(n).keys(), r
 
 
 def test_feature_counts_match_enumeration_exhaustive():
@@ -398,11 +406,11 @@ def test_structure_cells_match_enumeration(monkeypatch):
     for text in ("2/3", "1/3", "9/25", "13/49", "7/32", "41/187", "1/7"):
         r = S(text)
         calls.clear()
-        walked = [(k, l, pos, P, verdict) for k, l, pos, classes in structure_cells(r)
-                  for P, verdict in classes]
+        classes, verdicts, cells = structure_cells(r)
+        walked = [(k, l, pos, P, verdicts[pos][P.features]) for k, l, pos in cells for P in classes]
         # one rule evaluation per position and value of P's features
         assert set(calls.values()) == {1}, text
-        assert len(calls) == len({(pos, P.features) for _, _, pos, P, _ in walked}), text
+        assert set(calls) == {(pos, P.features) for _, _, pos, P, _ in walked}, text
         listed = [(sid.k, sid.l, triangle_position(sid), sid.P, classify(sid))
                   for sid in enumerate_structures(r)]
         assert walked == listed, text

@@ -1,5 +1,5 @@
-"""The benchmark's smoke run, the scripts and the CLI, each run as its
-own process."""
+"""The benchmark's smoke run, the DOT export script and the CLI, each run
+as its own process."""
 
 import os
 import subprocess
@@ -26,16 +26,6 @@ def test_perfbench_smoke():
     # fails when a function the traced run looks up by name disappears
     res = run_script("perfbench/run.py", "--smoke")
     assert res.returncode == 0, res.stdout + res.stderr
-
-
-def test_sweep_windows_script():
-    res = run_script("scripts/sweep_windows.py", "--bound", "40", "--n-max", "5")
-    assert res.returncode == 0, res.stdout + res.stderr
-    # one line per window (n = 2..5 and the two low windows): every row's
-    # tally agrees with the enumeration
-    windows = [line for line in res.stdout.splitlines() if line.endswith(" mismatches")]
-    assert len(windows) == 6, res.stdout
-    assert all(line.endswith(" 0 mismatches") for line in windows), res.stdout
 
 
 def test_export_dot_script(tmp_path):
