@@ -25,7 +25,7 @@ def main() -> int:
     for a, b in PATHS:
         name = "path_%s_to_%s.dot" % (a.replace("/", "_"), b.replace("/", "_"))
         out = args.out_dir / name
-        out.write_text(emit_dot_path(minimal_path(parse_slope(a), parse_slope(b))))
+        out.write_text("".join(emit_dot_path(minimal_path(parse_slope(a), parse_slope(b)))))
         print(out)
     for r in TRIANGLES:
         out = args.out_dir / ("triangle_%s.dot" % r.replace("/", "_"))

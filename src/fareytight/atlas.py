@@ -28,7 +28,7 @@ from .slopes import (
     _pos_lt,
 )
 from .paths import FareyPath, concat, minimal_path
-from .tori import DecoratedPath, ShuffleClass, enumerate_tight, feature_counts
+from .tori import DecoratedPath, ShuffleClass, all_minus_counts, feature_counts
 from .tori import shuffle_canonical, signed_blocks
 
 
@@ -155,12 +155,13 @@ def structure_cells(r: Slope) -> tuple[tuple[ShuffleClass, ...], dict, Iterator]
     The verdict of (k, l, P) is verdicts[position][P.features].
 
     r is checked here, not at the first cell: n_of raises on a
-    coefficient outside (0,1), and enumerate_tight checks each class's
-    endpoints once, which are the checks TightStructureId makes per
+    coefficient outside (0,1), and every class lies on the one path from
+    r to 1/n, which are the checks TightStructureId makes per
     structure."""
     n = n_of(r)
-    classes = tuple(st.iso_class for st in enumerate_tight(r, make_slope(1, n)))
-    verdicts = _verdicts(r, n, feature_counts(classes[0].path))
+    path = minimal_path(r, make_slope(1, n))
+    classes = tuple(ShuffleClass(path, counts) for counts in all_minus_counts(path))
+    verdicts = _verdicts(r, n, feature_counts(path))
     cells = ((k, l, TrianglePosition.of(n, k, l)) for k in range(1, n + 1) for l in range(n - k + 1))
     return classes, verdicts, cells
 

@@ -50,16 +50,43 @@ def _slope(text: str) -> Slope:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _one_based_blocks(path) -> list[list[int]]:
-    return [[e + 1 for e in run] for run in blocks(path).runs]
+# a path is written this many vertices, or edge indices, at a time, so
+# that no write holds a whole long geodesic
+_VERTICES_PER_WRITE = 4096
 
 
-def emit_dot_path(path) -> str:
-    lines = ["digraph farey_path {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for u, v in path.edges:
-        lines.append('  "%s" -> "%s";' % (u, v))
-    lines.append("}")
-    return "\n".join(lines)
+def _path_text(path) -> Iterator[str]:
+    yield str(path.start)
+    yield from path.format_vertices(" → %s", _VERTICES_PER_WRITE)
+    yield " → %s" % path.end
+
+
+def _path_json(path) -> Iterator[str]:
+    """The text of {"vertices": [...], "blocks": [[1], [2, 3, 4]]}, with
+    one-based edge indices, in pieces."""
+    yield '{"vertices":["%s"' % path.start
+    yield from path.format_vertices(',"%s"', _VERTICES_PER_WRITE)
+    yield ',"%s"],"blocks":[' % path.end
+    e = 1
+    for size in blocks(path).sizes:
+        yield "[" if e == 1 else ",["
+        for lo in range(e, e + size, _VERTICES_PER_WRITE):
+            yield ("" if lo == e else ",") + _numbers(lo, min(lo + _VERTICES_PER_WRITE, e + size))
+        yield "]"
+        e += size
+    yield "]}"
+
+
+def _numbers(lo: int, hi: int) -> str:
+    """lo, ..., hi - 1 joined by commas."""
+    return ",".join(map(str, range(lo, hi)))
+
+
+def emit_dot_path(path) -> Iterator[str]:
+    """DOT text of the path in pieces, with no newline at the end."""
+    yield 'digraph farey_path {\n  rankdir=LR;\n  node [shape=ellipse];\n  "%s" -> "' % path.start
+    yield from path.format_vertices('%s";\n  "%s" -> "', _VERTICES_PER_WRITE)
+    yield '%s";\n}' % path.end
 
 
 def emit_dot_triangle(r: Slope) -> Iterator[str]:
@@ -104,14 +131,13 @@ def _cmd_cf(args) -> int:
     return 0
 
 
+_PATH_FORMATS = {"text": _path_text, "json": _path_json, "dot": emit_dot_path}
+
+
 def _cmd_path(args) -> int:
-    path = minimal_path(args.a, args.b)
-    if args.format == "json":
-        print(_json({"vertices": [str(v) for v in path.vertices], "blocks": _one_based_blocks(path)}))
-    elif args.format == "dot":
-        print(emit_dot_path(path))
-    else:
-        print(path)
+    path = minimal_path(args.a, args.b)  # raises on a bad pair before any output
+    sys.stdout.writelines(_PATH_FORMATS[args.format](path))
+    sys.stdout.write("\n")
     return 0
 
 
@@ -174,7 +200,7 @@ def _p_head(path) -> str:
     """The start of the JSON text of P.to_json() that every class on the
     path shares: its path, its blocks and the unsigned first block's
     minus count."""
-    obj = ShuffleClass(path, (0,) * len(path.signed_blocks.runs)).to_json()
+    obj = ShuffleClass(path, (0,) * len(path.signed_blocks.sizes)).to_json()
     return '{"path":%s,"blocks":%s,"minus":[0' % (_json(obj["path"]), _json(obj["blocks"]))
 
 
@@ -338,7 +364,9 @@ def _cmd_dot(args) -> int:
         if len(args.slopes) != 2:
             print("error: dot path expects two slopes", file=sys.stderr)
             return 2
-        print(emit_dot_path(minimal_path(parse_slope(args.slopes[0]), parse_slope(args.slopes[1]))))
+        sys.stdout.writelines(emit_dot_path(minimal_path(parse_slope(args.slopes[0]),
+                                                         parse_slope(args.slopes[1]))))
+        sys.stdout.write("\n")
     else:
         if len(args.slopes) != 1:
             print("error: dot triangle expects one slope", file=sys.stderr)

@@ -5,35 +5,98 @@ edge, that progresses monotonically clockwise around the circle.  The
 central construction is the minimal (geodesic) path between two slopes,
 computed greedily: from the current vertex, step to its own Farey
 neighbour that lies inside the remaining arc and closest to the target.
+
+Vectors.  A slope p/q is the vector (q, p) up to sign, and the clockwise
+order of slopes is the order of the angles of these vectors (0, then
+the positives, then inf, then the negatives), so the clockwise arc from
+a to b is the set of positive combinations of vectors A, B of a, b with
+cross(A, B) > 0, where cross(v, w) = v[0]*w[1] - v[1]*w[0].  A path
+v_0, ..., v_m lifts to vectors V_i with cross(V_i, V_i+1) = +1 at every
+edge: the lift is unique once V_0 = (den, num) of v_0 is fixed, and
+each edge turns it anticlockwise by an angle in (0, pi).
+
+Blocks.  With D_i = V_i+1 - V_i, cross(V_i, D_i) = 1, so D_i is a Farey
+neighbour of v_i and of v_i+1: it is the third vertex of the triangle
+on the edge that lies outside the arc (v_i, v_i+1).  A maximal run of
+edges with one D is a continued fraction block, stored as (pivot P,
+base U, count m): its vertices are the members U + k*P, k = 0..m, of
+P's fan.  On a monotone path two adjacent edges share a block exactly
+when |det(v_i, v_i+2)| == 2 (BlockDecomposition): V_i+2 = c*V_i+1 - V_i
+for an integer c = cross(V_i, V_i+2), c <= 0 would turn V_i+2 by at
+least pi from V_i, and c == 2 means D_i+1 == D_i.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import pairwise
+from itertools import count, islice, pairwise
+from typing import Iterator
 
-from .slopes import (
-    DomainError,
-    Slope,
-    cw_interval_contains,
-    det,
-    is_edge,
-    _fan_basis,
-    _fan_member,
-    _fan_param,
-)
+from .slopes import INF, DomainError, Slope, cw_interval_contains, _fan_basis
 
 
-@dataclass(frozen=True)
+def _text(d: int, n: int) -> str:
+    """str of the slope of the vector (d, n), made from the integers."""
+    if d < 0:
+        d, n = -d, -n
+    if d > 1:
+        return "%d/%d" % (n, d)
+    return str(n) if d else "inf"
+
+
+def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
+    """template % (t, ..., t) for the text t of each member base +
+    k*pivot, k = lo..hi-1, of a fan, joined.  The denominators are
+    linear in k: where they exceed 1 in absolute value at both ends they
+    all do, and the members are fractions n/d after a change of sign."""
+    (pd, pn), (ud, un) = pivot, base
+    first, last = ud + lo * pd, ud + (hi - 1) * pd
+    sign = 1 if min(first, last) > 1 else -1 if max(first, last) < -1 else 0
+    if not sign:
+        slots = template.count("%s")
+        return "".join(template % ((_text(ud + k * pd, un + k * pn),) * slots) for k in range(lo, hi))
+    nums = _progression(sign * (un + lo * pn), sign * pn, hi - lo)
+    return _format_fractions(template, nums, _progression(sign * first, sign * pd, hi - lo))
+
+
+def _format_fractions(template: str, nums: list[int], dens: list[int]) -> str:
+    """template % (n/d, ..., n/d), one n/d for each "%s", for each pair
+    of nums and dens, joined, in one % operation."""
+    step = 2 * template.count("%s")
+    args = [0] * (step * len(nums))
+    for i in range(0, step, 2):
+        args[i::step], args[i + 1 :: step] = nums, dens
+    return (template.replace("%s", "%d/%d") * len(nums)) % tuple(args)
+
+
+def _progression(first: int, step: int, length: int) -> list[int]:
+    """first, first + step, ..., length terms."""
+    return list(range(first, first + length * step, step)) if step else [first] * length
+
+
+def _slope(d: int, n: int) -> Slope:
+    """The slope of the primitive vector (d, n)."""
+    if d < 0:
+        return Slope(-n, -d)
+    return Slope(n, d) if d else INF
+
+
 class FareyPath:
-    """Clockwise edge path in the Farey graph."""
+    """Clockwise edge path in the Farey graph.
 
-    vertices: tuple[Slope, ...]
+    FareyPath(vertices) checks the vertices one by one.  minimal_path
+    builds a path from its blocks instead (from_blocks): the path stores
+    them as integer vectors, answers len, start, end, signed_blocks.sizes
+    and str from them, and builds the vertices, the edges and
+    signed_blocks.runs only on first access.  Two paths are equal, and
+    hash alike, exactly when their vertex tuples are, whichever way they
+    were built.
+    """
 
-    def __post_init__(self):
-        vs = self.vertices
+    __slots__ = ("_start", "_end", "_len", "_blocks", "_vertices", "_edges", "_signed")
+
+    def __init__(self, vertices: tuple[Slope, ...]):
+        vs = tuple(vertices)
         if len(vs) < 1:
             raise DomainError("a path needs at least one vertex")
         if len(set(vs)) != len(vs):
@@ -59,96 +122,204 @@ class FareyPath:
                     monotone = xy < 0 or ye < 0
         if not monotone:
             raise DomainError("path is not monotone clockwise")
+        self._init(vs[0], e, len(vs) - 1, None, vs)
+
+    def _init(self, start, end, length, blocks, vertices) -> None:
+        self._start, self._end, self._len = start, end, length
+        self._blocks, self._vertices, self._edges, self._signed = blocks, vertices, None, None
+
+    @classmethod
+    def from_blocks(cls, start: Slope, end: Slope, blocks) -> FareyPath:
+        """The path from start to end through blocks, a sequence of
+        (pivot, base, count) with pivot and base (den, num) vectors: the
+        vertices are base + k*pivot for k = 0..count, block by block.
+
+        Each block is checked once, in O(1):
+        1. cross(base, pivot) == 1, and count >= 1;
+        2. the first base is (start.den, start.num), and every other
+           base is the last member of the block before, whose pivot
+           differs from its own;
+        3. cross(A, last member) > 0, with A the first base;
+        4. the last member of the last block is a vector of end.
+
+        These hold exactly when the vertices pass FareyPath's checks and
+        the blocks are the maximal ones.  By 1 and 2 the members form
+        one chain with cross +1 at every edge, so consecutive vertices
+        span Farey edges, and an edge inside a block turns the chain
+        anticlockwise by less than pi.  Such a chain is monotone
+        clockwise with distinct vertices exactly when it turns by less
+        than pi in all, that is when cross(A, V) > 0 at every vertex V
+        after the first: a chain that turns by pi or more first does so
+        at a vertex V with cross(A, V) <= 0, since no edge jumps over
+        the half turn where cross(A, .) <= 0.  On a block cross(A, U +
+        k*P) is linear in k, so its sign at the two ends (0 at the first
+        base, positive at every later one by 3) gives its sign at every
+        member: 3 is this condition.  Conversely, the lift of a path
+        that passes the vertex checks, cut into its maximal blocks,
+        satisfies 1 to 4 (see the module docstring), and two block
+        sequences that do give two different vertex tuples.  So a pivot
+        that is not adjacent to its base, a block that turns back, and a
+        block that overruns the end each raise DomainError.
+        """
+        ad, an = start.den, start.num
+        checked = []
+        xd, xn, prev = ad, an, None  # the last member so far
+        for i, ((pd, pn), (ud, un), m) in enumerate(blocks):
+            if (ud, un) != (xd, xn):
+                raise DomainError("block %d does not start at %s" % (i, _text(xd, xn)))
+            if (pd, pn) == prev:
+                raise DomainError("blocks %d and %d have one pivot" % (i - 1, i))
+            turn = ud * pn - un * pd
+            if turn != 1 and turn != -1:
+                raise DomainError("block %d: pivot is not a Farey neighbour of its base" % i)
+            if m < 1:
+                raise DomainError("block %d has no edge" % i)
+            xd, xn, prev = ud + m * pd, un + m * pn, (pd, pn)
+            if turn < 0 or ad * xn - an * xd <= 0:
+                raise DomainError("path is not monotone clockwise")
+            checked.append(((pd, pn), (ud, un), m))
+        if not checked or (xd, xn) not in ((end.den, end.num), (-end.den, -end.num)):
+            raise DomainError("the blocks do not end at %s" % end)
+        path = cls.__new__(cls)
+        path._init(start, end, sum(m for _, _, m in checked), tuple(checked), None)
+        return path
 
     @property
     def start(self) -> Slope:
-        return self.vertices[0]
+        return self._start
 
     @property
     def end(self) -> Slope:
-        return self.vertices[-1]
+        return self._end
+
+    @property
+    def block_vectors(self) -> tuple[tuple[tuple[int, int], tuple[int, int], int], ...]:
+        """The maximal blocks as (pivot, base, count) integer vectors, as
+        from_blocks takes them; made from the vertices on first access
+        for a path built from them."""
+        if self._blocks is None:
+            blocks, vs = [], self._vertices
+            xd, xn = vs[0].den, vs[0].num
+            for y in vs[1:]:
+                yd, yn = y.den, y.num
+                if xd * yn - xn * yd < 0:
+                    yd, yn = -yd, -yn
+                pivot = (yd - xd, yn - xn)
+                if blocks and blocks[-1][0] == pivot:
+                    blocks[-1][2] += 1
+                else:
+                    blocks.append([pivot, (xd, xn), 1])
+                xd, xn = yd, yn
+            self._blocks = tuple(tuple(b) for b in blocks)
+        return self._blocks
+
+    def _map_vertices(self, fn) -> Iterator:
+        """fn(den, num) for the lifted vector of each vertex."""
+        yield fn(self._start.den, self._start.num)
+        for (pd, pn), (ud, un), m in self.block_vectors:
+            yield from map(fn, islice(count(ud + pd, pd), m), count(un + pn, pn))
+
+    @property
+    def vertices(self) -> tuple[Slope, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(self._map_vertices(_slope))
+        return self._vertices
+
+    def format_vertices(self, template: str, size: int) -> Iterator[str]:
+        """template % (t, ..., t), one t for each "%s" of template, for
+        the text t of each vertex strictly between start and end, made
+        from the block integers, size vertices to a text at most."""
+        last = len(self.block_vectors) - 1
+        for j, ((pd, pn), (ud, un), m) in enumerate(self.block_vectors):
+            stop = m if j < last else m - 1  # the last member of all is the end
+            for lo in range(1, stop + 1, size):
+                yield _format_members(template, (pd, pn), (ud, un), lo, min(lo + size, stop + 1))
 
     @property
     def edges(self) -> tuple[tuple[Slope, Slope], ...]:
-        vs = self.vertices
-        return tuple(zip(vs, vs[1:]))
+        if self._edges is None:
+            self._edges = tuple(pairwise(self.vertices))
+        return self._edges
 
     def __len__(self) -> int:
-        return len(self.vertices) - 1
+        return self._len
 
-    @cached_property
-    def signed_blocks(self) -> "BlockDecomposition":
+    @property
+    def signed_blocks(self) -> BlockDecomposition:
         """Blocks of the edges after the first, the ones a decorated path
-        signs.  Kept on the path, so every shuffle class on it shares
+        signs: the block sizes with the first edge taken off the first
+        block.  Kept on the path, so every shuffle class on it shares
         one decomposition."""
-        return BlockDecomposition(edge_runs(self, 1, len(self) - 1))
+        if self._signed is None:
+            sizes = [m for _, _, m in self.block_vectors]
+            if sizes:
+                sizes[0] -= 1
+            self._signed = BlockDecomposition(tuple(s for s in sizes if s), 1)
+        return self._signed
+
+    # The lift from start is unique, so two paths have equal vertex
+    # tuples exactly when they have equal starts and blocks; compared
+    # that way, a path of 10**12 edges needs no vertex.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FareyPath):
+            return NotImplemented
+        return self._start == other._start and self.block_vectors == other.block_vectors
+
+    def __hash__(self) -> int:
+        return hash((self._start, self.block_vectors))
+
+    def __repr__(self) -> str:
+        return "FareyPath.from_blocks(%r, %r, %r)" % (self._start, self._end, self.block_vectors)
 
     def __str__(self) -> str:
-        return " → ".join(str(v) for v in self.vertices)
+        return " → ".join(self._map_vertices(_text))
 
 
 def minimal_path(a: Slope, b: Slope) -> FareyPath:
-    """Geodesic in the Farey graph from a clockwise to b.
+    """Geodesic in the Farey graph from a clockwise to b, by blocks.
 
-    Greedy construction: while the current vertex u is not adjacent to
-    b, step to the Farey neighbour of u lying in the open clockwise arc
-    (u, b) that is closest to b; that neighbour is unique, and it need
-    not be adjacent to b (from 1/20 towards 1/2 the step goes to 1/19).
-    The loop ends because each step moves one edge along the geodesic.
+    Greedy construction: while the current vertex u is not b, step to
+    the Farey neighbour of u in the clockwise arc (u, b] that is closest
+    to b; that neighbour is unique, and it need not be adjacent to b
+    (from 1/20 towards 1/2 the step goes to 1/19).  In vectors, with the
+    lift B of b that has cross(V, B) > 0 at the vector V of u: the
+    neighbours are W + k*V for any W with cross(V, W) == 1, the ones in
+    the arc have cross(W, B) + k*cross(V, B) >= 0, and the closest to B
+    has the least such k.
 
-    After each step, _block_rest appends the steps that stay in the
-    step's block with one division, so the loop runs about once per
-    block of the result, and the cost is one division per block plus
-    the vertices it outputs.
+    The step fixes the block's pivot P = W + (k-1)*V, and the greedy
+    steps after it stay in P's fan while they can: send P to inf, so
+    that the members V + j*P go to the integers j and b to t =
+    cross(V, B) / cross(B, P) >= 1.  The neighbours of j inside (j, t)
+    are j + 1/h, so the greedy step from j goes to j + 1 while j + 1 <=
+    t, and the block has floor(t) edges.  It ends at b when t is an
+    integer; otherwise the next step has another pivot, and -(the
+    member before) serves as its W.  So the loop runs once per block,
+    with two divisions, and no vertex is built.
     """
     if a == b:
         raise DomainError("minimal path endpoints must be distinct")
-    verts = [a]
-    u = a
-    while not is_edge(u, b):
-        v0, w0 = _fan_basis(u)
-        kb = _fan_param(v0, w0, b)
-        # kb is not an integer: integer parameters are the neighbours
-        # of u, and u--b is not an edge here
-        for k in (math.floor(kb), math.ceil(kb)):
-            cand = _fan_member(v0, w0, k)
-            if cw_interval_contains(cand, u, b):
-                verts.append(cand)
-                break
-        else:
-            raise DomainError("no clockwise step from %s towards %s" % (u, b))
-        if not is_edge(cand, b):
-            verts.extend(_block_rest(u, cand, b))
-        u = verts[-1]
-    verts.append(b)
-    return FareyPath(tuple(verts))
-
-
-def _block_rest(prev: Slope, u: Slope, b: Slope) -> list[Slope]:
-    """The greedy steps after the step prev -> u that stay in its block,
-    for a b not adjacent to u.
-
-    With vectors U, U1 of prev, u, take the pivot P = U1 - U, the third
-    vertex of the Farey triangle on prev -- u away from the mediant
-    U1 + U.  Its fan members U + k*P have prev at k = 0 and u at k = 1.
-    Send P to inf: the members go to the integers, increasing away from
-    prev, and b to t = _fan_param(P, U, b).  The neighbours of j inside
-    (j, t) are j + 1/m, so while j + 1 < t the greedy step goes to
-    j + 1: the path runs through the members 2 .. ceil(t) - 1.
-
-    A block runs on past u only about a pivot outside the clockwise arc
-    (prev, u), and the mediant lies inside it unless that arc passes
-    inf (or starts there).  A path passes inf at most once, so it takes
-    at most one more greedy step than it has blocks.
-    """
-    P, base = (u.den - prev.den, u.num - prev.num), (prev.den, prev.num)
-    last = math.ceil(_fan_param(P, base, b)) - 1
-    return [_fan_member(P, base, k) for k in range(2, last + 1)]
+    (vd, vn), (wd, wn) = _fan_basis(a)
+    bd, bn = b.den, b.num
+    if vd * bn - vn * bd < 0:
+        bd, bn = -bd, -bn
+    blocks = []
+    c = vd * bn - vn * bd
+    while c:
+        k = -((wd * bn - wn * bd) // c)  # ceil(-cross(W, B) / c)
+        pd, pn = wd + (k - 1) * vd, wn + (k - 1) * vn
+        m = c // (bd * pn - bn * pd)
+        blocks.append(((pd, pn), (vd, vn), m))
+        vd, vn = vd + m * pd, vn + m * pn
+        wd, wn = pd - vd, pn - vn
+        c = vd * bn - vn * bd
+    return FareyPath.from_blocks(a, b, blocks)
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Partition of a path's edge indices into continued fraction blocks.
+    """Partition of a path's edge indices, from first on, into continued
+    fraction blocks of the given sizes.
 
     Two adjacent edges v[i] -- v[i+1] -- v[i+2] are in the same block
     iff |det(v[i], v[i+2])| == 2.  Then v[i] and v[i+2] are the third
@@ -158,33 +329,39 @@ class BlockDecomposition:
     p's fan.
     """
 
-    runs: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+    first: int = 0
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.runs)
+    def runs(self) -> tuple[tuple[int, ...], ...]:
+        """The edge indices of each block, made on first access and kept
+        on the instance (without the lock of functools.cached_property
+        before Python 3.12)."""
+        found = self.__dict__.get("_runs")
+        if found is None:
+            out, e = [], self.first
+            for size in self.sizes:
+                out.append(tuple(range(e, e + size)))
+                e += size
+            found = self.__dict__["_runs"] = tuple(out)
+        return found
 
 
 def edge_runs(path: FareyPath, first_edge: int, last_edge: int) -> tuple[tuple[int, ...], ...]:
     """Maximal runs among edges first_edge..last_edge inclusive that
     share a block, by the rule of BlockDecomposition."""
-    vs = path.vertices
-    if first_edge > last_edge:
-        return ()
-    runs = [[first_edge]]
-    for e in range(first_edge + 1, last_edge + 1):
-        if abs(det(vs[e - 1], vs[e + 1])) == 2:
-            runs[-1].append(e)
-        else:
-            runs.append([e])
-    return tuple(tuple(r) for r in runs)
+    runs, e = [], 0
+    for _, _, m in path.block_vectors:
+        lo, hi = max(e, first_edge), min(e + m, last_edge + 1)
+        if lo < hi:
+            runs.append(tuple(range(lo, hi)))
+        e += m
+    return tuple(runs)
 
 
 def blocks(path: FareyPath) -> BlockDecomposition:
     """Block decomposition over all edges of the path."""
-    if len(path) == 0:
-        return BlockDecomposition(())
-    return BlockDecomposition(edge_runs(path, 0, len(path) - 1))
+    return BlockDecomposition(tuple(m for _, _, m in path.block_vectors))
 
 
 def concat(first: FareyPath, second: FareyPath) -> FareyPath:

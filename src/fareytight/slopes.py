@@ -212,8 +212,9 @@ def _fan_basis(s: Slope) -> tuple[tuple[int, int], tuple[int, int]]:
     """
     v0 = (s.den, s.num)
     g, u, v = _egcd(s.den, s.num)
-    # cross(v0, (-v, u)) = den*u + num*v = g = 1 for a reduced slope
-    return v0, (-v, u)
+    # cross(v0, (-v, u)) = den*u + num*v = g, which is 1 or, for a
+    # negative slope, -1; scaling by g makes it g*g = 1
+    return v0, (-v * g, u * g)
 
 
 def _fan_member(v0, w0, k: int) -> Slope:

@@ -19,7 +19,6 @@ from .slopes import (
     DomainError,
     ONE,
     Slope,
-    cf_minus,
     cw_interval_contains,
     is_edge,
     make_slope,
@@ -28,7 +27,7 @@ from .slopes import (
 from .paths import (
     BlockDecomposition,
     FareyPath,
-    edge_runs,
+    blocks,
     lengthen_through,
     minimal_path,
 )
@@ -80,14 +79,14 @@ class ShuffleClass:
     minus_counts: tuple[int, ...]
 
     def __post_init__(self):
-        runs = signed_blocks(self.path).runs
-        if len(self.minus_counts) != len(runs):
+        sizes = signed_blocks(self.path).sizes
+        if len(self.minus_counts) != len(sizes):
             raise DomainError(
-                "expected %d block counts, got %d" % (len(runs), len(self.minus_counts))
+                "expected %d block counts, got %d" % (len(sizes), len(self.minus_counts))
             )
-        for cnt, run in zip(self.minus_counts, runs):
-            if not 0 <= cnt <= len(run):
-                raise DomainError("minus count %d outside block of size %d" % (cnt, len(run)))
+        for cnt, size in zip(self.minus_counts, sizes):
+            if not 0 <= cnt <= size:
+                raise DomainError("minus count %d outside block of size %d" % (cnt, size))
 
     @property
     def blocks(self) -> BlockDecomposition:
@@ -110,8 +109,8 @@ class ShuffleClass:
         functools.cached_property takes before Python 3.12."""
         found = self.__dict__.get("_features")
         if found is None:
-            runs, minus = self.blocks.runs, self.minus_counts
-            last_size, last_minus = (len(runs[-1]), minus[-1]) if runs else (0, 0)
+            sizes, minus = self.blocks.sizes, self.minus_counts
+            last_size, last_minus = (sizes[-1], minus[-1]) if sizes else (0, 0)
             # the signed blocks hold every edge but the first
             uniform = sum(minus) in (0, len(self.path) - 1)
             found = (uniform, last_minus == 0, last_minus == last_size)
@@ -167,23 +166,18 @@ def count_tight(r: Slope, s: Slope) -> int:
     """Number of tight structures with lower meridian r and dividing
     slope s: product of (size + 1) over signed blocks of the minimal
     path from r to s."""
-    out = 1
-    for run in signed_blocks(minimal_path(r, s)).runs:
-        out *= len(run) + 1
-    return out
+    return math.prod(size + 1 for size in signed_blocks(minimal_path(r, s)).sizes)
 
 
 def phi(r: Slope) -> int:
     """For r in (0,1) with 1/r = [a0,...,an]: the product
-    (a1-1)...(an-1).  This is count_tight(r, 1/n) for the maximal n
-    with 1/n > r."""
+    (a1-1)...(an-1), computed as count_tight(r, 1/n) for the maximal n
+    with 1/n > r.  The signed block sizes of that path are (an-2, ...,
+    a1-2) with the entries equal to 2 left out (Honda, section 4.3), so
+    this costs one division per block, not one step per entry."""
     if r.is_infinite or not 0 < r.num < r.den:
         raise DomainError("phi is defined for slopes in (0,1)")
-    entries = cf_minus(make_slope(r.den, r.num)).entries
-    out = 1
-    for a in entries[1:]:
-        out *= a - 1
-    return out
+    return count_tight(r, make_slope(1, (r.den - 1) // r.num))
 
 
 def count_tight_upper(x: Slope, s: Slope) -> int:
@@ -195,11 +189,9 @@ def count_tight_upper(x: Slope, s: Slope) -> int:
         raise DomainError("upper meridian must be a rational > 1")
     if s.is_infinite or not _pos_lt(s, x):
         raise DomainError("dividing slope must be a rational below the meridian")
-    path = minimal_path(s, x)
-    out = 1
-    for run in edge_runs(path, 0, len(path) - 2):
-        out *= len(run) + 1
-    return out
+    sizes = list(blocks(minimal_path(s, x)).sizes)
+    sizes[-1] -= 1  # a last block of one edge adds a factor 1
+    return math.prod(size + 1 for size in sizes)
 
 
 def all_minus_counts(path: FareyPath) -> Iterator[tuple[int, ...]]:

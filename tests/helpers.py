@@ -7,9 +7,12 @@ cannot cancel out.  The exceptions are classify_oracle, the rule chain
 that atlas._rule replaces, which reads P's block counts directly instead
 of its features; enumerated_tally, which runs classify_oracle on every
 enumerated structure to check the aggregates in atlas; greedy_minimal_path,
-the vertex-by-vertex greedy that paths.minimal_path replaces, and
-path_error_oracle, the checks that FareyPath now runs on integers;
-bfs_shorten,
+the vertex-by-vertex greedy that paths.minimal_path replaces,
+path_error_oracle, the checks that FareyPath now runs on integers,
+edge_runs_oracle, the per-vertex block rule that the stored blocks of a
+path replace, path_output_oracle, the `path` command's text as it was
+made from the vertices, and phi_oracle, the continued fraction product
+that tori.phi replaces by a count over blocks; bfs_shorten,
 the breadth-first search over sign sequences that
 tori.consistently_shorten replaces; and listing_oracle, the
 per-structure `classify` and `enumerate r` listings that the CLI's
@@ -210,6 +213,46 @@ def path_error_oracle(vs) -> str | None:
         if not cw_interval_contains(vs[i + 1], vs[i], vs[-1], closed=True):
             return "path is not monotone clockwise"
     return None
+
+
+def edge_runs_oracle(vs, first_edge: int, last_edge: int) -> tuple:
+    """Maximal runs among edges first_edge..last_edge of the path through
+    vs that share a block: edges i-1 and i do when |det(vs[i-1],
+    vs[i+1])| == 2."""
+    if first_edge > last_edge:
+        return ()
+    runs = [[first_edge]]
+    for e in range(first_edge + 1, last_edge + 1):
+        if abs(det(vs[e - 1], vs[e + 1])) == 2:
+            runs[-1].append(e)
+        else:
+            runs.append([e])
+    return tuple(tuple(r) for r in runs)
+
+
+def path_output_oracle(a: Slope, b: Slope) -> dict:
+    """{format: (exit code, stdout, stderr)} of `path a b` as the command
+    wrote it in one piece from the vertices of the greedy geodesic."""
+    try:
+        vs = greedy_minimal_path(a, b).vertices
+    except DomainError as exc:
+        return dict.fromkeys(("text", "json", "dot"), (3, "", "error: %s\n" % exc))
+    runs = edge_runs_oracle(vs, 0, len(vs) - 2)
+    obj = {"vertices": [str(v) for v in vs], "blocks": [[e + 1 for e in r] for r in runs]}
+    lines = ["digraph farey_path {", "  rankdir=LR;", "  node [shape=ellipse];"]
+    lines += ['  "%s" -> "%s";' % uv for uv in zip(vs, vs[1:])]
+    return {"text": (0, " → ".join(str(v) for v in vs) + "\n", ""),
+            "json": (0, _json(obj) + "\n", ""),
+            "dot": (0, "\n".join(lines + ["}"]) + "\n", "")}
+
+
+def phi_oracle(r: Slope) -> int:
+    """(a1-1)...(an-1) for 1/r = [a0,...,an], walking cf_minus entry by
+    entry."""
+    out = 1
+    for a in cf_minus(make_slope(r.den, r.num)).entries[1:]:
+        out *= a - 1
+    return out
 
 
 def shuffle_orbit_count(path) -> int:

@@ -8,11 +8,11 @@ from math import gcd
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fareytight.cli import _ROWS_PER_WRITE, main
+from fareytight.cli import _VERTICES_PER_WRITE, _ROWS_PER_WRITE, main
 from fareytight.slopes import parse_slope
 from fareytight.tori import enumerate_tight, phi
 
-from helpers import listing_oracle
+from helpers import all_slopes_in_box, listing_oracle, path_output_oracle
 
 
 def run(capsys, *argv):
@@ -409,6 +409,40 @@ def test_json_listings_keep_one_head_of_p():
             finally:
                 tracemalloc.stop()
         assert (code, peak < 6_000_000) == (0, True), (command, peak)
+
+
+def test_path_streams_in_bounded_memory():
+    # `path 1/200000 1/2` (199,998 edges) is written a slice at a time
+    # from the block integers: before, the whole text and one Slope per
+    # vertex were held at once, 60 MB of resident memory as a process
+    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    for fmt in ("text", "json", "dot"):
+        with contextlib.redirect_stdout(NullSink()):
+            tracemalloc.start()
+            try:
+                code = main(["path", "1/200000", "1/2", "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (code, peak < 5_000_000) == (0, True), (fmt, peak)
+
+
+def test_path_matches_oracle():
+    # every ordered pair with |num|, den <= 3, and geodesics of more
+    # vertices and edges than one write holds: in one block with
+    # positive denominators, in one block from inf with negative ones
+    # in its lift, and through the integers, whose texts are made one by
+    # one; against the text made in one piece from the greedy vertices
+    box = all_slopes_in_box(3)
+    pairs = [(a, b) for a in box for b in box]
+    n = _VERTICES_PER_WRITE
+    pairs += [(parse_slope(a), parse_slope(b)) for a, b in (
+        ("1/%d" % (n + 5), "1/2"), ("inf", "-%d/2" % (2 * n + 7)), ("0", str(n + 3)))]
+    for a, b in pairs:
+        want = path_output_oracle(a, b)
+        for fmt in ("text", "json", "dot"):
+            argv = ["path", "--format", fmt, "--", str(a), str(b)]
+            assert run_captured(argv) == want[fmt], argv
 
 
 def test_listing_domain_errors_write_nothing():

@@ -18,6 +18,7 @@ from fareytight.paths import (
 from helpers import (
     all_slopes_in_box,
     decrement_path,
+    edge_runs_oracle,
     geodesic_length_oracle,
     greedy_minimal_path,
     path_error_oracle,
@@ -93,13 +94,30 @@ def test_path_str_uses_arrows():
     assert str(P("2/5", "1/2")) == "2/5 → 1/2"
 
 
+def _answers(path):
+    """What a path answers from its blocks, then its vertices, in that
+    order, so that a block-built path is read before it builds them."""
+    signed = path.signed_blocks
+    found = (len(path), str(path), blocks(path).runs, signed.sizes, signed.runs)
+    return found + (path.vertices,)
+
+
 def test_minimal_path_matches_greedy_oracle_exhaustive():
-    # every ordered pair of distinct slopes with |num|, den <= 12
+    # every ordered pair of distinct slopes with |num|, den <= 12: the
+    # block-built geodesic against the greedy one, which is built from
+    # its vertices as FareyPath(path.vertices) is once they agree, and
+    # the blocks against the per-vertex rule
     box = all_slopes_in_box(12)
     for a in box:
         for b in box:
             if a != b:
-                assert minimal_path(a, b) == greedy_minimal_path(a, b), (a, b)
+                path, greedy = minimal_path(a, b), greedy_minimal_path(a, b)
+                found = _answers(path)
+                assert found == _answers(greedy) and path == greedy and greedy == path, (a, b)
+                assert hash(path) == hash(greedy), (a, b)
+                vs, m = greedy.vertices, len(greedy)
+                runs = edge_runs_oracle(vs, 0, m - 1), edge_runs_oracle(vs, 1, m - 1)
+                assert (found[2], found[4]) == runs, (a, b)
 
 
 def _slope_from_cf(n, entries):
@@ -172,29 +190,65 @@ def test_path_checks_match_oracle(a, b, edits):
 
 
 def test_minimal_path_divides_once_per_block(monkeypatch):
-    # per block one greedy step and one skip over the rest of the
-    # block, each a single division, and one more step where the path
-    # passes inf
+    # one fan basis for the start, then one pass of the loop, with two
+    # divisions, per block; no vertex is made.  The stored blocks are
+    # the maximal ones, and 10**12 edges cost what 12 do
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return fan_param(*args)
+        return fan_basis(*args)
 
-    fan_param = paths._fan_param
-    monkeypatch.setattr(paths, "_fan_param", counted)
-    for a, b, edges in (
-        ("1/9000", "1/2", 8998),  # one block
-        ("100000/299999", "1/2", 99999),  # one block
-        ("inf", "-30001/10000", 10000),  # one block, pivot -3, from inf
-        ("7960/23481", "1/2", 55),  # three blocks
+    fan_basis = paths._fan_basis
+    for a, b, edges, runs in (
+        ("1/9000", "1/2", 8998, 1),
+        ("100000/299999", "1/2", 99999, 1),
+        ("inf", "-30001/10000", 10000, 1),  # from inf, pivot -3
+        ("7960/23481", "1/2", 55, 3),
+        ("1/1000000000000", "1/2", 10**12 - 2, 1),
     ):
-        calls.clear()
-        path = minimal_path(S(a), S(b))
-        assert len(path) == edges
-        assert len(calls) <= 2 * len(blocks(path).runs) + 2, (a, b, len(calls))
+        with monkeypatch.context() as patch:
+            patch.setattr(paths, "_fan_basis", counted)
+            patch.setattr(paths, "_slope", None)  # a vertex would call it
+            calls.clear()
+            path = minimal_path(S(a), S(b))
+            assert (len(path), len(path.block_vectors), len(calls)) == (edges, runs, 1), (a, b)
+            assert len(blocks(path).sizes) == runs
+        if edges < 10**6:
+            vs = path.vertices
+            assert len(path.block_vectors) == len(edge_runs_oracle(vs, 0, edges - 1))
 
 
+def test_forged_blocks_raise():
+    # 9/25 -> 4/11 | -> 3/8 -> 2/5 -> 1/2: pivot 5/14, then pivot 1/3
+    good = [((-14, -5), (25, 9), 1), ((-3, -1), (11, 4), 3)]
+    a, b = S("9/25"), S("1/2")
+    assert FareyPath.from_blocks(a, b, good) == P("9/25", "4/11", "3/8", "2/5", "1/2")
+    for blocks_, message in (
+        # the pivot 2/5 of 9/25 is not a Farey neighbour
+        ([((5, 2), (25, 9), 1)] + good[1:], "^block 0: pivot is not a Farey neighbour of its base$"),
+        # the same fan run the other way: 4/11 -> 1/3 -> ... turns back
+        (good[:1] + [((3, 1), (11, 4), 1)], "^path is not monotone clockwise$"),
+        # one member too many, past 1/2 to 0, and one too few
+        (good[:1] + [((-3, -1), (11, 4), 4)], "^the blocks do not end at 1/2$"),
+        (good[:1] + [((-3, -1), (11, 4), 2)], "^the blocks do not end at 1/2$"),
+        # a gap at the join, the first base not at the start, a block
+        # cut in two, a block of no edge, no block
+        ([good[0], ((-3, -1), (8, 3), 2)], "^block 1 does not start at 4/11$"),
+        ([((-3, -1), (11, 4), 3)], "^block 0 does not start at 9/25$"),
+        (good[:1] + [((-3, -1), (11, 4), 1), ((-3, -1), (8, 3), 2)], "^blocks 1 and 2 have one pivot$"),
+        (good + [((1, 0), (2, 1), 0)], "^block 2 has no edge$"),
+        ([], "^the blocks do not end at 1/2$"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            FareyPath.from_blocks(a, b, blocks_)
+    # a geodesic that turns by more than a half turn in all, through
+    # blocks that each turn less: 0 -> 1 -> inf -> -1 -> 0 -> 1
+    loop = [((0, 1), (1, 0), 1), ((-1, 0), (1, 1), 1), ((-1, -1), (0, 1), 1), ((0, -1), (-1, 0), 1)]
+    with pytest.raises(DomainError, match="^path is not monotone clockwise$"):
+        FareyPath.from_blocks(ZERO, ONE, loop)
+    # the last member may be either vector of the end
+    assert FareyPath.from_blocks(ZERO, INF, loop[:2]) == P("0", "1", "inf")
 def test_minimal_path_length_matches_bfs_oracle():
     rng = random.Random(1729)
     for _ in range(30):

@@ -1,13 +1,15 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, det, farey_sum, is_edge, make_slope, parse_slope
+from fareytight.slopes import ContinuedFraction, cf_minus, cf_value
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import (
     DecoratedPath,
@@ -24,7 +26,7 @@ from fareytight.tori import (
     signed_blocks,
 )
 
-from helpers import bfs_shorten, random_unit_rational, shuffle_orbit_count
+from helpers import bfs_shorten, phi_oracle, random_unit_rational, shuffle_orbit_count
 
 
 def S(text):
@@ -158,14 +160,58 @@ def test_count_tight_upper_domain():
 
 def test_phi_is_count_tight_at_reciprocal_floor():
     # phi(r) counts the structures with the fewest minus signs ignored:
-    # it equals the tight count on the solid torus (r, 1/n)
+    # it equals the tight count on the solid torus (r, 1/n), and the
+    # continued fraction product
     rng = random.Random(162)
     for _ in range(40):
         r = random_unit_rational(rng, 120)
         n = (r.den - 1) // r.num
         if r == make_slope(1, n):
             continue
-        assert phi(r) == count_tight(r, make_slope(1, n)), r
+        assert phi(r) == count_tight(r, make_slope(1, n)) == phi_oracle(r), r
+
+
+def _signed_sizes_from_cf(entries):
+    """(am-2, ..., a1-2) without the zeros, for 1/r = [a0, ..., am]."""
+    return tuple(a - 2 for a in reversed(entries[1:]) if a > 2)
+
+
+def test_block_sizes_are_continued_fraction_entries_exhaustive():
+    # every reduced r in (0,1) with denominator at most 200
+    for q in range(2, 201):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            r = make_slope(p, q)
+            entries = cf_minus(make_slope(q, p)).entries
+            path = minimal_path(r, make_slope(1, entries[0] - 1))
+            assert signed_blocks(path).sizes == _signed_sizes_from_cf(entries), r
+            assert phi(r) == phi_oracle(r), r
+
+
+# 1/r as a minus continued fraction: a0, then pieces that are each one
+# entry, up to 10**6, or a run of up to 3,000 2s (a large entry of the
+# regular continued fraction)
+CF_PIECES = st.lists(
+    st.one_of(st.integers(2, 10**6).map(lambda a: [a]),
+              st.integers(1, 3000).map(lambda k: [2] * k)),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**6), CF_PIECES)
+@example(3, [[10**6]])
+@example(3, [[10**6], [10**6]])
+@example(3, [[2] * 10**5])
+@example(2, [[2] * 5, [7], [2] * 3000, [10**6, 3]])
+def test_block_sizes_follow_large_continued_fractions(a0, pieces):
+    entries = (a0,) + tuple(a for piece in pieces for a in piece)
+    x = cf_value(ContinuedFraction(entries))  # 1/r
+    r = make_slope(x.den, x.num)
+    s = make_slope(1, a0 - 1)
+    assert signed_blocks(minimal_path(r, s)).sizes == _signed_sizes_from_cf(entries)
+    assert count_tight(r, s) == phi(r) == phi_oracle(r) == math.prod(a - 1 for a in entries[1:])
 
 
 def test_enumerate_tight_fixture():
