@@ -230,10 +230,10 @@ class FareyPath:
         the text t of each vertex strictly between start and end, made
         from the block integers, size vertices to a text at most."""
         last = len(self.block_vectors) - 1
-        for j, ((pd, pn), (ud, un), m) in enumerate(self.block_vectors):
+        for j, (pivot, base, m) in enumerate(self.block_vectors):
             stop = m if j < last else m - 1  # the last member of all is the end
             for lo in range(1, stop + 1, size):
-                yield _format_members(template, (pd, pn), (ud, un), lo, min(lo + size, stop + 1))
+                yield _format_members(template, pivot, base, lo, min(lo + size, stop + 1))
 
     @property
     def edges(self) -> tuple[tuple[Slope, Slope], ...]:

@@ -174,7 +174,7 @@ def phi(r: Slope) -> int:
     (a1-1)...(an-1), computed as count_tight(r, 1/n) for the maximal n
     with 1/n > r.  The signed block sizes of that path are (an-2, ...,
     a1-2) with the entries equal to 2 left out (Honda, section 4.3), so
-    this costs one division per block, not one step per entry."""
+    this costs two divisions per block, not one step per entry."""
     if r.is_infinite or not 0 < r.num < r.den:
         raise DomainError("phi is defined for slopes in (0,1)")
     return count_tight(r, make_slope(1, (r.den - 1) // r.num))

@@ -412,9 +412,9 @@ def test_json_listings_keep_one_head_of_p():
 
 
 def test_path_streams_in_bounded_memory():
-    # `path 1/200000 1/2` (199,998 edges) is written a slice at a time
-    # from the block integers: before, the whole text and one Slope per
-    # vertex were held at once, 60 MB of resident memory as a process
+    # `path 1/200000 1/2` (199,998 edges, 2.5 MB of text) is written a
+    # slice at a time from the block integers, so no write holds the
+    # whole geodesic and no Slope is made per vertex
     run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
     for fmt in ("text", "json", "dot"):
         with contextlib.redirect_stdout(NullSink()):
@@ -437,7 +437,7 @@ def test_path_matches_oracle():
     pairs = [(a, b) for a in box for b in box]
     n = _VERTICES_PER_WRITE
     pairs += [(parse_slope(a), parse_slope(b)) for a, b in (
-        ("1/%d" % (n + 5), "1/2"), ("inf", "-%d/2" % (2 * n + 7)), ("0", str(n + 3)))]
+        ("1/%d" % (n + 5), "1/2"), ("inf", "-%d/%d" % (3 * n + 16, n + 5)), ("0", str(n + 3)))]
     for a, b in pairs:
         want = path_output_oracle(a, b)
         for fmt in ("text", "json", "dot"):

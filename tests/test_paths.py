@@ -242,13 +242,22 @@ def test_forged_blocks_raise():
     ):
         with pytest.raises(DomainError, match=message):
             FareyPath.from_blocks(a, b, blocks_)
-    # a geodesic that turns by more than a half turn in all, through
-    # blocks that each turn less: 0 -> 1 -> inf -> -1 -> 0 -> 1
+    # a one-edge block that turns back inside the half turn from the
+    # start: 0 -> 1/2 -> 1/3
+    with pytest.raises(DomainError, match="^path is not monotone clockwise$"):
+        FareyPath.from_blocks(ZERO, S("1/3"), [((1, 1), (1, 0), 1), ((1, 0), (2, 1), 1)])
+    # blocks that each turn by less than a half turn, and by more in
+    # all: 0 -> 1 -> inf -> -1 -> 0 -> 1
     loop = [((0, 1), (1, 0), 1), ((-1, 0), (1, 1), 1), ((-1, -1), (0, 1), 1), ((0, -1), (-1, 0), 1)]
     with pytest.raises(DomainError, match="^path is not monotone clockwise$"):
         FareyPath.from_blocks(ZERO, ONE, loop)
+    # exactly a half turn: back at the start, 0 -> 1 -> inf -> 0
+    with pytest.raises(DomainError, match="^path is not monotone clockwise$"):
+        FareyPath.from_blocks(ZERO, ZERO, loop[:3])
     # the last member may be either vector of the end
     assert FareyPath.from_blocks(ZERO, INF, loop[:2]) == P("0", "1", "inf")
+
+
 def test_minimal_path_length_matches_bfs_oracle():
     rng = random.Random(1729)
     for _ in range(30):
