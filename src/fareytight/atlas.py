@@ -113,6 +113,21 @@ class TrianglePosition:
                  _INTERIOR: (n - 2) * (n - 3) // 2}
         return {pos: cells for pos, cells in found.items() if cells}
 
+    @staticmethod
+    def runs(n: int) -> Iterator[tuple[int, int, int, TrianglePosition]]:
+        """The cells of the triangle of the n-th row as runs (k, lo, hi,
+        position), one per stretch of cells (k, l), lo <= l < hi, that
+        TrianglePosition.of puts in one position: k ascending, l
+        ascending, at most three runs to a row."""
+        yield 1, 0, n, _BASE
+        for k in range(2, n):
+            yield k, 0, 1, _SIDE_LOW
+            if k < n - 1:
+                yield k, 1, n - k, _INTERIOR
+            yield k, n - k, n - k + 1, _SIDE_HIGH
+        if n > 1:
+            yield n, 0, 1, _TOP
+
 
 _BASE, _TOP = TrianglePosition("Base"), TrianglePosition("Top")
 _INTERIOR = TrianglePosition("Interior")
@@ -147,31 +162,33 @@ class FillabilityVerdict:
             raise DomainError("covered verdicts must cite their source result")
 
 
-def structure_cells(r: Slope) -> tuple[tuple[ShuffleClass, ...], dict, Iterator]:
-    """The structures of the r-surgery as (classes, verdicts, cells):
-    classes holds the phi(r) choices of P in enumeration order, verdicts
-    is the table _verdicts, {position: {P.features: verdict}}, and cells
-    yields (k, l, position) for every cell, k ascending, l ascending.
-    The verdict of (k, l, P) is verdicts[position][P.features].
+def structure_cells(r: Slope) -> tuple[FareyPath, dict, Iterator]:
+    """The structures of the r-surgery as (path, verdicts, runs): path
+    runs from r to 1/n and carries the phi(r) choices of P, in the order
+    of all_minus_counts, verdicts is the table _verdicts, {position:
+    {P.features: verdict}}, and runs is TrianglePosition.runs(n), which
+    yields (k, lo, hi, position) for the cells (k, l), lo <= l < hi, of
+    one position, k ascending, l ascending.  The verdict of (k, l, P) is
+    verdicts[position][P.features], and tori.feature_column lists the
+    features of every P.
 
-    r is checked here, not at the first cell: n_of raises on a
+    r is checked here, not at the first run: n_of raises on a
     coefficient outside (0,1), and every class lies on the one path from
     r to 1/n, which are the checks TightStructureId makes per
     structure."""
     n = n_of(r)
     path = minimal_path(r, make_slope(1, n))
-    classes = tuple(ShuffleClass(path, counts) for counts in all_minus_counts(path))
-    verdicts = _verdicts(r, n, feature_counts(path))
-    cells = ((k, l, TrianglePosition.of(n, k, l)) for k in range(1, n + 1) for l in range(n - k + 1))
-    return classes, verdicts, cells
+    return path, _verdicts(r, n, feature_counts(path)), TrianglePosition.runs(n)
 
 
 def enumerate_structures(r: Slope) -> list[TightStructureId]:
     """All (k, l, P), k ascending, l ascending, P in enumeration order;
     n(n+1)/2 * phi(r) entries.  The listing commands read structure_cells
     instead, which builds no object per structure."""
-    classes, _, cells = structure_cells(r)
-    return [TightStructureId(r, k, l, P) for k, l, _ in cells for P in classes]
+    path, _, runs = structure_cells(r)
+    classes = [ShuffleClass(path, counts) for counts in all_minus_counts(path)]
+    return [TightStructureId(r, k, l, P) for k, lo, hi, _ in runs for l in range(lo, hi)
+            for P in classes]
 
 
 def triangle_position(sid: TightStructureId) -> TrianglePosition:

@@ -11,14 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import cache
+from operator import add
 from typing import Iterator
 
 from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_slope
 from .slopes import rationals_in, slope_sort_key
 from .paths import blocks, minimal_path
-from .tori import ShuffleClass, all_minus_counts, count_tight, phi
+from .tori import ShuffleClass, count_tight, decorated_texts, feature_column, minus_texts, phi
 from .cables import cable_surgery_slope, reglue_map
 from .atlas import (
     Fillability,
@@ -175,25 +177,55 @@ def _cmd_count(args) -> int:
     return 0
 
 
-# a cell with more classes than this is written in slices of this many
-# rows, so that no write holds a whole cell of a large listing; smaller
-# cells keep one write each
+# a listing is written this many rows at a time, gathered across cells:
+# no write holds a whole cell of a large listing, and a listing of many
+# small cells makes one write per this many rows, not one per cell
 _ROWS_PER_WRITE = 512
 
 
-def _write_cells(cells, head: str, rows: dict, sep: str = "", ends=None) -> None:
-    """Write a listing of structure_cells one cell per write, or one slice
-    of _ROWS_PER_WRITE rows per write for a larger cell.  A row is
-    head % (k, l), then rows[position][i] for the i-th class, then
-    ends(k, l) when given; rows are separated by sep."""
-    lead = ""
-    for k, l, position in cells:
-        h, e, texts = head % (k, l), ends(k, l) if ends else "", rows[position]
-        glue = e + sep + h
-        for start in range(0, len(texts), _ROWS_PER_WRITE):
-            piece = glue.join(texts[start : start + _ROWS_PER_WRITE])
-            sys.stdout.write((sep if start else lead) + h + piece + e)
-        lead = sep
+def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
+                ends=None) -> None:
+    """Write the rows of a listing, _ROWS_PER_WRITE rows to a write.
+    runs yields (k, lo, hi, key) for the cells (k, l), lo <= l < hi,
+    that share key.  A cell holds count rows, texts(key, a, b) gives the
+    texts of its rows a..b-1, and a row of cell (k, l) is head % (k, l)
+    (nothing when head is empty), shared, its text, then ends(k, l) when
+    ends is given.  Rows are separated by sep.
+
+    Where a write holds whole cells, the rows of a stretch of them are
+    made in one pass, from texts that start with shared, made once per
+    key; a cell that a write cannot hold whole is cut where it ends.
+    The pieces of a write are joined once, when it is written."""
+    pieces, room, whole = [], _ROWS_PER_WRITE, {}
+    form, skip = sep + head, len(sep)  # every row starts with sep, which the first row drops
+    for k, lo, hi, key in runs:
+        full = whole.get(key)
+        if full is None and count <= _ROWS_PER_WRITE:
+            full = whole[key] = [shared + t for t in texts(key, 0, count)]
+        l, a = lo, 0  # the next row is row a of cell (k, l)
+        while l < hi:
+            if a == 0 and count <= room:
+                cells = range(l, min(hi, l + room // count))
+                heads = [form % (k, j) for j in cells] if head else [sep] * len(cells)
+                if ends is None:
+                    pieces += [h + t for h in heads for t in full]
+                else:
+                    tails = [ends(k, j) for j in cells]
+                    pieces += [h + t + e for h, e in zip(heads, tails) for t in full]
+                l, room = cells.stop, room - len(cells) * count
+            else:
+                h = (form % (k, l) if head else sep) + shared
+                e, b = ends(k, l) if ends else "", min(count, a + room)
+                pieces += (h, (e + h).join(texts(key, a, b)), e)
+                room -= b - a
+                l, a = (l + 1, 0) if b == count else (l, b)
+            if skip:
+                pieces[0], skip = pieces[0][skip:], 0
+            if not room:
+                sys.stdout.write("".join(pieces))
+                pieces.clear()
+                room = _ROWS_PER_WRITE
+    sys.stdout.write("".join(pieces))
 
 
 def _p_head(path) -> str:
@@ -202,12 +234,6 @@ def _p_head(path) -> str:
     minus count."""
     obj = ShuffleClass(path, (0,) * len(path.signed_blocks.sizes)).to_json()
     return '{"path":%s,"blocks":%s,"minus":[0' % (_json(obj["path"]), _json(obj["blocks"]))
-
-
-def _p_tail(counts) -> Iterator[str]:
-    """The rest of P's JSON text after _p_head, for each tuple of minus
-    counts, made lazily."""
-    return ("".join([",%d" % c for c in cs]) + "]}" for cs in counts)
 
 
 def _reciprocal_tails(n: int):
@@ -224,78 +250,84 @@ def _reciprocal_tails(n: int):
     return lambda k, l: plus[: cut[k + l]] + minus[cut[k + l] : cut[k]] + "\n"
 
 
-def _write_listing(fmt: str, r: Slope, classes, cells, rows: dict, columns: str, text_head: str,
-                   ends=None) -> None:
+def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, columns: str,
+                   text_head: str, ends=None) -> None:
     """Write the listing of `classify r` or `enumerate r` through
-    _write_cells: a JSON array, whose row head holds the text that P's
-    JSON shares on every class, TSV under a header ending in columns, or
-    text rows headed text_head."""
+    _write_rows, the rows of each cell made of texts(position, a, b): a
+    JSON array, whose row head holds the text that P's JSON shares on
+    every class, TSV under a header ending in columns, or text rows
+    headed text_head."""
     if fmt == "json":
         sys.stdout.write("[")
-        head = '{"r":%s,"k":%%d,"l":%%d,"P":%s' % (_json(str(r)), _p_head(classes[0].path))
-        _write_cells(cells, head, rows, ",")
+        head = '{"r":%s,"k":%%d,"l":%%d,"P":' % _json(str(r))
+        _write_rows(runs, head, _p_head(path), count, texts, ",")
         sys.stdout.write("]\n")
     elif fmt == "tsv":
         sys.stdout.write("r\tk\tl\t%s\n" % columns)
-        _write_cells(cells, "%s\t%%d\t%%d" % r, rows)
+        _write_rows(runs, "%s\t%%d\t%%d\t" % r, "", count, texts)
     else:
-        _write_cells(cells, text_head, rows, ends=ends)
+        _write_rows(runs, text_head, "", count, texts, ends=ends)
 
 
 def _cmd_enumerate(args) -> int:
     if args.s is None:
-        classes, verdicts, cells = structure_cells(args.r)  # raises on a bad r before any output
+        path, _, runs = structure_cells(args.r)  # raises on a bad r before any output
+        # every cell has the same rows: made once, sliced per write
         if args.format == "json":
-            texts = [t + "}" for t in _p_tail(P.minus_counts for P in classes)]
-        elif args.format == "tsv":
-            texts = ["\t%s\n" % P for P in classes]
+            rows = list(minus_texts(path, "]}}"))
         else:
-            texts = [str(P) for P in classes]
-        rows = dict.fromkeys(verdicts, texts)  # the same texts in every cell
+            rows = list(decorated_texts(path, "\n" if args.format == "tsv" else ""))
         ends = _reciprocal_tails(n_of(args.r)) if args.format == "text" else None
-        _write_listing(args.format, args.r, classes, cells, rows, "P", "k=%d l=%d ", ends)
+        _write_listing(args.format, args.r, path, runs, lambda _, a, b: rows[a:b], len(rows),
+                       "P", "k=%d l=%d ", ends)
+        return 0
+    path = minimal_path(args.r, args.s)  # raises on a bad pair before any output
+    cell = [(0, 0, 1, None)]  # one cell, whose rows show neither k nor l
+    if args.format == "json":
+        rows = minus_texts(path, "]}")
+        sys.stdout.write("[")
+        _write_rows(cell, "", _p_head(path), len(rows), lambda _, a, b: rows[a:b], ",")
+        sys.stdout.write("]\n")
+    elif args.format == "tsv":
+        minus, rows = minus_texts(path), decorated_texts(path, "\n")
+        sys.stdout.write("r\ts\tminus\tP\n")
+        texts = lambda _, a, b: [m[1:] + "\t" + t for m, t in zip(minus[a:b], rows[a:b])]
+        _write_rows(cell, "", "%s\t%s\t" % (args.r, args.s), len(rows), texts)
     else:
-        path = minimal_path(args.r, args.s)  # raises on a bad pair before any output
-        counts = all_minus_counts(path)  # one class at least
-        if args.format == "json":
-            head, tails = _p_head(path), _p_tail(counts)
-            sys.stdout.write("[" + head + next(tails))
-            sys.stdout.writelines("," + head + t for t in tails)
-            sys.stdout.write("]\n")
-        elif args.format == "tsv":
-            print("r\ts\tminus\tP")
-            for c in counts:
-                minus = ",".join(str(cnt) for cnt in c)
-                print("%s\t%s\t%s\t%s" % (args.r, args.s, minus, ShuffleClass(path, c)))
-        else:
-            for c in counts:
-                print(ShuffleClass(path, c))
+        rows = decorated_texts(path, "\n")
+        _write_rows(cell, "", "", len(rows), lambda _, a, b: rows[a:b])
     return 0
 
 
 def _verdict_text(fmt: str, position, verdict) -> str:
-    """The part of a classify row after P: position, status, cite, note."""
+    """The part of a classify row after P (after k and l in TSV, which
+    has no P): position, status, cite, note."""
     tag, status, cite, note = position.tag, verdict.status.value, verdict.cite, verdict.note
     if fmt == "json":
         text = ',"position":%s,"status":%s,"cite":%s' % (_json(tag), _json(status), _json(cite))
         return text + (',"note":%s}' % _json(note) if note is not None else "}")
     if fmt == "tsv":
-        return "\t%s\t%s\t%s\t%s\n" % (tag, status, cite or "", note or "")
+        return "%s\t%s\t%s\t%s\n" % (tag, status, cite or "", note or "")
     return " position=%s status=%s%s\n" % (tag, status, " cite=%s" % cite if cite else "")
 
 
 def _cmd_classify(args) -> int:
-    classes, verdicts, cells = structure_cells(args.r)  # raises on a bad r before any output
-    fmt = args.format
-    tails = list(_p_tail(P.minus_counts for P in classes)) if fmt == "json" else [""] * len(classes)
-    rows = {}
-    for position, found in verdicts.items():
-        # a verdict reads only P's features: one text per value
-        texts = {f: _verdict_text(fmt, position, verdict) for f, verdict in found.items()}
-        rows[position] = [tail + texts[P.features] for tail, P in zip(tails, classes)]
-    del tails  # the rows hold them
-    _write_listing(fmt, args.r, classes, cells, rows, "position\tstatus\tcite\tnote", "k=%d l=%d")
-    statuses = {verdict.status for found in verdicts.values() for verdict in found.values()}
+    path, verdicts, runs = structure_cells(args.r)  # raises on a bad r before any output
+    fmt, column = args.format, feature_column(path)
+    # a verdict reads only P's features: one text per position and value
+    found = {position: {f: _verdict_text(fmt, position, verdict) for f, verdict in vs.items()}
+             for position, vs in verdicts.items()}
+    if fmt == "json":
+        # the tails of a write are made from their two parts (ClassTexts),
+        # and the verdict text is glued on
+        tails = minus_texts(path, "]}")
+        texts = lambda position, a, b: map(add, tails[a:b], map(found[position].__getitem__,
+                                                                column[a:b]))
+    else:
+        texts = lambda position, a, b: map(found[position].__getitem__, column[a:b])
+    _write_listing(fmt, args.r, path, runs, texts, len(column), "position\tstatus\tcite\tnote",
+                   "k=%d l=%d")
+    statuses = {verdict.status for vs in verdicts.values() for verdict in vs.values()}
     if args.strict and Fillability.NOT_COVERED in statuses:
         return 4
     return 0
@@ -380,9 +412,19 @@ def _add_format(sub, choices, default="text"):
     sub.add_argument("--format", choices=choices, default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative fraction such as -1/2 as an
+    argument, as argparse reads -1 and -0.5, not as an option; the
+    subcommands' parsers are made of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 @cache  # built on the first call, then shared by every later main()
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fareytight",
         description="Tight contact structures on trefoil surgeries, exactly.",
     )

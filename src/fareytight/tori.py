@@ -225,6 +225,92 @@ def feature_counts(path: FareyPath) -> dict[tuple[bool, bool, bool], int]:
     return {features: classes for features, classes in counts.items() if classes}
 
 
+def feature_column(path: FareyPath) -> list[tuple[bool, bool, bool]]:
+    """ShuffleClass.features of every class on the path, in the order of
+    all_minus_counts, with no class built.  The minus count on the last
+    block, of size L, runs fastest, so the column is the rho-fold
+    repetition of [plus] + [mixed]*(L-1) + [minus] (last block all plus,
+    mixed, all minus), except that the first class is all plus and the
+    last one all minus; feature_counts counts the same column."""
+    sizes = signed_blocks(path).sizes
+    if not sizes:
+        return [(True, True, True)]
+    plus, mixed, minus = (False, True, False), (False, False, False), (False, False, True)
+    column = ([plus] + [mixed] * (sizes[-1] - 1) + [minus]) * math.prod(s + 1 for s in sizes[:-1])
+    column[0], column[-1] = (True, True, False), (True, False, True)
+    return column
+
+
+class ClassTexts:
+    """The texts of the shuffle classes on a path, in the order of
+    all_minus_counts, kept as a product of two lists: the class with
+    index p * len(last) + c has the text heads[p] + last[c], where heads
+    holds the texts of the minus counts on every signed block but the
+    last and last those of the counts on the last block.  A slice builds
+    the texts of its classes only."""
+
+    __slots__ = ("heads", "last")
+
+    def __init__(self, heads: list[str], last: list[str]):
+        self.heads, self.last = heads, last
+
+    def __len__(self) -> int:
+        return len(self.heads) * len(self.last)
+
+    def __iter__(self) -> Iterator[str]:
+        return (head + text for head in self.heads for text in self.last)
+
+    def __getitem__(self, cut: slice) -> list[str]:
+        a, b, _ = cut.indices(len(self))
+        if a >= b:
+            return []
+        heads, last = self.heads, self.last
+        (p, c), (q, d) = divmod(a, len(last)), divmod(b, len(last))
+        if p == q:
+            return [heads[p] + text for text in last[c:d]]
+        out = [heads[p] + text for text in last[c:]]
+        out += [head + text for head in heads[p + 1 : q] for text in last]
+        if d:
+            out += [heads[q] + text for text in last[:d]]
+        return out
+
+
+def minus_texts(path: FareyPath, end: str = "") -> ClassTexts:
+    """",c_1,...,c_m" + end for the minus counts c of every class on the
+    path, in the order of all_minus_counts: with end "]}", the end of
+    the text of P.to_json() after its first minus count."""
+    sizes = signed_blocks(path).sizes
+    return _class_texts("", [[",%d" % c for c in range(size + 1)] for size in sizes], end)
+
+
+def decorated_texts(path: FareyPath, end: str = "") -> ClassTexts:
+    """str(P) + end for every class P on the path, in the order of
+    all_minus_counts, with no class built.  The canonical decorated path
+    carries c minus signs at the clockwise end of a block with minus
+    count c, so the s + 1 texts of a block of s edges are cut from its
+    all-plus and its all-minus text."""
+    vs = [str(v) for v in path.vertices]
+    pieces = []
+    for run in signed_blocks(path).runs:
+        ends = [vs[e + 1] for e in run]
+        plus = "".join(" →+ " + v for v in ends)
+        minus = plus.replace("→+", "→-")  # no slope text holds a +
+        cuts = list(itertools.accumulate((len(" →+ ") + len(v) for v in ends), initial=0))
+        pieces.append([plus[: cuts[len(run) - c]] + minus[cuts[len(run) - c] :]
+                       for c in range(len(run) + 1)])
+    return _class_texts("%s → %s" % (vs[0], vs[1]), pieces, end)
+
+
+def _class_texts(first: str, pieces: list[list[str]], end: str) -> ClassTexts:
+    """first + pieces[0][c_0] + ... + end for every choice of the c_j, the
+    last index running fastest, as ClassTexts: one text is made per block
+    and count, and the heads are extended block by block."""
+    heads = [first]
+    for block in pieces[:-1]:
+        heads = [head + piece for head in heads for piece in block]
+    return ClassTexts(heads, [piece + end for piece in pieces[-1]] if pieces else [end])
+
+
 def lengthen_decorated(d: DecoratedPath, t: Slope) -> DecoratedPath:
     """Refine the edge containing t.  Edges replacing a signed edge all
     inherit its sign; edges replacing the unsigned first edge stay

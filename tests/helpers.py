@@ -16,7 +16,7 @@ that tori.phi replaces by a count over blocks; bfs_shorten,
 the breadth-first search over sign sequences that
 tori.consistently_shorten replaces; and listing_oracle, the
 per-structure `classify` and `enumerate r` listings that the CLI's
-per-cell writes replace.
+batched writes of rows made from block texts replace.
 """
 
 import contextlib
@@ -480,7 +480,7 @@ def listing_oracle(argv) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of `fareytight classify r ...` or
     `fareytight enumerate r ...` (no s), as the CLI wrote them one
     structure at a time: the per-structure listings that
-    atlas.structure_cells and the CLI's per-cell writes replace.  The
+    atlas.structure_cells and the CLI's batched writes replace.  The
     slope must parse."""
     args = _PARSER.parse_args(argv)
     assert args.command == "classify" or args.s is None, argv

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slope
 from fareytight.paths import minimal_path
-from fareytight.tori import ShuffleClass, enumerate_tight, feature_counts, phi, signed_blocks
+from fareytight.tori import ShuffleClass, all_minus_counts, enumerate_tight, feature_counts, phi
+from fareytight.tori import signed_blocks
 from fareytight.atlas import (
     CITE_BASE_ROW,
     CITE_INTERIOR,
@@ -406,14 +407,30 @@ def test_structure_cells_match_enumeration(monkeypatch):
     for text in ("2/3", "1/3", "9/25", "13/49", "7/32", "41/187", "1/7"):
         r = S(text)
         calls.clear()
-        classes, verdicts, cells = structure_cells(r)
-        walked = [(k, l, pos, P, verdicts[pos][P.features]) for k, l, pos in cells for P in classes]
+        path, verdicts, runs = structure_cells(r)
+        classes = [ShuffleClass(path, counts) for counts in all_minus_counts(path)]
+        walked = [(k, l, pos, P, verdicts[pos][P.features])
+                  for k, lo, hi, pos in runs for l in range(lo, hi) for P in classes]
         # one rule evaluation per position and value of P's features
         assert set(calls.values()) == {1}, text
         assert set(calls) == {(pos, P.features) for _, _, pos, P, _ in walked}, text
         listed = [(sid.k, sid.l, triangle_position(sid), sid.P, classify(sid))
                   for sid in enumerate_structures(r)]
         assert walked == listed, text
+
+
+def test_triangle_runs_cover_the_cells():
+    for n in range(1, 101):
+        runs = list(TrianglePosition.runs(n))
+        cells = [(k, l, pos) for k, lo, hi, pos in runs for l in range(lo, hi)]
+        assert cells == [(k, l, TrianglePosition.of(n, k, l))
+                         for k in range(1, n + 1) for l in range(n - k + 1)], n
+        assert all(lo < hi for _, lo, hi, _ in runs), n
+        assert max(Counter(k for k, _, _, _ in runs).values()) <= 3, n
+        sizes = Counter()
+        for _, lo, hi, pos in runs:
+            sizes[pos] += hi - lo
+        assert sizes == TrianglePosition.cells(n), n
 
 
 def test_structure_cells_checks_r_before_the_first_cell():

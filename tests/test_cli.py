@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -366,6 +369,52 @@ def test_missing_args_exit_code(capsys):
     assert run(capsys, "path", "1/2")[0] == 2
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the README commands whose comment is their first line of output
+README_OUTPUT_COMMANDS = {"phi", "cf", "path", "cable-slope", "cable-map", "count", "summary",
+                          "exceptional"}
+
+
+def test_readme_examples():
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)
+            if argv[:1] == ["fareytight"] and argv[1] in README_OUTPUT_COMMANDS:
+                examples.append((argv[1:], comment.strip()))
+    assert len(examples) == 10, examples
+    for argv, first_line in examples:
+        code, out, err = run_captured(argv)
+        assert (code, err, out.split("\n")[0]) == (0, "", first_line), argv
+
+
+def test_negative_fractions_as_arguments():
+    # -1/2 is read as a slope, as -1 is, not as an option: the same bytes
+    # as after "--" (or as --apply=-1/3)
+    for argv, same in (
+        (["path", "-1/2", "1/2"], ["path", "--", "-1/2", "1/2"]),
+        (["path", "1/2", "-1/3"], ["path", "--", "1/2", "-1/3"]),
+        (["count", "-1/3", "1/2"], ["count", "--", "-1/3", "1/2"]),
+        (["exceptional", "-1/3", "-1/2", "0"], ["exceptional", "--", "-1/3", "-1/2", "0"]),
+        (["cable-map", "5", "2", "--apply", "-1/3"], ["cable-map", "5", "2", "--apply=-1/3"]),
+        (["path", "-1/2", "1/2", "--format", "json"], ["path", "--format", "json", "--", "-1/2", "1/2"]),
+    ):
+        found = run_captured(argv)
+        assert found == run_captured(same) and found[0] == 0, argv
+    assert run_captured(["path", "-1/2", "1/2"])[1] == "-1/2 → 0 → 1/2\n"
+    assert run_captured(["cable-map", "5", "2", "--apply", "-1/3"])[1] == "21/58\n"
+
+
+def test_help_and_unknown_options_still_parse_as_options():
+    code, out, err = run_captured(["path", "-h"])
+    assert (code, err) == (0, "") and out.startswith("usage: fareytight path")
+    for argv in (["path", "-x", "1/2"], ["path", "--bogus", "1/2"], ["path", "-1/2x", "1/2"],
+                 ["count", "-1/3", "1/2", "--frob"]):
+        code, out, err = run_captured(argv)
+        assert (code, out) == (2, "") and err.startswith("usage: fareytight"), argv
+
+
 # length and sha256 of stdout, captured before the listings were
 # streamed one cell at a time
 LISTING_GOLDENS = [
@@ -398,7 +447,9 @@ def test_json_listings_keep_one_head_of_p():
     # listing, not once per class: 1/r = [3,20,20,20] has 6,859 classes
     # on a 55-edge path.  On Python 3.11 the traced peaks were 9.3 MB
     # (enumerate) and 9.8 MB (classify) when each class kept its own
-    # text, and are 2.4 MB and 5.2 MB with one head.
+    # text, 2.4 MB and 5.2 MB with one head, and are 1.3 MB and 0.9 MB
+    # with rows gathered across cells and the tails of classify made
+    # per write.
     run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
     for command in ("enumerate", "classify"):
         with contextlib.redirect_stdout(NullSink()):
@@ -409,6 +460,28 @@ def test_json_listings_keep_one_head_of_p():
             finally:
                 tracemalloc.stop()
         assert (code, peak < 6_000_000) == (0, True), (command, peak)
+
+
+def test_classify_json_keeps_no_text_per_position_and_class():
+    # classify glues a verdict onto P's minus counts per write, so its
+    # memory does not grow with positions x phi: 1/r = [4,16,16,16] has
+    # n = 3, four positions and 3,375 classes.  On Python 3.11 the traced
+    # peaks are 0.75 MB (classify) and 0.87 MB (enumerate, which keeps
+    # one text per class); classify peaked at 3.5 MB when it kept one
+    # row text per position and class.
+    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    peaks = {}
+    for command in ("enumerate", "classify"):
+        with contextlib.redirect_stdout(NullSink()):
+            tracemalloc.start()
+            try:
+                code = main([command, "4064/16001", "--format", "json"])
+                peaks[command] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0, command
+    assert phi(parse_slope("4064/16001")) == 3375
+    assert peaks["classify"] <= peaks["enumerate"], peaks
 
 
 def test_path_streams_in_bounded_memory():
@@ -476,6 +549,15 @@ def test_listings_match_oracle_at_write_slices():
         assert phi(parse_slope(r)) == rows
         for argv in listing_commands(r):
             assert run_captured(argv) == listing_oracle(argv), argv
+
+
+def test_listings_match_oracle_where_a_write_cuts_a_small_cell():
+    # 1/r = [21,4]: n = 20 and phi = 3, so 210 cells of 3 rows; the first
+    # write ends after 170 cells and one row of the next
+    assert phi(parse_slope("4/83")) == 3 and 210 * 3 > _ROWS_PER_WRITE
+    assert _ROWS_PER_WRITE % 3
+    for argv in listing_commands("4/83"):
+        assert run_captured(argv) == listing_oracle(argv), argv
 
 
 # p >= q/30 keeps n below 30: the oracle's `enumerate r` text builds a

@@ -12,15 +12,21 @@ from fareytight.slopes import DomainError, INF, ONE, ZERO, det, farey_sum, is_ed
 from fareytight.slopes import ContinuedFraction, cf_minus, cf_value
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import (
+    ClassTexts,
     DecoratedPath,
     ShuffleClass,
     SolidTorusStructure,
+    all_minus_counts,
     consistently_shorten,
     count_tight,
     count_tight_upper,
+    decorated_texts,
     enumerate_tight,
+    feature_column,
+    feature_counts,
     is_tight,
     lengthen_decorated,
+    minus_texts,
     phi,
     shuffle_canonical,
     signed_blocks,
@@ -212,6 +218,68 @@ def test_block_sizes_follow_large_continued_fractions(a0, pieces):
     s = make_slope(1, a0 - 1)
     assert signed_blocks(minimal_path(r, s)).sizes == _signed_sizes_from_cf(entries)
     assert count_tight(r, s) == phi(r) == phi_oracle(r) == math.prod(a - 1 for a in entries[1:])
+
+
+def _assert_class_columns(path, texts=True):
+    """The closed forms of tori against one ShuffleClass per class."""
+    classes = [ShuffleClass(path, counts) for counts in all_minus_counts(path)]
+    column = feature_column(path)
+    assert column == [P.features for P in classes]
+    assert Counter(column) == feature_counts(path)
+    if texts:
+        minus = minus_texts(path, "]}")
+        assert list(minus) == [_json_tail(P) for P in classes]
+        assert list(decorated_texts(path, "\n")) == [str(P) + "\n" for P in classes]
+        assert len(minus) == len(classes)
+
+
+def _json_tail(P):
+    # P.to_json()'s text after the unsigned first block's minus count
+    minus = P.to_json()["minus"]
+    return "".join(",%d" % c for c in minus[1:]) + "]}"
+
+
+def test_class_columns_match_classes_exhaustive():
+    # every reduced r in (0,1) with denominator at most 200; the texts,
+    # which hold a path per class, up to denominator 100
+    for q in range(2, 201):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                r = make_slope(p, q)
+                _assert_class_columns(minimal_path(r, make_slope(1, (q - 1) // p)), q <= 100)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 3000), st.lists(st.integers(2, 5), max_size=2),
+       st.integers(0, 2))
+@example(3, 3000, [], 0)  # one block of 2,998 edges
+@example(4, 2000, [3, 3], 1)  # a long block between two short ones
+@example(5, 2, [2, 2], 0)  # no signed block: one class
+def test_class_columns_match_classes_on_large_blocks(a0, large, small, at):
+    # 1/r = [a0, *entries], one large entry among small ones: the signed
+    # blocks are the entries minus 2.  The texts hold a path per class,
+    # so they are checked where that stays small.
+    entries = (a0,) + tuple(small[:at]) + (large,) + tuple(small[at:])
+    x = cf_value(ContinuedFraction(entries))
+    r = make_slope(x.den, x.num)
+    path = minimal_path(r, make_slope(1, a0 - 1))
+    _assert_class_columns(path, phi(r) * len(path) <= 200_000)
+
+
+def test_class_texts_slices():
+    # slices of the product of heads and last texts, against the list
+    texts = ClassTexts(["a", "b", "c"], ["0", "1"])
+    full = list(texts)
+    assert full == ["a0", "a1", "b0", "b1", "c0", "c1"] and len(texts) == 6
+    for lo in range(8):
+        for hi in range(8):
+            assert texts[lo:hi] == full[lo:hi], (lo, hi)
+    path = minimal_path(S("1/3"), S("1/2"))  # one edge, no signed block
+    assert list(minus_texts(path, "]}")) == ["]}"]
+    assert list(decorated_texts(path)) == ["1/3 → 1/2"]
+    path = minimal_path(S("-1/3"), S("inf"))  # across 0 and into inf
+    assert list(decorated_texts(path)) == [str(P) for P in
+                                          (ShuffleClass(path, c) for c in all_minus_counts(path))]
 
 
 def test_enumerate_tight_fixture():
