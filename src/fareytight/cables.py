@@ -113,14 +113,16 @@ def legendrian_cable_surgery(
     if t == x.meridian:
         raise DomainError("cabling slope coincides with the meridian")
     d = x.iso_class.canonical_decorated()
-    if t not in d.path.vertices:
+    try:
+        idx = d.path.vertices.index(t)
+    except ValueError:
         if not cw_interval_contains(t, x.meridian, x.dividing):
             raise DomainError(
                 "cabling slope %s is outside the interval (%s, %s)"
                 % (t, x.meridian, x.dividing)
             )
         d = lengthen_decorated(d, t)
-    idx = d.path.vertices.index(t)
+        idx = d.path.vertices.index(t)
     m = reglue_map(p, q, -1) ** count
     new_verts = tuple(m.apply(v) for v in d.path.vertices[: idx + 1]) + d.path.vertices[idx + 1 :]
     moved = DecoratedPath(FareyPath(new_verts), d.signs)

@@ -177,30 +177,39 @@ def _cmd_count(args) -> int:
     return 0
 
 
-# a listing is written this many rows at a time, gathered across cells:
-# no write holds a whole cell of a large listing, and a listing of many
-# small cells makes one write per this many rows, not one per cell
+# a listing is written this many rows at a time, gathered across cells,
+# or fewer where rows are long, about _BYTES_PER_WRITE characters at
+# most: no write holds a whole cell of a large listing, and a listing of
+# many small cells makes one write per this many rows, not one per cell
 _ROWS_PER_WRITE = 512
+_BYTES_PER_WRITE = 1 << 20
 
 
 def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
                 ends=None) -> None:
-    """Write the rows of a listing, _ROWS_PER_WRITE rows to a write.
-    runs yields (k, lo, hi, key) for the cells (k, l), lo <= l < hi,
-    that share key.  A cell holds count rows, texts(key, a, b) gives the
-    texts of its rows a..b-1, and a row of cell (k, l) is head % (k, l)
-    (nothing when head is empty), shared, its text, then ends(k, l) when
-    ends is given.  Rows are separated by sep.
+    """Write the rows of a listing, _ROWS_PER_WRITE rows to a write, or
+    fewer: as many as _BYTES_PER_WRITE holds at the length of the first
+    row.  runs yields (k, lo, hi, key) for the cells (k, l), lo <= l <
+    hi, that share key.  A cell holds count rows, texts(key, a, b) gives
+    the texts of its rows a..b-1, and a row of cell (k, l) is head % (k,
+    l) (nothing when head is empty), shared, its text, then ends(k, l)
+    when ends is given.  Rows are separated by sep.  The first row of a
+    triangle listing is in cell (1, 0), whose ends are the longest, and
+    the other rows are about as long.
 
     Where a write holds whole cells, the rows of a stretch of them are
     made in one pass, from texts that start with shared, made once per
     key; a cell that a write cannot hold whole is cut where it ends.
     The pieces of a write are joined once, when it is written."""
-    pieces, room, whole = [], _ROWS_PER_WRITE, {}
+    pieces, per_write, whole = [], 0, {}
     form, skip = sep + head, len(sep)  # every row starts with sep, which the first row drops
     for k, lo, hi, key in runs:
+        if not per_write:
+            first = (form % (k, lo) if head else sep) + shared + next(iter(texts(key, 0, 1)))
+            size = len(first) + (len(ends(k, lo)) if ends else 0)
+            per_write = room = min(_ROWS_PER_WRITE, max(1, _BYTES_PER_WRITE // size))
         full = whole.get(key)
-        if full is None and count <= _ROWS_PER_WRITE:
+        if full is None and count <= per_write:
             full = whole[key] = [shared + t for t in texts(key, 0, count)]
         l, a = lo, 0  # the next row is row a of cell (k, l)
         while l < hi:
@@ -224,7 +233,7 @@ def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
             if not room:
                 sys.stdout.write("".join(pieces))
                 pieces.clear()
-                room = _ROWS_PER_WRITE
+                room = per_write
     sys.stdout.write("".join(pieces))
 
 

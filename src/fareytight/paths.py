@@ -82,18 +82,18 @@ def _slope(d: int, n: int) -> Slope:
 
 
 class FareyPath:
-    """Clockwise edge path in the Farey graph.
+    """Clockwise edge path in the Farey graph, stored as its maximal
+    continued-fraction blocks, (pivot, base, count) integer vectors.
 
-    FareyPath(vertices) checks the vertices one by one.  minimal_path
-    builds a path from its blocks instead (from_blocks): the path stores
-    them as integer vectors, answers len, start, end, signed_blocks.sizes
-    and str from them, and builds the vertices, the edges and
-    signed_blocks.runs only on first access.  Two paths are equal, and
-    hash alike, exactly when their vertex tuples are, whichever way they
-    were built.
+    FareyPath(vertices) lifts the vertices into blocks; minimal_path
+    builds a path from its blocks (from_blocks).  Either way the blocks
+    pass the same checks, len, start, end, signed_blocks.sizes and str
+    come from them, and the vertices and signed_blocks.runs are built on
+    first access.  Two paths are equal, and hash alike, exactly when
+    their vertex tuples are.
     """
 
-    __slots__ = ("_start", "_end", "_len", "_blocks", "_vertices", "_edges", "_signed")
+    __slots__ = ("_start", "_end", "_len", "_blocks", "_vertices", "_signed")
 
     def __init__(self, vertices: tuple[Slope, ...]):
         vs = tuple(vertices)
@@ -101,32 +101,37 @@ class FareyPath:
             raise DomainError("a path needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise DomainError("path vertices must be distinct")
-        # Both remaining checks on integers, in one pass.  Monotone
-        # clockwise: each vertex y sits on the closed cw arc from its
-        # predecessor x to the final vertex e (cw_interval_contains with
-        # closed=True, where y != x and x != e as the vertices are
-        # distinct, and det(y, e) == 0 only at y == e).  A non-edge
-        # anywhere wins over a turn back.
-        e = vs[-1]
-        en, ed = e.num, e.den
-        monotone = True
+        # One pass on integers: check each edge, lift its end to the
+        # vector with cross +1 from the last one, and extend the open
+        # block while the step between them is its pivot.  Monotone
+        # clockwise is from_blocks' condition 3, cross(A, V) > 0 at the
+        # last member V of each block, with A the lift of the start.  A
+        # non-edge anywhere wins over a turn back.
+        ad, an = vs[0].den, vs[0].num
+        xd, xn, pd, pn, m = ad, an, 0, 0, 0  # the last vector; the open block's pivot and count
+        blocks, monotone = [], True
         for x, y in pairwise(vs):
-            xy = x.num * y.den - y.num * x.den
-            if xy != 1 and xy != -1:
-                raise DomainError("%s -- %s is not a Farey edge" % (x, y))
-            ye = y.num * ed - en * y.den
-            if ye and monotone:
-                if x.num * ed - en * x.den < 0:
-                    monotone = xy < 0 and ye < 0
-                else:
-                    monotone = xy < 0 or ye < 0
-        if not monotone:
+            yd, yn = y.den, y.num
+            turn = xd * yn - xn * yd
+            if turn != 1:
+                if turn != -1:
+                    raise DomainError("%s -- %s is not a Farey edge" % (x, y))
+                yd, yn = -yd, -yn
+            if yd - xd == pd and yn - xn == pn:
+                m += 1
+            else:
+                if m:
+                    blocks.append(((pd, pn), base, m))
+                    if ad * xn - an * xd <= 0:
+                        monotone = False
+                pd, pn, base, m = yd - xd, yn - xn, (xd, xn), 1
+            xd, xn = yd, yn
+        if m:
+            blocks.append(((pd, pn), base, m))
+        if not monotone or m and ad * xn - an * xd <= 0:
             raise DomainError("path is not monotone clockwise")
-        self._init(vs[0], e, len(vs) - 1, None, vs)
-
-    def _init(self, start, end, length, blocks, vertices) -> None:
-        self._start, self._end, self._len = start, end, length
-        self._blocks, self._vertices, self._edges, self._signed = blocks, vertices, None, None
+        self._start, self._end, self._len = vs[0], vs[-1], len(vs) - 1
+        self._blocks, self._vertices, self._signed = tuple(blocks), vs, None
 
     @classmethod
     def from_blocks(cls, start: Slope, end: Slope, blocks) -> FareyPath:
@@ -143,23 +148,24 @@ class FareyPath:
         4. the last member of the last block is a vector of end.
 
         These hold exactly when the vertices pass FareyPath's checks and
-        the blocks are the maximal ones.  By 1 and 2 the members form
-        one chain with cross +1 at every edge, so consecutive vertices
-        span Farey edges, and an edge inside a block turns the chain
-        anticlockwise by less than pi.  Such a chain is monotone
-        clockwise with distinct vertices exactly when it turns by less
-        than pi in all, that is when cross(A, V) > 0 at every vertex V
-        after the first: a chain that turns by pi or more first does so
-        at a vertex V with cross(A, V) <= 0, since no edge jumps over
-        the half turn where cross(A, .) <= 0.  On a block cross(A, U +
-        k*P) is linear in k, so its sign at the two ends (0 at the first
-        base, positive at every later one by 3) gives its sign at every
-        member: 3 is this condition.  Conversely, the lift of a path
-        that passes the vertex checks, cut into its maximal blocks,
-        satisfies 1 to 4 (see the module docstring), and two block
-        sequences that do give two different vertex tuples.  So a pivot
-        that is not adjacent to its base, a block that turns back, and a
-        block that overruns the end each raise DomainError.
+        the blocks are the maximal ones; FareyPath(vertices) checks 3 on
+        its lift, where 1, 2 and 4 hold by construction.  By 1 and 2 the
+        members form one chain with cross +1 at every edge, so
+        consecutive vertices span Farey edges, and an edge inside a
+        block turns the chain anticlockwise by less than pi.  Such a
+        chain is monotone clockwise with distinct vertices exactly when
+        it turns by less than pi in all, that is when cross(A, V) > 0 at
+        every vertex V after the first: a chain that turns by pi or more
+        first does so at a vertex V with cross(A, V) <= 0, since no edge
+        jumps over the half turn where cross(A, .) <= 0.  On a block
+        cross(A, U + k*P) is linear in k, so its sign at the two ends (0
+        at the first base, positive at every later one by 3) gives its
+        sign at every member: 3 is this condition.  Conversely, the lift
+        of a path that passes the vertex checks, cut into its maximal
+        blocks, satisfies 1 to 4 (see the module docstring), and two
+        block sequences that do give two different vertex tuples.  So a
+        pivot that is not adjacent to its base, a block that turns back,
+        and a block that overruns the end each raise DomainError.
         """
         ad, an = start.den, start.num
         checked = []
@@ -181,7 +187,8 @@ class FareyPath:
         if not checked or (xd, xn) not in ((end.den, end.num), (-end.den, -end.num)):
             raise DomainError("the blocks do not end at %s" % end)
         path = cls.__new__(cls)
-        path._init(start, end, sum(m for _, _, m in checked), tuple(checked), None)
+        path._start, path._end, path._len = start, end, sum(m for _, _, m in checked)
+        path._blocks, path._vertices, path._signed = tuple(checked), None, None
         return path
 
     @property
@@ -195,28 +202,13 @@ class FareyPath:
     @property
     def block_vectors(self) -> tuple[tuple[tuple[int, int], tuple[int, int], int], ...]:
         """The maximal blocks as (pivot, base, count) integer vectors, as
-        from_blocks takes them; made from the vertices on first access
-        for a path built from them."""
-        if self._blocks is None:
-            blocks, vs = [], self._vertices
-            xd, xn = vs[0].den, vs[0].num
-            for y in vs[1:]:
-                yd, yn = y.den, y.num
-                if xd * yn - xn * yd < 0:
-                    yd, yn = -yd, -yn
-                pivot = (yd - xd, yn - xn)
-                if blocks and blocks[-1][0] == pivot:
-                    blocks[-1][2] += 1
-                else:
-                    blocks.append([pivot, (xd, xn), 1])
-                xd, xn = yd, yn
-            self._blocks = tuple(tuple(b) for b in blocks)
+        from_blocks takes them."""
         return self._blocks
 
     def _map_vertices(self, fn) -> Iterator:
         """fn(den, num) for the lifted vector of each vertex."""
         yield fn(self._start.den, self._start.num)
-        for (pd, pn), (ud, un), m in self.block_vectors:
+        for (pd, pn), (ud, un), m in self._blocks:
             yield from map(fn, islice(count(ud + pd, pd), m), count(un + pn, pn))
 
     @property
@@ -229,17 +221,11 @@ class FareyPath:
         """template % (t, ..., t), one t for each "%s" of template, for
         the text t of each vertex strictly between start and end, made
         from the block integers, size vertices to a text at most."""
-        last = len(self.block_vectors) - 1
-        for j, (pivot, base, m) in enumerate(self.block_vectors):
+        last = len(self._blocks) - 1
+        for j, (pivot, base, m) in enumerate(self._blocks):
             stop = m if j < last else m - 1  # the last member of all is the end
             for lo in range(1, stop + 1, size):
                 yield _format_members(template, pivot, base, lo, min(lo + size, stop + 1))
-
-    @property
-    def edges(self) -> tuple[tuple[Slope, Slope], ...]:
-        if self._edges is None:
-            self._edges = tuple(pairwise(self.vertices))
-        return self._edges
 
     def __len__(self) -> int:
         return self._len
@@ -251,7 +237,7 @@ class FareyPath:
         block.  Kept on the path, so every shuffle class on it shares
         one decomposition."""
         if self._signed is None:
-            sizes = [m for _, _, m in self.block_vectors]
+            sizes = [m for _, _, m in self._blocks]
             if sizes:
                 sizes[0] -= 1
             self._signed = BlockDecomposition(tuple(s for s in sizes if s), 1)
@@ -263,13 +249,13 @@ class FareyPath:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FareyPath):
             return NotImplemented
-        return self._start == other._start and self.block_vectors == other.block_vectors
+        return self._start == other._start and self._blocks == other._blocks
 
     def __hash__(self) -> int:
-        return hash((self._start, self.block_vectors))
+        return hash((self._start, self._blocks))
 
     def __repr__(self) -> str:
-        return "FareyPath.from_blocks(%r, %r, %r)" % (self._start, self._end, self.block_vectors)
+        return "FareyPath.from_blocks(%r, %r, %r)" % (self._start, self._end, self._blocks)
 
     def __str__(self) -> str:
         return " → ".join(self._map_vertices(_text))
@@ -378,13 +364,18 @@ def lengthen_through(path: FareyPath, t: Slope) -> FareyPath:
     t must lie strictly inside some edge's clockwise arc; a t equal to a
     vertex of the path, or outside the path's span, is rejected.
     """
-    if t in path.vertices:
-        raise DomainError("slope %s is already a path vertex" % t)
+    return _lengthen(path, t)[0]
+
+
+def _lengthen(path: FareyPath, t: Slope) -> tuple[FareyPath, int]:
+    """lengthen_through(path, t) and the index of the edge it refined."""
     vs = path.vertices
+    if t in vs:
+        raise DomainError("slope %s is already a path vertex" % t)
     for i in range(len(vs) - 1):
         if cw_interval_contains(t, vs[i], vs[i + 1]):
             left = minimal_path(vs[i], t)
             right = minimal_path(t, vs[i + 1])
             new_vs = vs[: i + 1] + left.vertices[1:-1] + (t,) + right.vertices[1:] + vs[i + 2 :]
-            return FareyPath(new_vs)
+            return FareyPath(new_vs), i
     raise DomainError("slope %s is not interior to any edge of the path" % t)

@@ -19,7 +19,6 @@ from .slopes import (
     DomainError,
     ONE,
     Slope,
-    cw_interval_contains,
     is_edge,
     make_slope,
     _pos_lt,
@@ -28,8 +27,8 @@ from .paths import (
     BlockDecomposition,
     FareyPath,
     blocks,
-    lengthen_through,
     minimal_path,
+    _lengthen,
 )
 
 
@@ -67,10 +66,6 @@ def signed_blocks(path: FareyPath) -> BlockDecomposition:
     return path.signed_blocks
 
 
-# the values ShuffleClass.features takes, so that classes share them
-_FEATURES: dict[tuple[bool, bool, bool], tuple[bool, bool, bool]] = {}
-
-
 @dataclass(frozen=True)
 class ShuffleClass:
     """A decorated path up to shuffling: per-signed-block minus counts."""
@@ -104,18 +99,12 @@ class ShuffleClass:
     @property
     def features(self) -> tuple[bool, bool, bool]:
         """(uniform, last_all_plus, last_all_minus) of the signed edges;
-        both last flags are true when there is no signed block.  Kept on
-        the instance after the first access, without the lock that
-        functools.cached_property takes before Python 3.12."""
-        found = self.__dict__.get("_features")
-        if found is None:
-            sizes, minus = self.blocks.sizes, self.minus_counts
-            last_size, last_minus = (sizes[-1], minus[-1]) if sizes else (0, 0)
-            # the signed blocks hold every edge but the first
-            uniform = sum(minus) in (0, len(self.path) - 1)
-            found = (uniform, last_minus == 0, last_minus == last_size)
-            found = self.__dict__["_features"] = _FEATURES.setdefault(found, found)
-        return found
+        both last flags are true when there is no signed block."""
+        sizes, minus = self.blocks.sizes, self.minus_counts
+        last_size, last_minus = (sizes[-1], minus[-1]) if sizes else (0, 0)
+        # the signed blocks hold every edge but the first
+        uniform = sum(minus) in (0, len(self.path) - 1)
+        return uniform, last_minus == 0, last_minus == last_size
 
     def to_json(self) -> dict:
         """JSON-ready form of the class.  Built once per class and shared
@@ -316,18 +305,13 @@ def lengthen_decorated(d: DecoratedPath, t: Slope) -> DecoratedPath:
     inherit its sign; edges replacing the unsigned first edge stay
     unsigned next to the meridian and take + elsewhere (the two sign
     choices there give the same structure, + is the canonical pick)."""
-    vs = d.path.vertices
-    new_path = lengthen_through(d.path, t)
-    grown = len(new_path) - len(d.path)
-    for i in range(len(vs) - 1):
-        if cw_interval_contains(t, vs[i], vs[i + 1]):
-            c = grown + 1  # edges replacing edge i
-            if i == 0:
-                new_signs = (1,) * (c - 1) + d.signs
-            else:
-                new_signs = d.signs[: i - 1] + (d.signs[i - 1],) * c + d.signs[i:]
-            return DecoratedPath(new_path, new_signs)
-    raise DomainError("slope %s is not interior to any edge of the path" % t)
+    new_path, i = _lengthen(d.path, t)
+    c = len(new_path) - len(d.path) + 1  # edges replacing edge i
+    if i == 0:
+        new_signs = (1,) * (c - 1) + d.signs
+    else:
+        new_signs = d.signs[: i - 1] + (d.signs[i - 1],) * c + d.signs[i:]
+    return DecoratedPath(new_path, new_signs)
 
 
 def consistently_shorten(d: DecoratedPath) -> DecoratedPath | None:

@@ -9,9 +9,10 @@ of its features; enumerated_tally, which runs classify_oracle on every
 enumerated structure to check the aggregates in atlas; greedy_minimal_path,
 the vertex-by-vertex greedy that paths.minimal_path replaces,
 path_error_oracle, the checks that FareyPath now runs on integers,
-edge_runs_oracle, the per-vertex block rule that the stored blocks of a
-path replace, path_output_oracle, the `path` command's text as it was
-made from the vertices, and phi_oracle, the continued fraction product
+block_vectors_oracle, the vertex-by-vertex lift that every path's
+stored blocks replace, edge_runs_oracle, the per-vertex block rule that
+the stored blocks of a path replace, path_output_oracle, the `path`
+command's text as it was made from the vertices, and phi_oracle, the continued fraction product
 that tori.phi replaces by a count over blocks; bfs_shorten,
 the breadth-first search over sign sequences that
 tori.consistently_shorten replaces; and listing_oracle, the
@@ -213,6 +214,26 @@ def path_error_oracle(vs) -> str | None:
         if not cw_interval_contains(vs[i + 1], vs[i], vs[-1], closed=True):
             return "path is not monotone clockwise"
     return None
+
+
+def block_vectors_oracle(vs) -> tuple:
+    """The maximal blocks of the path through vs, consecutive ones
+    spanning Farey edges, as (pivot, base, count) integer vectors:
+    each vertex is lifted to the vector with cross +1 from the one
+    before, and a step equal to the last extends its block."""
+    blocks = []
+    xd, xn = vs[0].den, vs[0].num
+    for y in vs[1:]:
+        yd, yn = y.den, y.num
+        if xd * yn - xn * yd < 0:
+            yd, yn = -yd, -yn
+        pivot = (yd - xd, yn - xn)
+        if blocks and blocks[-1][0] == pivot:
+            blocks[-1][2] += 1
+        else:
+            blocks.append([pivot, (xd, xn), 1])
+        xd, xn = yd, yn
+    return tuple(tuple(b) for b in blocks)
 
 
 def edge_runs_oracle(vs, first_edge: int, last_edge: int) -> tuple:

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fareytight.cli import _VERTICES_PER_WRITE, _ROWS_PER_WRITE, main
+from fareytight.cli import _BYTES_PER_WRITE, _VERTICES_PER_WRITE, _ROWS_PER_WRITE, main
 from fareytight.slopes import parse_slope
 from fareytight.tori import enumerate_tight, phi
 
@@ -389,6 +389,21 @@ def test_readme_examples():
         assert (code, err, out.split("\n")[0]) == (0, "", first_line), argv
 
 
+def test_readme_library_example():
+    # the README's python block runs, and each print(...) writes the
+    # comment on its line, or on the next line where its own has none
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines, comments = block.splitlines(), []
+    for i, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("#")[2] or lines[i + 1].partition("#")[2]
+            comments.append(comment.strip())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert len(comments) == 8 and out.getvalue().splitlines() == comments
+
+
 def test_negative_fractions_as_arguments():
     # -1/2 is read as a slope, as -1 is, not as an option: the same bytes
     # as after "--" (or as --apply=-1/3)
@@ -449,17 +464,21 @@ def test_json_listings_keep_one_head_of_p():
     # (enumerate) and 9.8 MB (classify) when each class kept its own
     # text, 2.4 MB and 5.2 MB with one head, and are 1.3 MB and 0.9 MB
     # with rows gathered across cells and the tails of classify made
-    # per write.
+    # per write.  1/r = [4,2000]: every row repeats a 2,000-edge path,
+    # about 20 KB, so a write of 1 MiB holds 52 rows; the traced peaks
+    # are 2.7 MB for both listings, and were 32.9 MB when a write held
+    # 512 rows whatever their length.
     run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
     for command in ("enumerate", "classify"):
-        with contextlib.redirect_stdout(NullSink()):
-            tracemalloc.start()
-            try:
-                code = main([command, "7960/23481", "--format", "json"])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert (code, peak < 6_000_000) == (0, True), (command, peak)
+        for r in ("7960/23481", "2000/7999"):
+            with contextlib.redirect_stdout(NullSink()):
+                tracemalloc.start()
+                try:
+                    code = main([command, r, "--format", "json"])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert (code, peak < 6_000_000) == (0, True), (command, r, peak)
 
 
 def test_classify_json_keeps_no_text_per_position_and_class():
@@ -558,6 +577,19 @@ def test_listings_match_oracle_where_a_write_cuts_a_small_cell():
     assert _ROWS_PER_WRITE % 3
     for argv in listing_commands("4/83"):
         assert run_captured(argv) == listing_oracle(argv), argv
+
+
+def test_listings_match_oracle_where_bytes_bound_a_write():
+    # 1/r = [4,300]: six cells of 299 rows on a 300-edge path, 1,794
+    # rows of about 4.1 KB in JSON and 3.2 KB in the text and TSV of
+    # `enumerate r`, so the byte bound holds a write to 255-325 rows and
+    # cuts cells where it ends
+    assert phi(parse_slope("300/1199")) == 299
+    for argv in listing_commands("300/1199"):
+        want = listing_oracle(argv)
+        assert run_captured(argv) == want, argv
+        if argv[0] == "enumerate":
+            assert len(want[1]) // 1794 > _BYTES_PER_WRITE // _ROWS_PER_WRITE, argv
 
 
 # p >= q/30 keeps n below 30: the oracle's `enumerate r` text builds a

@@ -17,6 +17,7 @@ from fareytight.paths import (
 
 from helpers import (
     all_slopes_in_box,
+    block_vectors_oracle,
     decrement_path,
     edge_runs_oracle,
     geodesic_length_oracle,
@@ -187,6 +188,64 @@ def test_path_checks_match_oracle(a, b, edits):
     except DomainError as exc:
         message = str(exc)
     assert message == path_error_oracle(tuple(vs))
+
+
+def _outcome(build, *args):
+    """(the path, None) or (None, the message of the DomainError)."""
+    try:
+        return build(*args), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+def _assert_one_check(vs):
+    # a path built from vertices holds the blocks of their lift, and on
+    # vertices that pass the distinct and edge checks the vertex
+    # constructor and from_blocks on the lift accept or reject together
+    path, error = _outcome(FareyPath, vs)
+    if path is not None:
+        assert path.block_vectors == block_vectors_oracle(vs), vs
+    if len(vs) >= 2 and path_error_oracle(vs) in (None, "path is not monotone clockwise"):
+        lifted, lifted_error = _outcome(FareyPath.from_blocks, vs[0], vs[-1], block_vectors_oracle(vs))
+        assert lifted_error == error and lifted == path, vs
+
+
+@settings(max_examples=300, deadline=None)
+@given(SLOPES, SLOPES, EDITS)
+@example(S("-1"), S("3"), [("insert", 3, S("1/2"))])
+@example(S("2"), S("3"), [("insert", 1, INF)])
+@example(S("0"), S("1/3"), [("insert", 1, S("1/2"))])  # a one-edge block turns back
+def test_vertex_and_block_checks_agree(a, b, edits):
+    # the geodesics and edits of test_path_checks_match_oracle
+    assume(a != b)
+    vs = list(minimal_path(a, b).vertices)
+    for kind, i, s in edits:
+        i %= len(vs)
+        if kind == "drop" and len(vs) > 1:
+            del vs[i]
+        elif kind == "swap" and i + 1 < len(vs):
+            vs[i], vs[i + 1] = vs[i + 1], vs[i]
+        elif kind == "repeat":
+            vs.insert(i, vs[(i * 7) % len(vs)])
+        elif kind == "reverse":
+            vs.reverse()
+        else:
+            vs.insert(i, s)
+    _assert_one_check(tuple(vs))
+
+
+def test_vertex_and_block_checks_agree_exhaustive():
+    # every walk of one to three Farey edges through distinct slopes
+    # with |num|, den <= 12 (32,158 walks), monotone or not
+    box = all_slopes_in_box(12)
+    neighbours = {a: [b for b in box if abs(a.num * b.den - b.num * a.den) == 1] for a in box}
+    walks, checked = [(a,) for a in box], 0
+    for _ in range(3):
+        walks = [w + (b,) for w in walks for b in neighbours[w[-1]] if b not in w]
+        for vs in walks:
+            _assert_one_check(vs)
+        checked += len(walks)
+    assert checked == 32158
 
 
 def test_minimal_path_divides_once_per_block(monkeypatch):
