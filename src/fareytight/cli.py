@@ -281,11 +281,10 @@ def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, columns: s
 def _cmd_enumerate(args) -> int:
     if args.s is None:
         path, _, runs = structure_cells(args.r)  # raises on a bad r before any output
-        # every cell has the same rows: made once, sliced per write
         if args.format == "json":
-            rows = list(minus_texts(path, "]}}"))
+            rows = minus_texts(path, "]}}")
         else:
-            rows = list(decorated_texts(path, "\n" if args.format == "tsv" else ""))
+            rows = decorated_texts(path, "\n" if args.format == "tsv" else "")
         ends = _reciprocal_tails(n_of(args.r)) if args.format == "text" else None
         _write_listing(args.format, args.r, path, runs, lambda _, a, b: rows[a:b], len(rows),
                        "P", "k=%d l=%d ", ends)

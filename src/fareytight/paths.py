@@ -88,9 +88,9 @@ class FareyPath:
     FareyPath(vertices) lifts the vertices into blocks; minimal_path
     builds a path from its blocks (from_blocks).  Either way the blocks
     pass the same checks, len, start, end, signed_blocks.sizes and str
-    come from them, and the vertices and signed_blocks.runs are built on
-    first access.  Two paths are equal, and hash alike, exactly when
-    their vertex tuples are.
+    come from them, and the vertices and signed_blocks are built on first
+    access.  Two paths are equal, and hash alike, exactly when their
+    vertex tuples are.
     """
 
     __slots__ = ("_start", "_end", "_len", "_blocks", "_vertices", "_signed")
@@ -320,17 +320,12 @@ class BlockDecomposition:
 
     @property
     def runs(self) -> tuple[tuple[int, ...], ...]:
-        """The edge indices of each block, made on first access and kept
-        on the instance (without the lock of functools.cached_property
-        before Python 3.12)."""
-        found = self.__dict__.get("_runs")
-        if found is None:
-            out, e = [], self.first
-            for size in self.sizes:
-                out.append(tuple(range(e, e + size)))
-                e += size
-            found = self.__dict__["_runs"] = tuple(out)
-        return found
+        """The edge indices of each block."""
+        out, e = [], self.first
+        for size in self.sizes:
+            out.append(tuple(range(e, e + size)))
+            e += size
+        return tuple(out)
 
 
 def edge_runs(path: FareyPath, first_edge: int, last_edge: int) -> tuple[tuple[int, ...], ...]:

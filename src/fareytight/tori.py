@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .slopes import (
@@ -107,13 +107,7 @@ class ShuffleClass:
         return uniform, last_minus == 0, last_minus == last_size
 
     def to_json(self) -> dict:
-        """JSON-ready form of the class.  Built once per class and shared
-        by every caller (every record of a structure on this class), so
-        treat it as read-only."""
-        return self._json
-
-    @cached_property
-    def _json(self) -> dict:
+        """JSON-ready form of the class."""
         # the unsigned first edge is reported as its own block with count 0
         runs = [[e + 1 for e in run] for run in self.blocks.runs]
         return {
@@ -234,9 +228,9 @@ class ClassTexts:
     """The texts of the shuffle classes on a path, in the order of
     all_minus_counts, kept as a product of two lists: the class with
     index p * len(last) + c has the text heads[p] + last[c], where heads
-    holds the texts of the minus counts on every signed block but the
-    last and last those of the counts on the last block.  A slice builds
-    the texts of its classes only."""
+    holds the texts of the minus counts on the signed blocks before a
+    split and last those of the counts on the blocks after it.  A slice
+    builds the texts of its classes only."""
 
     __slots__ = ("heads", "last")
 
@@ -293,11 +287,20 @@ def decorated_texts(path: FareyPath, end: str = "") -> ClassTexts:
 def _class_texts(first: str, pieces: list[list[str]], end: str) -> ClassTexts:
     """first + pieces[0][c_0] + ... + end for every choice of the c_j, the
     last index running fastest, as ClassTexts: one text is made per block
-    and count, and the heads are extended block by block."""
-    heads = [first]
-    for block in pieces[:-1]:
-        heads = [head + piece for head in heads for piece in block]
-    return ClassTexts(heads, [piece + end for piece in pieces[-1]] if pieces else [end])
+    and count, and the blocks are split where the longer of the two
+    factors is shortest."""
+    counts = list(itertools.accumulate(map(len, pieces), operator.mul, initial=1))
+    split = min(range(len(counts)), key=lambda j: max(counts[j], counts[-1] // counts[j]))
+    return ClassTexts(_products([first], pieces[:split]),
+                      _products([""], pieces[split:] + [[end]]))
+
+
+def _products(texts: list[str], pieces: list[list[str]]) -> list[str]:
+    """texts extended block by block by every piece of each block, the
+    last block's piece running fastest."""
+    for block in pieces:
+        texts = [text + piece for text in texts for piece in block]
+    return texts
 
 
 def lengthen_decorated(d: DecoratedPath, t: Slope) -> DecoratedPath:

@@ -8,6 +8,7 @@ import tracemalloc
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -485,9 +486,9 @@ def test_classify_json_keeps_no_text_per_position_and_class():
     # classify glues a verdict onto P's minus counts per write, so its
     # memory does not grow with positions x phi: 1/r = [4,16,16,16] has
     # n = 3, four positions and 3,375 classes.  On Python 3.11 the traced
-    # peaks are 0.75 MB (classify) and 0.87 MB (enumerate, which keeps
-    # one text per class); classify peaked at 3.5 MB when it kept one
-    # row text per position and class.
+    # peaks are 0.77 MB (classify) and 0.68 MB (enumerate); classify
+    # peaked at 3.5 MB when it kept one row text per position and class,
+    # and enumerate at 0.87 MB when it kept one text per class.
     run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
     peaks = {}
     for command in ("enumerate", "classify"):
@@ -500,7 +501,28 @@ def test_classify_json_keeps_no_text_per_position_and_class():
                 tracemalloc.stop()
         assert code == 0, command
     assert phi(parse_slope("4064/16001")) == 3375
-    assert peaks["classify"] <= peaks["enumerate"], peaks
+    assert max(peaks.values()) < 870_000, peaks
+
+
+@pytest.mark.parametrize("argv", [["10200/30499"], ["30499/81297", "1/2"]])
+def test_enumerate_keeps_no_text_per_class(argv):
+    # enumerate slices the texts of each write from the two factors of
+    # ClassTexts, split where they balance.  10200/30499 (1/r =
+    # [3,101,101], 10,000 classes in each of three cells) peaked at 51
+    # MB traced on Python 3.11 when `enumerate r` kept one text per
+    # class, and 30499/81297 1/2 (signed blocks of 99, 99 and 1 edges)
+    # at 55 MB when the first factor held every block but the last; both
+    # peak at about 5 MB now.
+    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    for fmt in ("text", "tsv"):
+        with contextlib.redirect_stdout(NullSink()):
+            tracemalloc.start()
+            try:
+                code = main(["enumerate", *argv, "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (code, peak < 10_000_000) == (0, True), (fmt, peak)
 
 
 def test_path_streams_in_bounded_memory():

@@ -98,8 +98,6 @@ def test_shuffle_class_to_json():
         "blocks": [[1], [2, 3, 4]],
         "minus": [0, 2],
     }
-    # built once per class: every record on the class shares it
-    assert cls.to_json() is cls.to_json()
 
 
 def test_count_tight_fixtures():
@@ -280,6 +278,25 @@ def test_class_texts_slices():
     path = minimal_path(S("-1/3"), S("inf"))  # across 0 and into inf
     assert list(decorated_texts(path)) == [str(P) for P in
                                           (ShuffleClass(path, c) for c in all_minus_counts(path))]
+
+
+def test_class_texts_split_where_the_factors_balance():
+    # the longer factor is as short as a split between blocks makes it,
+    # in either order of a long and a short block: (1000, 1) splits
+    # after its first block, where the tail (2) never reaches the head
+    for entries, sizes, factors in [
+        ((3, 3, 1002), (1000, 1), (1001, 2)),
+        ((3, 1002, 3), (1, 1000), (2, 1001)),
+        ((3, 3, 301, 301), (299, 299, 1), (300, 600)),
+        ((3, 301, 301, 3), (1, 299, 299), (600, 300)),
+        ((3, 101, 101), (99, 99), (100, 100)),
+        ((3,), (), (1, 1)),
+    ]:
+        x = cf_value(ContinuedFraction(entries))
+        path = minimal_path(make_slope(x.den, x.num), make_slope(1, 2))
+        assert signed_blocks(path).sizes == sizes
+        texts = minus_texts(path)
+        assert (len(texts.heads), len(texts.last)) == factors, entries
 
 
 def test_enumerate_tight_fixture():
