@@ -1,9 +1,11 @@
 """Command line front end: single queries, batch sweeps, DOT export.
 
-Exit codes: 0 success, 1 when the reader closed stdout before the
-output ended, 2 malformed input, 3 domain error, 4 when --strict is set
-and some structure falls outside the encoded classification (status
-NotCoveredByPaper).
+Every command yields its output text in pieces, and main, the only code
+that writes, writes each piece as it comes.  main sets the exit code: 0
+success, 1 when the reader closed stdout before the output ended, 2
+malformed input, 3 domain error, 4 when --strict is set and some
+structure falls outside the encoded classification (status
+NotCoveredByPaper), which a command returns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import add
 from typing import Iterator
 
 from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_slope
-from .slopes import rationals_in, slope_sort_key
+from .slopes import _farey_walk, slope_sort_key
 from .paths import blocks, minimal_path
 from .tori import ShuffleClass, count_tight, decorated_texts, feature_column, minus_texts, phi
 from .cables import cable_surgery_slope, reglue_map
@@ -43,6 +45,12 @@ _DOT_COLORS = {
 
 def _json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _line(args, obj, text: str) -> str:
+    """The output of a scalar command: obj as JSON under --format json,
+    else text, then a newline."""
+    return (_json(obj) if args.format == "json" else text) + "\n"
 
 
 def _slope(text: str) -> Slope:
@@ -115,66 +123,42 @@ def emit_dot_triangle(r: Slope) -> Iterator[str]:
     yield "\n}"
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> Iterator[str]:
     value = phi(args.r)
-    if args.format == "json":
-        print(_json({"r": str(args.r), "phi": value}))
-    else:
-        print(value)
-    return 0
+    yield _line(args, {"r": str(args.r), "phi": value}, str(value))
 
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args) -> Iterator[str]:
     cf = cf_minus(args.x)
-    if args.format == "json":
-        print(_json({"x": str(args.x), "entries": list(cf.entries)}))
-    else:
-        print(cf)
-    return 0
+    yield _line(args, {"x": str(args.x), "entries": list(cf.entries)}, str(cf))
 
 
 _PATH_FORMATS = {"text": _path_text, "json": _path_json, "dot": emit_dot_path}
 
 
-def _cmd_path(args) -> int:
+def _cmd_path(args) -> Iterator[str]:
     path = minimal_path(args.a, args.b)  # raises on a bad pair before any output
-    sys.stdout.writelines(_PATH_FORMATS[args.format](path))
-    sys.stdout.write("\n")
-    return 0
+    yield from _PATH_FORMATS[args.format](path)
+    yield "\n"
 
 
-def _cmd_cable_slope(args) -> int:
-    slope = cable_surgery_slope(args.p, args.q, args.sign)
-    if args.format == "json":
-        print(_json({"p": args.p, "q": args.q, "sign": args.sign, "slope": str(slope)}))
-    else:
-        print(slope)
-    return 0
+def _cmd_cable_slope(args) -> Iterator[str]:
+    slope = str(cable_surgery_slope(args.p, args.q, args.sign))
+    yield _line(args, {"p": args.p, "q": args.q, "sign": args.sign, "slope": slope}, slope)
 
 
-def _cmd_cable_map(args) -> int:
+def _cmd_cable_map(args) -> Iterator[str]:
     m = reglue_map(args.p, args.q, args.sign) ** args.power
-    if args.format == "json":
-        obj = m.to_json()
-        if args.apply is not None:
-            obj["apply"] = str(args.apply)
-            obj["image"] = str(m.apply(args.apply))
-        print(_json(obj))
-    else:
-        if args.apply is not None:
-            print(m.apply(args.apply))
-        else:
-            print(m)
-    return 0
+    obj, text = m.to_json(), str(m)
+    if args.apply is not None:
+        text = str(m.apply(args.apply))
+        obj.update(apply=str(args.apply), image=text)
+    yield _line(args, obj, text)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> Iterator[str]:
     value = count_tight(args.r, args.s)
-    if args.format == "json":
-        print(_json({"r": str(args.r), "s": str(args.s), "count": value}))
-    else:
-        print(value)
-    return 0
+    yield _line(args, {"r": str(args.r), "s": str(args.s), "count": value}, str(value))
 
 
 # a listing is written this many rows at a time, gathered across cells,
@@ -186,8 +170,8 @@ _BYTES_PER_WRITE = 1 << 20
 
 
 def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
-                ends=None) -> None:
-    """Write the rows of a listing, _ROWS_PER_WRITE rows to a write, or
+                ends=None) -> Iterator[str]:
+    """Yield the rows of a listing, _ROWS_PER_WRITE rows to a write, or
     fewer: as many as _BYTES_PER_WRITE holds at the length of the first
     row.  runs yields (k, lo, hi, key) for the cells (k, l), lo <= l <
     hi, that share key.  A cell holds count rows, texts(key, a, b) gives
@@ -200,7 +184,7 @@ def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
     Where a write holds whole cells, the rows of a stretch of them are
     made in one pass, from texts that start with shared, made once per
     key; a cell that a write cannot hold whole is cut where it ends.
-    The pieces of a write are joined once, when it is written."""
+    The pieces of a write are joined once, when it is yielded."""
     pieces, per_write, whole = [], 0, {}
     form, skip = sep + head, len(sep)  # every row starts with sep, which the first row drops
     for k, lo, hi, key in runs:
@@ -231,10 +215,10 @@ def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
             if skip:
                 pieces[0], skip = pieces[0][skip:], 0
             if not room:
-                sys.stdout.write("".join(pieces))
+                yield "".join(pieces)
                 pieces.clear()
                 room = per_write
-    sys.stdout.write("".join(pieces))
+    yield "".join(pieces)
 
 
 def _p_head(path) -> str:
@@ -260,25 +244,25 @@ def _reciprocal_tails(n: int):
 
 
 def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, columns: str,
-                   text_head: str, ends=None) -> None:
-    """Write the listing of `classify r` or `enumerate r` through
+                   text_head: str, ends=None) -> Iterator[str]:
+    """Yield the listing of `classify r` or `enumerate r` through
     _write_rows, the rows of each cell made of texts(position, a, b): a
     JSON array, whose row head holds the text that P's JSON shares on
     every class, TSV under a header ending in columns, or text rows
     headed text_head."""
     if fmt == "json":
-        sys.stdout.write("[")
+        yield "["
         head = '{"r":%s,"k":%%d,"l":%%d,"P":' % _json(str(r))
-        _write_rows(runs, head, _p_head(path), count, texts, ",")
-        sys.stdout.write("]\n")
+        yield from _write_rows(runs, head, _p_head(path), count, texts, ",")
+        yield "]\n"
     elif fmt == "tsv":
-        sys.stdout.write("r\tk\tl\t%s\n" % columns)
-        _write_rows(runs, "%s\t%%d\t%%d\t" % r, "", count, texts)
+        yield "r\tk\tl\t%s\n" % columns
+        yield from _write_rows(runs, "%s\t%%d\t%%d\t" % r, "", count, texts)
     else:
-        _write_rows(runs, text_head, "", count, texts, ends=ends)
+        yield from _write_rows(runs, text_head, "", count, texts, ends=ends)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> Iterator[str]:
     if args.s is None:
         path, _, runs = structure_cells(args.r)  # raises on a bad r before any output
         if args.format == "json":
@@ -286,25 +270,24 @@ def _cmd_enumerate(args) -> int:
         else:
             rows = decorated_texts(path, "\n" if args.format == "tsv" else "")
         ends = _reciprocal_tails(n_of(args.r)) if args.format == "text" else None
-        _write_listing(args.format, args.r, path, runs, lambda _, a, b: rows[a:b], len(rows),
-                       "P", "k=%d l=%d ", ends)
-        return 0
+        yield from _write_listing(args.format, args.r, path, runs, lambda _, a, b: rows[a:b],
+                                  len(rows), "P", "k=%d l=%d ", ends)
+        return
     path = minimal_path(args.r, args.s)  # raises on a bad pair before any output
     cell = [(0, 0, 1, None)]  # one cell, whose rows show neither k nor l
     if args.format == "json":
         rows = minus_texts(path, "]}")
-        sys.stdout.write("[")
-        _write_rows(cell, "", _p_head(path), len(rows), lambda _, a, b: rows[a:b], ",")
-        sys.stdout.write("]\n")
+        yield "["
+        yield from _write_rows(cell, "", _p_head(path), len(rows), lambda _, a, b: rows[a:b], ",")
+        yield "]\n"
     elif args.format == "tsv":
         minus, rows = minus_texts(path), decorated_texts(path, "\n")
-        sys.stdout.write("r\ts\tminus\tP\n")
+        yield "r\ts\tminus\tP\n"
         texts = lambda _, a, b: [m[1:] + "\t" + t for m, t in zip(minus[a:b], rows[a:b])]
-        _write_rows(cell, "", "%s\t%s\t" % (args.r, args.s), len(rows), texts)
+        yield from _write_rows(cell, "", "%s\t%s\t" % (args.r, args.s), len(rows), texts)
     else:
         rows = decorated_texts(path, "\n")
-        _write_rows(cell, "", "", len(rows), lambda _, a, b: rows[a:b])
-    return 0
+        yield from _write_rows(cell, "", "", len(rows), lambda _, a, b: rows[a:b])
 
 
 def _verdict_text(fmt: str, position, verdict) -> str:
@@ -319,7 +302,7 @@ def _verdict_text(fmt: str, position, verdict) -> str:
     return " position=%s status=%s%s\n" % (tag, status, " cite=%s" % cite if cite else "")
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Iterator[str]:
     path, verdicts, runs = structure_cells(args.r)  # raises on a bad r before any output
     fmt, column = args.format, feature_column(path)
     # a verdict reads only P's features: one text per position and value
@@ -333,12 +316,11 @@ def _cmd_classify(args) -> int:
                                                                 column[a:b]))
     else:
         texts = lambda position, a, b: map(found[position].__getitem__, column[a:b])
-    _write_listing(fmt, args.r, path, runs, texts, len(column), "position\tstatus\tcite\tnote",
-                   "k=%d l=%d")
+    yield from _write_listing(fmt, args.r, path, runs, texts, len(column),
+                              "position\tstatus\tcite\tnote", "k=%d l=%d")
     statuses = {verdict.status for vs in verdicts.values() for verdict in vs.values()}
     if args.strict and Fillability.NOT_COVERED in statuses:
         return 4
-    return 0
 
 
 def _summary_obj(r: Slope) -> dict:
@@ -349,71 +331,50 @@ def _summary_obj(r: Slope) -> dict:
     return obj
 
 
-def _cmd_summary(args) -> int:
+def _cmd_summary(args) -> Iterator[str]:
     obj = _summary_obj(args.r)
-    if args.format == "json":
-        print(_json(obj))
-    else:
-        for key, value in obj.items():
-            print("%s %d" % (key, value))
+    yield _line(args, obj, "\n".join("%s %d" % item for item in obj.items()))
     if args.strict and obj.get(Fillability.NOT_COVERED.json_key):
         return 4
-    return 0
 
 
-_SWEEP_COLUMNS = [status.json_key for status in Fillability]
+_SWEEP_COLUMNS = ["total"] + [status.json_key for status in Fillability]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Iterator[str]:
     a, b = args.interval
-    rows = [(r, _summary_obj(r)) for r in rationals_in(a, b, args.bound)]
-    if args.format == "json":
-        print(_json([{"r": str(r), **obj} for r, obj in rows]))
-    else:
-        print("r\ttotal\t" + "\t".join(_SWEEP_COLUMNS))
-        for r, obj in rows:
-            cells = [str(r), str(obj["total"])] + [str(obj.get(c, 0)) for c in _SWEEP_COLUMNS]
-            print("\t".join(cells))
-    if args.strict and any(obj.get(Fillability.NOT_COVERED.json_key) for _, obj in rows):
+    terms = _farey_walk(a, b, args.bound)  # raises on a bad interval before any output
+    as_json, uncovered = args.format == "json", False
+    yield "[" if as_json else "r\t%s\n" % "\t".join(_SWEEP_COLUMNS)
+    for i, r in enumerate(terms):
+        obj = _summary_obj(r)
+        uncovered = uncovered or bool(obj.get(Fillability.NOT_COVERED.json_key))
+        if as_json:
+            yield ("," if i else "") + _json({"r": str(r), **obj})
+        else:
+            yield "\t".join([str(r)] + [str(obj.get(c, 0)) for c in _SWEEP_COLUMNS]) + "\n"
+    if as_json:
+        yield "]\n"
+    if args.strict and uncovered:
         return 4
-    return 0
 
 
-def _cmd_exceptional(args) -> int:
+def _cmd_exceptional(args) -> Iterator[str]:
     torus = MixedTorus(args.s0, args.s1, args.s_neg1)
     found = sorted(exceptional_slopes(torus, args.paper_mode), key=slope_sort_key)
-    if args.format == "json":
-        print(
-            _json(
-                {
-                    "s0": str(args.s0),
-                    "s1": str(args.s1),
-                    "s_neg1": str(args.s_neg1),
-                    "paper_mode": args.paper_mode,
-                    "exceptional": [str(s) for s in found],
-                }
-            )
-        )
-    else:
-        print(" ".join(str(s) for s in found))
-    return 0
+    found = [str(s) for s in found]
+    obj = {"s0": str(args.s0), "s1": str(args.s1), "s_neg1": str(args.s_neg1),
+           "paper_mode": args.paper_mode, "exceptional": found}
+    yield _line(args, obj, " ".join(found))
 
 
-def _cmd_dot(args) -> int:
-    if args.mode == "path":
-        if len(args.slopes) != 2:
-            print("error: dot path expects two slopes", file=sys.stderr)
-            return 2
-        sys.stdout.writelines(emit_dot_path(minimal_path(parse_slope(args.slopes[0]),
-                                                         parse_slope(args.slopes[1]))))
-        sys.stdout.write("\n")
-    else:
-        if len(args.slopes) != 1:
-            print("error: dot triangle expects one slope", file=sys.stderr)
-            return 2
-        sys.stdout.writelines(emit_dot_triangle(parse_slope(args.slopes[0])))
-        sys.stdout.write("\n")
-    return 0
+def _cmd_dot(args) -> Iterator[str]:
+    path = args.mode == "path"
+    if len(args.slopes) != (2 if path else 1):
+        raise ParseError("dot %s expects %s" % (args.mode, "two slopes" if path else "one slope"))
+    slopes = map(parse_slope, args.slopes)
+    yield from emit_dot_path(minimal_path(*slopes)) if path else emit_dot_triangle(*slopes)
+    yield "\n"
 
 
 def _add_format(sub, choices, default="text"):
@@ -521,19 +482,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact answers have no size limit: lift CPython's limit of 4,300
+    # digits on int <-> str conversion (Python 3.10.7 and later)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    pieces, write = args.func(args), sys.stdout.write
     try:
-        return args.func(args)
-    except ParseError as exc:
+        while True:
+            write(next(pieces))
+    except StopIteration as done:
+        return done.value or 0
+    except (ParseError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 3
     except BrokenPipeError:
         # the reader closed stdout early (`| head`).  Point stdout at
         # devnull so that the flush at exit cannot fail again, as the

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 
 class DomainError(ValueError):
@@ -166,6 +167,12 @@ def rationals_in(a: Slope, b: Slope, bound: int) -> list[Slope]:
     descent finds its consecutive terms u < a <= v, and the next-term
     rule steps from there, so no sort is needed.
     """
+    return list(_farey_walk(a, b, bound))
+
+
+def _farey_walk(a: Slope, b: Slope, bound: int) -> Iterator[Slope]:
+    """The terms of rationals_in(a, b, bound), made as they are read; a and
+    b are checked, and the descent made, on the call."""
     for end in (a, b):
         if end.is_infinite or not 0 < end.num <= end.den:
             raise DomainError("sweep interval must lie inside (0,1]")
@@ -178,12 +185,15 @@ def rationals_in(a: Slope, b: Slope, bound: int) -> list[Slope]:
             u = m
         else:
             v = m
-    out = []
+    return _farey_steps(u, v, b, bound)
+
+
+def _farey_steps(u, v, b: Slope, bound: int) -> Iterator[Slope]:
+    # u < v are consecutive terms of the Farey sequence of order bound
     while v[0] * b.den < b.num * v[1]:
-        out.append(Slope(*v))
+        yield Slope(*v)
         k = (bound + u[1]) // v[1]
         u, v = v, (k * v[0] - u[0], k * v[1] - u[1])
-    return out
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

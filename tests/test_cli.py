@@ -286,6 +286,73 @@ def test_sweep_bad_interval(capsys):
     assert code == 3
 
 
+SWEEP_HEADER = "r\ttotal\tstein\tstrong_not_exact\tstrong_stein_conditional\tnot_covered_by_paper\n"
+
+
+def test_sweep_of_an_interval_without_coefficients():
+    # no p/q with q <= 5 lies in [3/10, 1/3); bytes of the parent commit
+    argv = ["sweep", "--interval", "3/10", "1/3", "--bound", "5"]
+    assert run_captured(argv) == (0, SWEEP_HEADER, "")
+    assert run_captured(argv + ["--format", "json"]) == (0, "[]\n", "")
+    # a bad interval is found before the header or the "[" is written
+    for fmt in ("tsv", "json"):
+        argv = ["sweep", "--interval", "4/11", "9/25", "--format", fmt]
+        assert run_captured(argv) == (3, "", "error: empty sweep interval\n")
+
+
+def test_sweep_streams_in_bounded_memory():
+    # sweep yields each row as it makes it, walking the Farey sequence
+    # lazily, so its memory does not grow with the number of rows: 4,385
+    # coefficients here.  The traced peaks on Python 3.11 were 1.86 MB
+    # (tsv) and 5.55 MB (json) when every row was made before the first
+    # was written.
+    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    for fmt in ("tsv", "json"):
+        with contextlib.redirect_stdout(NullSink()):
+            tracemalloc.start()
+            try:
+                code = main(["sweep", "--interval", "1/100000", "1", "--bound", "120",
+                             "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (code, peak < 1_000_000) == (0, True), (fmt, peak)
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int n >= 0 of any length, a thousand digits at a time,
+    within CPython's default limit on int <-> str conversion."""
+    if n < 10**1000:
+        return str(n)
+    high, low = divmod(n, 10**1000)
+    return _decimal(high) + str(low).zfill(1000)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_numbers_beyond_the_int_str_digit_limit(fmt):
+    # CPython 3.10.7 and later convert at most 4,300 digits between int
+    # and str by default: main lifts that limit, so a slope of 4,401
+    # digits parses and a total of 6,000 digits prints.  On r = 1/N,
+    # phi(r) is 1 and n is N - 1; the tallies below are checked against
+    # the program on small N first.
+    def tallies(N):
+        total, stein, uncovered = N * (N - 1) // 2, N - 1, 2 * N - 5
+        return {"total": total, "stein": stein, "strong_not_exact": (N - 3) * (N - 4) // 2,
+                "not_covered_by_paper": uncovered}
+
+    for N in (10, 100, 1000, 10**3000):
+        want = {key: _decimal(value) for key, value in tallies(N).items()}
+        if fmt == "json":
+            text = "{%s}" % ",".join('"%s":%s' % item for item in want.items())
+        else:
+            text = "\n".join("%s %s" % item for item in want.items())
+        code, out, err = run_captured(["summary", "1/" + _decimal(N), "--format", fmt])
+        assert (code, err, out == text + "\n") == (0, "", True), (len(want["total"]), code, err)
+    r = "1/1" + "0" * 4400
+    code, out, err = run_captured(["phi", r, "--format", fmt])
+    assert (code, err, out) == (0, "", '{"r":"%s","phi":1}\n' % r if fmt == "json" else "1\n")
+
+
 def test_exceptional_text(capsys):
     code, out, _ = run(capsys, "exceptional", "3/8", "4/11", "2/5")
     assert out == "1/3\n"

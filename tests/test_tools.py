@@ -39,7 +39,8 @@ def test_listing_into_closed_pipe():
     # `fareytight ... | head -1`: the reader goes away after one line of a
     # listing far longer than a pipe's buffer
     for argv in (["classify", "1/300", "--format", "tsv"], ["enumerate", "1/60"],
-                 ["path", "1/100000", "1/2", "--format", "dot"]):
+                 ["path", "1/100000", "1/2", "--format", "dot"],
+                 ["sweep", "--interval", "1/100000", "1", "--bound", "200"]):
         proc = subprocess.Popen(
             [sys.executable, "-m", "fareytight.cli", *argv], cwd=ROOT, env=script_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -52,5 +53,6 @@ def test_listing_into_closed_pipe():
         finally:
             proc.kill()
             proc.stderr.close()
-        assert first.startswith((b"r\tk\tl\t", b"k=1 l=0 1/60 ", b"digraph farey_path {")), first
+        assert first.startswith((b"r\tk\tl\t", b"k=1 l=0 1/60 ", b"digraph farey_path {",
+                                 b"r\ttotal\t")), first
         assert (code, err) == (1, b""), argv
