@@ -25,7 +25,6 @@ from .slopes import (
     is_edge,
     make_slope,
     neighbors_in_interval,
-    _pos_lt,
 )
 from .paths import FareyPath, concat, minimal_path
 from .tori import DecoratedPath, ShuffleClass, all_minus_counts, feature_counts
@@ -165,11 +164,12 @@ class FillabilityVerdict:
 def structure_cells(r: Slope) -> tuple[FareyPath, dict, Iterator]:
     """The structures of the r-surgery as (path, verdicts, runs): path
     runs from r to 1/n and carries the phi(r) choices of P, in the order
-    of all_minus_counts, verdicts is the table _verdicts, {position:
-    {P.features: verdict}}, and runs is TrianglePosition.runs(n), which
-    yields (k, lo, hi, position) for the cells (k, l), lo <= l < hi, of
-    one position, k ascending, l ascending.  The verdict of (k, l, P) is
-    verdicts[position][P.features], and tori.feature_column lists the
+    of all_minus_counts, verdicts is the table {position: {P.features:
+    verdict}}, one _rule call per position and value of P.features on the
+    window of r (_window, read once), and runs is TrianglePosition.runs(n),
+    which yields (k, lo, hi, position) for the cells (k, l), lo <= l < hi,
+    of one position, k ascending, l ascending.  The verdict of (k, l, P)
+    is verdicts[position][P.features], and tori.feature_column lists the
     features of every P.
 
     r is checked here, not at the first run: n_of raises on a
@@ -178,7 +178,10 @@ def structure_cells(r: Slope) -> tuple[FareyPath, dict, Iterator]:
     structure."""
     n = n_of(r)
     path = minimal_path(r, make_slope(1, n))
-    return path, _verdicts(r, n, feature_counts(path)), TrianglePosition.runs(n)
+    window, kinds = _window(r, n), feature_counts(path)
+    verdicts = {pos: {features: _rule(window, n, pos, features) for features in kinds}
+                for pos in TrianglePosition.cells(n)}
+    return path, verdicts, TrianglePosition.runs(n)
 
 
 def enumerate_structures(r: Slope) -> list[TightStructureId]:
@@ -250,65 +253,58 @@ def exceptional_slopes(t: MixedTorus, paper_mode: bool = False) -> frozenset[Slo
     return frozenset(out)
 
 
-def _in_interval(r: Slope, lo: Slope, hi: Slope) -> bool:
-    # left-closed right-open, all slopes in (0,1)
-    return (r == lo or _pos_lt(lo, r)) and _pos_lt(r, hi)
+def _window(r: Slope, n: int) -> str | None:
+    """The cite of the theorem window [lo, hi) that holds r, n = n_of(r), or
+    None, from integer cross products on r.num and r.den."""
+    p, q = r.num, r.den
+    if n == 2 and 9 * q <= 25 * p and 11 * p < 4 * q:
+        return CITE_N2_INTERVAL
+    if n == 3 and 13 * q <= 49 * p and 15 * p < 4 * q:
+        return CITE_N3_INTERVAL
+    if (2 * n - 1) * q <= 2 * n * n * p and (2 * n + 1) * p < 2 * q:
+        return CITE_WIDE_INTERVAL
+    return None
 
 
-def _rule(r: Slope, n: int, pos: TrianglePosition, features: tuple[bool, ...]) -> FillabilityVerdict:
+def _rule(window: str | None, n: int, pos: TrianglePosition, features: tuple[bool, ...]) -> FillabilityVerdict:
     """Fillability verdict by rule table, first match wins.  A verdict
-    reads nothing but r, n, the triangle position and the features of P
-    (ShuffleClass.features)."""
+    reads nothing but the window of r (_window), n, the triangle position
+    and the features of P (ShuffleClass.features)."""
     uniform, last_all_plus, last_all_minus = features
     if pos.tag == "Base":
         return FillabilityVerdict(Fillability.STEIN, CITE_BASE_ROW)
     if pos.tag == "Interior":
         return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_INTERIOR)
-    if n == 2 and _in_interval(r, make_slope(9, 25), make_slope(4, 11)):
-        if uniform:
-            return FillabilityVerdict(Fillability.STEIN, CITE_N2_INTERVAL)
-        return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N2_INTERVAL)
-    if n == 3 and _in_interval(r, make_slope(13, 49), make_slope(4, 15)):
-        if pos.tag == "Side" or uniform:
-            return FillabilityVerdict(Fillability.STEIN, CITE_N3_INTERVAL)
-        return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N3_INTERVAL)
-    if _in_interval(r, make_slope(2 * n - 1, 2 * n * n), make_slope(2, 2 * n + 1)):
-        if n <= 3 or pos.tag == "Top":
-            return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
-        if (pos.side == "low" and last_all_plus) or (pos.side == "high" and last_all_minus):
-            return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
-        return FillabilityVerdict(
-            Fillability.STRONG_STEIN_CONDITIONAL,
-            CITE_WIDE_INTERVAL,
-            note="Stein exactly when the matching side structure on the 1/%d-surgery "
-            "is Stein (open)" % (n + 1),
-        )
-    return FillabilityVerdict(Fillability.NOT_COVERED, None)
+    if window is None:
+        return FillabilityVerdict(Fillability.NOT_COVERED, None)
+    if window == CITE_N2_INTERVAL:
+        stein = uniform
+    elif window == CITE_N3_INTERVAL:
+        stein = pos.tag == "Side" or uniform
+    elif n <= 3 or pos.tag == "Top" or (last_all_plus if pos.side == "low" else last_all_minus):
+        stein = True  # Thm 1.3: pos is Top or a Side here
+    else:
+        note = "Stein exactly when the matching side structure on the 1/%d-surgery is Stein (open)"
+        return FillabilityVerdict(Fillability.STRONG_STEIN_CONDITIONAL, window, note % (n + 1))
+    return FillabilityVerdict(Fillability.STEIN if stein else Fillability.STRONG_NOT_EXACT, window)
 
 
 def classify(sid: TightStructureId) -> FillabilityVerdict:
     """Fillability verdict of one structure, by _rule."""
     n = n_of(sid.r)
-    return _rule(sid.r, n, TrianglePosition.of(n, sid.k, sid.l), sid.P.features)
-
-
-def _verdicts(r: Slope, n: int, kinds) -> dict[TrianglePosition, dict[tuple, FillabilityVerdict]]:
-    """The verdict table of the r-surgery: {position: {features: verdict}}
-    for every position with cells and every value of P.features in kinds,
-    one _rule call each."""
-    return {pos: {features: _rule(r, n, pos, features) for features in kinds}
-            for pos in TrianglePosition.cells(n)}
+    return _rule(_window(sid.r, n), n, TrianglePosition.of(n, sid.k, sid.l), sid.P.features)
 
 
 def cell_tallies(r: Slope) -> dict[TrianglePosition, Counter]:
     """Verdict tallies over the phi(r) structures of one (k, l) cell, for
     each triangle position present on the r-surgery.  No structure is
-    enumerated: each verdict of the table _verdicts is weighted by the
-    number of classes with its features."""
-    n = n_of(r)
-    kinds = feature_counts(minimal_path(r, make_slope(1, n)))
+    enumerated: it reads the path and the verdict table of
+    structure_cells, and weights each verdict by the number of classes
+    with its features (feature_counts of the path)."""
+    path, verdicts, _ = structure_cells(r)
+    kinds = feature_counts(path)
     out = {}
-    for pos, found in _verdicts(r, n, kinds).items():
+    for pos, found in verdicts.items():
         tally = out[pos] = Counter()
         for features, verdict in found.items():
             tally[verdict.status] += kinds[features]

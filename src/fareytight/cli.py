@@ -343,7 +343,7 @@ _SWEEP_COLUMNS = ["total"] + [status.json_key for status in Fillability]
 
 def _cmd_sweep(args) -> Iterator[str]:
     a, b = args.interval
-    terms = _farey_walk(a, b, args.bound)  # raises on a bad interval before any output
+    terms = _farey_walk(a, b, args.bound)  # raises on a bad interval or bound before any output
     as_json, uncovered = args.format == "json", False
     yield "[" if as_json else "r\t%s\n" % "\t".join(_SWEEP_COLUMNS)
     for i, r in enumerate(terms):
@@ -482,10 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact answers have no size limit: lift CPython's limit of 4,300
-    # digits on int <-> str conversion (Python 3.10.7 and later)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

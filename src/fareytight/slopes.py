@@ -23,9 +23,14 @@ which is decided by the sign of det(a, b) = a.num*b.den - b.num*a.den.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
+
+# exact answers have no size limit: lift CPython's 4,300-digit int <-> str limit
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
 
 
 class DomainError(ValueError):
@@ -161,7 +166,7 @@ def farey_sum(a: Slope, b: Slope) -> Slope:
 
 
 def rationals_in(a: Slope, b: Slope, bound: int) -> list[Slope]:
-    """Reduced p/q with q <= bound in [a, b), ascending; a and b lie in (0,1].
+    """Reduced p/q with q <= bound in [a, b), ascending; a < b in (0,1], bound >= 1.
 
     Walks the Farey sequence of order bound: a bounded Stern-Brocot
     descent finds its consecutive terms u < a <= v, and the next-term
@@ -171,13 +176,15 @@ def rationals_in(a: Slope, b: Slope, bound: int) -> list[Slope]:
 
 
 def _farey_walk(a: Slope, b: Slope, bound: int) -> Iterator[Slope]:
-    """The terms of rationals_in(a, b, bound), made as they are read; a and
-    b are checked, and the descent made, on the call."""
+    """The terms of rationals_in(a, b, bound), made as they are read; a, b
+    and bound are checked, and the descent made, on the call."""
     for end in (a, b):
         if end.is_infinite or not 0 < end.num <= end.den:
             raise DomainError("sweep interval must lie inside (0,1]")
     if not _pos_lt(a, b):
         raise DomainError("empty sweep interval")
+    if bound < 1:
+        raise DomainError("sweep bound must be at least 1")
     u, v = (0, 1), (1, 0)
     while v[1] + u[1] <= bound:
         m = (u[0] + v[0], u[1] + v[1])

@@ -5,8 +5,10 @@ arithmetic, mediant recursion, explicit orbit enumeration) without
 going through the library's own fan/block machinery, so library bugs
 cannot cancel out.  The exceptions are classify_oracle, the rule chain
 that atlas._rule replaces, which reads P's block counts directly instead
-of its features; enumerated_tally, which runs classify_oracle on every
-enumerated structure to check the aggregates in atlas; greedy_minimal_path,
+of its features and tests r against each window with the Fraction bounds
+of window_oracle, sharing no window code with atlas._window;
+enumerated_tally, which runs classify_oracle on every enumerated
+structure to check the aggregates in atlas; greedy_minimal_path,
 the vertex-by-vertex greedy that paths.minimal_path replaces,
 path_error_oracle, the checks that FareyPath now runs on integers,
 block_vectors_oracle, the vertex-by-vertex lift that every path's
@@ -54,7 +56,6 @@ from fareytight.atlas import (
     Fillability,
     FillabilityVerdict,
     TightStructureId,
-    _in_interval,
     classify,
     enumerate_structures,
     full_path,
@@ -350,25 +351,39 @@ def _uniform(cls: ShuffleClass) -> bool:
     return minus == 0 or minus == total
 
 
+def window_oracle(r: Slope, n: int) -> str | None:
+    """The cite of the theorem window [lo, hi) that holds r, n = n_of(r),
+    or None, first match wins, in Fraction arithmetic."""
+    x = Fraction(r.num, r.den)
+    if n == 2 and Fraction(9, 25) <= x < Fraction(4, 11):
+        return CITE_N2_INTERVAL
+    if n == 3 and Fraction(13, 49) <= x < Fraction(4, 15):
+        return CITE_N3_INTERVAL
+    if Fraction(2 * n - 1, 2 * n * n) <= x < Fraction(2, 2 * n + 1):
+        return CITE_WIDE_INTERVAL
+    return None
+
+
 def classify_oracle(sid: TightStructureId) -> FillabilityVerdict:
     """Fillability verdict by rule table, first match wins: the rule
     chain as written before atlas.classify read P only through
     ShuffleClass.features."""
     n = n_of(sid.r)
     pos = triangle_position(sid)
+    window = window_oracle(sid.r, n)
     if pos.tag == "Base":
         return FillabilityVerdict(Fillability.STEIN, CITE_BASE_ROW)
     if pos.tag == "Interior":
         return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_INTERIOR)
-    if n == 2 and _in_interval(sid.r, make_slope(9, 25), make_slope(4, 11)):
+    if window == CITE_N2_INTERVAL:
         if _uniform(sid.P):
             return FillabilityVerdict(Fillability.STEIN, CITE_N2_INTERVAL)
         return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N2_INTERVAL)
-    if n == 3 and _in_interval(sid.r, make_slope(13, 49), make_slope(4, 15)):
+    if window == CITE_N3_INTERVAL:
         if pos.tag == "Side" or _uniform(sid.P):
             return FillabilityVerdict(Fillability.STEIN, CITE_N3_INTERVAL)
         return FillabilityVerdict(Fillability.STRONG_NOT_EXACT, CITE_N3_INTERVAL)
-    if _in_interval(sid.r, make_slope(2 * n - 1, 2 * n * n), make_slope(2, 2 * n + 1)):
+    if window == CITE_WIDE_INTERVAL:
         if n <= 3 or pos.tag == "Top":
             return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
         runs = sid.P.blocks.runs

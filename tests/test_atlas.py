@@ -32,9 +32,10 @@ from fareytight.atlas import (
     structure_record,
     triangle_position,
     verdict_summary,
+    _window,
 )
 
-from helpers import classify_oracle, enumerated_tally, random_unit_rational
+from helpers import classify_oracle, enumerated_tally, random_unit_rational, window_oracle
 
 
 def S(text):
@@ -417,6 +418,26 @@ def test_structure_cells_match_enumeration(monkeypatch):
         listed = [(sid.k, sid.l, triangle_position(sid), sid.P, classify(sid))
                   for sid in enumerate_structures(r)]
         assert walked == listed, text
+
+
+def test_window_matches_fraction_bounds():
+    # every reduced p/q in (0,1) with q <= 400
+    for q in range(2, 401):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                r = make_slope(p, q)
+                n = n_of(r)
+                assert _window(r, n) == window_oracle(r, n), r
+    # both ends of every window: the left end inside, the right end outside
+    for n in range(1, 201):
+        ends = [(CITE_WIDE_INTERVAL, make_slope(2 * n - 1, 2 * n * n), make_slope(2, 2 * n + 1))]
+        if n == 2:
+            ends.append((CITE_N2_INTERVAL, S("9/25"), S("4/11")))
+        if n == 3:
+            ends.append((CITE_N3_INTERVAL, S("13/49"), S("4/15")))
+        for cite, lo, hi in ends:
+            assert _window(lo, n_of(lo)) == window_oracle(lo, n_of(lo)) == cite, (n, lo)
+            assert _window(hi, n_of(hi)) == window_oracle(hi, n_of(hi)) != cite, (n, hi)
 
 
 def test_triangle_runs_cover_the_cells():

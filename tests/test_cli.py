@@ -294,10 +294,16 @@ def test_sweep_of_an_interval_without_coefficients():
     argv = ["sweep", "--interval", "3/10", "1/3", "--bound", "5"]
     assert run_captured(argv) == (0, SWEEP_HEADER, "")
     assert run_captured(argv + ["--format", "json"]) == (0, "[]\n", "")
-    # a bad interval is found before the header or the "[" is written
+    # a bad interval or bound is found before the header or the "[" is
+    # written, also under --strict
     for fmt in ("tsv", "json"):
         argv = ["sweep", "--interval", "4/11", "9/25", "--format", fmt]
         assert run_captured(argv) == (3, "", "error: empty sweep interval\n")
+        for bound in ("0", "-5"):
+            argv = ["sweep", "--interval", "1/3", "1/2", "--bound", bound, "--format", fmt]
+            for strict in ([], ["--strict"]):
+                assert run_captured(argv + strict) == (
+                    3, "", "error: sweep bound must be at least 1\n"), (argv, strict)
 
 
 def test_sweep_streams_in_bounded_memory():
@@ -331,10 +337,10 @@ def _decimal(n: int) -> str:
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_numbers_beyond_the_int_str_digit_limit(fmt):
     # CPython 3.10.7 and later convert at most 4,300 digits between int
-    # and str by default: main lifts that limit, so a slope of 4,401
-    # digits parses and a total of 6,000 digits prints.  On r = 1/N,
-    # phi(r) is 1 and n is N - 1; the tallies below are checked against
-    # the program on small N first.
+    # and str by default: importing fareytight.slopes lifts that limit, so
+    # a slope of 4,401 digits parses and a total of 6,000 digits prints.
+    # On r = 1/N, phi(r) is 1 and n is N - 1; the tallies below are
+    # checked against the program on small N first.
     def tallies(N):
         total, stein, uncovered = N * (N - 1) // 2, N - 1, 2 * N - 5
         return {"total": total, "stein": stein, "strong_not_exact": (N - 3) * (N - 4) // 2,

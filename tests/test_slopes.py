@@ -268,7 +268,6 @@ def rationals_scan(lo: Fraction, hi: Fraction, bound: int) -> list:
         ("1/1000", "1/999", 50),
         ("1/3", "1/2", 6),
         ("1/3", "1/2", 1),
-        ("1/3", "1/2", 0),
     ],
 )
 def test_farey_interval_matches_scan(a, b, bound):
@@ -298,3 +297,6 @@ def test_farey_interval_domain():
         rationals_in(S("1/2"), S("1/2"), 10)
     with pytest.raises(DomainError):
         rationals_in(S("1/2"), S("1/3"), 10)
+    for bound in (0, -5):
+        with pytest.raises(DomainError):
+            rationals_in(S("1/3"), S("1/2"), bound)

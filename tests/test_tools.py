@@ -35,6 +35,16 @@ def test_export_dot_script(tmp_path):
     assert written and all(p.parent == tmp_path and p.read_text().startswith("digraph") for p in written)
 
 
+def test_library_lifts_the_int_str_digit_limit():
+    # a fresh process that imports the library and never runs cli.main:
+    # a slope of 4,401 digits parses and a total of 6,000 digits prints
+    code = ("from fareytight import parse_slope, verdict_summary\n"
+            "print(parse_slope('1/1' + '0' * 4400).den == 10 ** 4400)\n"
+            "print(len(str(sum(verdict_summary(parse_slope('1/1' + '0' * 3000)).values()))))\n")
+    res = run_script("-c", code)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "True\n6000\n", "")
+
+
 def test_listing_into_closed_pipe():
     # `fareytight ... | head -1`: the reader goes away after one line of a
     # listing far longer than a pipe's buffer
