@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from operator import add
 from typing import Iterator
 
@@ -169,47 +169,38 @@ _ROWS_PER_WRITE = 512
 _BYTES_PER_WRITE = 1 << 20
 
 
-def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
-                ends=None) -> Iterator[str]:
+def _write_rows(runs, pre, post: str, count: int, texts, sep: str = "", ends=None) -> Iterator[str]:
     """Yield the rows of a listing, _ROWS_PER_WRITE rows to a write, or
     fewer: as many as _BYTES_PER_WRITE holds at the length of the first
-    row.  runs yields (k, lo, hi, key) for the cells (k, l), lo <= l <
-    hi, that share key.  A cell holds count rows, texts(key, a, b) gives
-    the texts of its rows a..b-1, and a row of cell (k, l) is head % (k,
-    l) (nothing when head is empty), shared, its text, then ends(k, l)
-    when ends is given.  Rows are separated by sep.  The first row of a
-    triangle listing is in cell (1, 0), whose ends are the longest, and
-    the other rows are about as long.
-
-    Where a write holds whole cells, the rows of a stretch of them are
-    made in one pass, from texts that start with shared, made once per
-    key; a cell that a write cannot hold whole is cut where it ends.
-    The pieces of a write are joined once, when it is yielded."""
-    pieces, per_write, whole = [], 0, {}
-    form, skip = sep + head, len(sep)  # every row starts with sep, which the first row drops
+    row, in cell (1, 0) of a triangle, whose ends are the longest.  runs
+    yields (k, lo, hi, key) for the cells (k, l), lo <= l < hi, that
+    share key.  A cell holds count rows, and texts(key, a, b) gives rows
+    a..b-1 as _cell groups.  A row of cell (k, l) is pre % k, l (neither
+    when pre is None), post, its text, then ends(k, l) if given; sep
+    separates rows.  No text is made per row: a cell is one _cell, of
+    rows kept once per key where a write holds it whole, and a run of
+    one-row cells with no ends is one join over the numbers l."""
+    pieces, per_write, whole, labels = [], 0, {}, []  # labels[l] is label(l), made once
+    # "".format(l) is empty, as l is written only with k; the first row drops sep
+    label, skip = (str if pre is not None else "".format), len(sep)
     for k, lo, hi, key in runs:
+        start = sep + (pre % k if pre is not None else "")
         if not per_write:
-            first = (form % (k, lo) if head else sep) + shared + next(iter(texts(key, 0, 1)))
-            size = len(first) + (len(ends(k, lo)) if ends else 0)
-            per_write = room = min(_ROWS_PER_WRITE, max(1, _BYTES_PER_WRITE // size))
+            first = _cell(start + label(lo) + post, ends(k, lo) if ends else "", texts(key, 0, 1))
+            per_write = room = min(_ROWS_PER_WRITE, max(1, _BYTES_PER_WRITE // sum(map(len, first))))
         full = whole.get(key)
         if full is None and count <= per_write:
-            full = whole[key] = [shared + t for t in texts(key, 0, count)]
+            full = whole[key] = [p + t for p, ts in texts(key, 0, count) for t in ts]
         l, a = lo, 0  # the next row is row a of cell (k, l)
         while l < hi:
-            if a == 0 and count <= room:
-                cells = range(l, min(hi, l + room // count))
-                heads = [form % (k, j) for j in cells] if head else [sep] * len(cells)
-                if ends is None:
-                    pieces += [h + t for h in heads for t in full]
-                else:
-                    tails = [ends(k, j) for j in cells]
-                    pieces += [h + t + e for h, e in zip(heads, tails) for t in full]
-                l, room = cells.stop, room - len(cells) * count
+            if count == 1 and ends is None:
+                stop, row = min(hi, l + room), post + full[0]
+                labels += map(label, range(len(labels), stop))
+                pieces += (start, (row + start).join(labels[l:stop]), row)
+                l, room = stop, room - (stop - l)
             else:
-                h = (form % (k, l) if head else sep) + shared
-                e, b = ends(k, l) if ends else "", min(count, a + room)
-                pieces += (h, (e + h).join(texts(key, a, b)), e)
+                h, e, b = start + label(l) + post, ends(k, l) if ends else "", min(count, a + room)
+                pieces += _cell(h, e, [("", full)] if b - a == count else texts(key, a, b))
                 room -= b - a
                 l, a = (l + 1, 0) if b == count else (l, b)
             if skip:
@@ -219,6 +210,15 @@ def _write_rows(runs, head: str, shared: str, count: int, texts, sep: str = "",
                 pieces.clear()
                 room = per_write
     yield "".join(pieces)
+
+
+def _cell(h: str, e: str, groups) -> list[str]:
+    """h + (e + h).join(rows) + e in pieces, one join per prefix of the (prefix, texts) groups."""
+    pieces = [h]
+    for p, ts in groups:
+        pieces += (p, (e + h + p).join(ts), e, h)
+    pieces.pop()
+    return pieces
 
 
 def _p_head(path) -> str:
@@ -244,25 +244,26 @@ def _reciprocal_tails(n: int):
 
 
 def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, columns: str,
-                   text_head: str, ends=None) -> Iterator[str]:
+                   text_post: str, ends=None) -> Iterator[str]:
     """Yield the listing of `classify r` or `enumerate r` through
     _write_rows, the rows of each cell made of texts(position, a, b): a
     JSON array, whose row head holds the text that P's JSON shares on
     every class, TSV under a header ending in columns, or text rows
-    headed text_head."""
+    headed "k=K l=L" and text_post."""
     if fmt == "json":
         yield "["
-        head = '{"r":%s,"k":%%d,"l":%%d,"P":' % _json(str(r))
-        yield from _write_rows(runs, head, _p_head(path), count, texts, ",")
+        pre = '{"r":%s,"k":%%d,"l":' % _json(str(r))
+        yield from _write_rows(runs, pre, ',"P":' + _p_head(path), count, texts, ",")
         yield "]\n"
     elif fmt == "tsv":
         yield "r\tk\tl\t%s\n" % columns
-        yield from _write_rows(runs, "%s\t%%d\t%%d\t" % r, "", count, texts)
+        yield from _write_rows(runs, "%s\t%%d\t" % r, "\t", count, texts)
     else:
-        yield from _write_rows(runs, text_head, "", count, texts, ends=ends)
+        yield from _write_rows(runs, "k=%d l=", text_post, count, texts, ends=ends)
 
 
 def _cmd_enumerate(args) -> Iterator[str]:
+    texts = lambda _, a, b: rows.groups(a, b)  # of the rows made below
     if args.s is None:
         path, _, runs = structure_cells(args.r)  # raises on a bad r before any output
         if args.format == "json":
@@ -270,26 +271,26 @@ def _cmd_enumerate(args) -> Iterator[str]:
         else:
             rows = decorated_texts(path, "\n" if args.format == "tsv" else "")
         ends = _reciprocal_tails(n_of(args.r)) if args.format == "text" else None
-        yield from _write_listing(args.format, args.r, path, runs, lambda _, a, b: rows[a:b],
-                                  len(rows), "P", "k=%d l=%d ", ends)
+        yield from _write_listing(args.format, args.r, path, runs, texts, len(rows), "P", " ", ends)
         return
     path = minimal_path(args.r, args.s)  # raises on a bad pair before any output
-    cell = [(0, 0, 1, None)]  # one cell, whose rows show neither k nor l
+    sep = post = ""
     if args.format == "json":
-        rows = minus_texts(path, "]}")
+        rows, sep, post = minus_texts(path, "]}"), ",", _p_head(path)
         yield "["
-        yield from _write_rows(cell, "", _p_head(path), len(rows), lambda _, a, b: rows[a:b], ",")
-        yield "]\n"
     elif args.format == "tsv":
         minus, rows = minus_texts(path), decorated_texts(path, "\n")
         yield "r\ts\tminus\tP\n"
-        texts = lambda _, a, b: [m[1:] + "\t" + t for m, t in zip(minus[a:b], rows[a:b])]
-        yield from _write_rows(cell, "", "%s\t%s\t" % (args.r, args.s), len(rows), texts)
+        texts = lambda _, a, b: [("", [m[1:] + "\t" + t for m, t in zip(minus[a:b], rows[a:b])])]
+        post = "%s\t%s\t" % (args.r, args.s)
     else:
         rows = decorated_texts(path, "\n")
-        yield from _write_rows(cell, "", "", len(rows), lambda _, a, b: rows[a:b])
+    yield from _write_rows([(0, 0, 1, None)], None, post, len(rows), texts, sep)  # one cell
+    if args.format == "json":
+        yield "]\n"
 
 
+@lru_cache(maxsize=256)  # about 15 to a listing; a note names n, so the cache is bounded
 def _verdict_text(fmt: str, position, verdict) -> str:
     """The part of a classify row after P (after k and l in TSV, which
     has no P): position, status, cite, note."""
@@ -308,16 +309,15 @@ def _cmd_classify(args) -> Iterator[str]:
     # a verdict reads only P's features: one text per position and value
     found = {position: {f: _verdict_text(fmt, position, verdict) for f, verdict in vs.items()}
              for position, vs in verdicts.items()}
-    if fmt == "json":
-        # the tails of a write are made from their two parts (ClassTexts),
-        # and the verdict text is glued on
-        tails = minus_texts(path, "]}")
-        texts = lambda position, a, b: map(add, tails[a:b], map(found[position].__getitem__,
-                                                                column[a:b]))
-    else:
-        texts = lambda position, a, b: map(found[position].__getitem__, column[a:b])
+    # a JSON row glues its verdict text onto a tail of ClassTexts, made per write
+    tails = minus_texts(path, "]}") if fmt == "json" else None
+
+    def texts(position, a, b):
+        rows = map(found[position].__getitem__, column[a:b])
+        return [("", rows if tails is None else map(add, tails[a:b], rows))]
+
     yield from _write_listing(fmt, args.r, path, runs, texts, len(column),
-                              "position\tstatus\tcite\tnote", "k=%d l=%d")
+                              "position\tstatus\tcite\tnote", "")
     statuses = {verdict.status for vs in verdicts.values() for verdict in vs.values()}
     if args.strict and Fillability.NOT_COVERED in statuses:
         return 4

@@ -245,17 +245,15 @@ class ClassTexts:
 
     def __getitem__(self, cut: slice) -> list[str]:
         a, b, _ = cut.indices(len(self))
-        if a >= b:
-            return []
-        heads, last = self.heads, self.last
-        (p, c), (q, d) = divmod(a, len(last)), divmod(b, len(last))
-        if p == q:
-            return [heads[p] + text for text in last[c:d]]
-        out = [heads[p] + text for text in last[c:]]
-        out += [head + text for head in heads[p + 1 : q] for text in last]
-        if d:
-            out += [heads[q] + text for text in last[:d]]
-        return out
+        return [head + text for head, texts in self.groups(a, b) for text in texts]
+
+    def groups(self, a: int, b: int) -> Iterator[tuple[str, list[str]]]:
+        """The classes a..b-1, a < b, as (heads[p], the slice of last
+        that follows it), p ascending: sep.join of the classes is sep.join
+        of head + (sep + head).join(texts), one text per head."""
+        width = len(self.last)
+        for p in range(a // width, -(-b // width)):
+            yield self.heads[p], self.last[max(a - p * width, 0) : b - p * width]
 
 
 def minus_texts(path: FareyPath, end: str = "") -> ClassTexts:

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fareytight import cli
+from fareytight.atlas import TightStructureId, TrianglePosition, n_of
 from fareytight.cli import _BYTES_PER_WRITE, _VERTICES_PER_WRITE, _ROWS_PER_WRITE, main
 from fareytight.slopes import parse_slope
 from fareytight.tori import enumerate_tight, phi
 
-from helpers import all_slopes_in_box, listing_oracle, path_output_oracle
+from helpers import all_slopes_in_box, classify_oracle, listing_oracle, path_output_oracle
 
 
 def run(capsys, *argv):
@@ -685,6 +687,76 @@ def test_listings_match_oracle_where_bytes_bound_a_write():
         assert run_captured(argv) == want, argv
         if argv[0] == "enumerate":
             assert len(want[1]) // 1794 > _BYTES_PER_WRITE // _ROWS_PER_WRITE, argv
+
+
+def test_listings_match_oracle_where_writes_cut_runs_of_cells(monkeypatch):
+    # a write of 7 rows cuts the runs of one-row cells of 1/40 (n = 39,
+    # runs of up to 39 cells) and the cells of 4/83 (three rows) and
+    # 9/25 (n = 2) inside and between them; at 512 rows no run of
+    # one-row cells below n = 40 is ever cut
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)
+    for r in ("1/40", "4/83", "9/25"):
+        for argv in listing_commands(r):
+            assert run_captured(argv) == listing_oracle(argv), argv
+
+
+class RecordingSink(io.TextIOBase):
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def _classify_rows_oracle(r: str, fmt: str) -> list[str]:
+    """The rows of `classify r` for phi(r) = 1, made one by one with %
+    from one verdict (classify_oracle) and one P per triangle position."""
+    slope = parse_slope(r)
+    n = n_of(slope)
+    (P,) = [c.iso_class for c in enumerate_tight(slope, parse_slope("1/%d" % n))]
+    tails = {}
+    for k in range(1, n + 1):
+        for l in range(n - k + 1):
+            pos = TrianglePosition.of(n, k, l)
+            if pos not in tails:
+                verdict = classify_oracle(TightStructureId(slope, k, l, P))
+                status, cite, note = verdict.status.value, verdict.cite, verdict.note
+                if fmt == "json":
+                    obj = {"P": P.to_json(), "position": pos.tag, "status": status, "cite": cite}
+                    obj.update({"note": note} if note is not None else {})
+                    tails[pos] = "," + json.dumps(obj, separators=(",", ":"))[1:]
+                else:
+                    tails[pos] = "\t%s\t%s\t%s\t%s\n" % (pos.tag, status, cite or "", note or "")
+    if fmt == "json":
+        return ['{"r":"%s","k":%d,"l":%d%s' % (r, k, l, tails[TrianglePosition.of(n, k, l)])
+                for k in range(1, n + 1) for l in range(n - k + 1)]
+    return ["%s\t%d\t%d%s" % (r, k, l, tails[TrianglePosition.of(n, k, l)])
+            for k in range(1, n + 1) for l in range(n - k + 1)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_classify_writes_are_bounded_at_large_n(fmt):
+    # classify 1/700: n = 699, 244,650 one-row cells in runs of up to
+    # 699 cells.  Every write but the last holds _ROWS_PER_WRITE rows,
+    # none more, and none more than _BYTES_PER_WRITE and one row.
+    rows = _classify_rows_oracle("1/700", fmt)
+    sink = RecordingSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(["classify", "1/700", "--format", fmt]) == 0
+    if fmt == "json":
+        assert "".join(sink.writes) == "[" + ",".join(rows) + "]\n"
+        assert sink.writes[0] == "[" and sink.writes[-1] == "]\n"
+        counts = [w.count('{"r":') for w in sink.writes[1:-1]]
+    else:
+        assert "".join(sink.writes) == "r\tk\tl\tposition\tstatus\tcite\tnote\n" + "".join(rows)
+        counts = [w.count("\n") for w in sink.writes[1:]]
+    assert sum(counts) == len(rows) == 699 * 700 // 2
+    assert set(counts[:-1]) == {_ROWS_PER_WRITE} and 0 < counts[-1] <= _ROWS_PER_WRITE
+    longest = max(map(len, rows)) + 1
+    assert max(map(len, sink.writes)) <= _BYTES_PER_WRITE + longest
 
 
 # p >= q/30 keeps n below 30: the oracle's `enumerate r` text builds a

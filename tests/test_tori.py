@@ -280,6 +280,17 @@ def test_class_texts_slices():
                                           (ShuffleClass(path, c) for c in all_minus_counts(path))]
 
 
+def test_class_texts_groups():
+    # groups(a, b) gives classes a..b-1 as one (head, last slice) per head
+    texts = ClassTexts(["a", "b", "c"], ["0", "1", "2"])
+    full = list(texts)
+    for lo in range(9):
+        for hi in range(lo + 1, 10):  # a < b, as the listings ask
+            groups = list(texts.groups(lo, hi))
+            assert [h + t for h, ts in groups for t in ts] == full[lo:hi], (lo, hi)
+            assert [h for h, _ in groups] == list("abc"[lo // 3 : (hi + 2) // 3]), (lo, hi)
+
+
 def test_class_texts_split_where_the_factors_balance():
     # the longer factor is as short as a split between blocks makes it,
     # in either order of a long and a short block: (1000, 1) splits
