@@ -83,16 +83,18 @@ class TightStructureId:
             raise DomainError("P must run from %s to 1/%d" % (self.r, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrianglePosition:
+    """Position of a cell (k, l) in the triangle: one of five module
+    instances, the only ones that of, cells and runs hand out, so
+    positions compare and hash by identity."""
+
     tag: str  # Base, Top, Interior or Side
     side: str | None = None  # "low" (l=0) or "high" (l=n-k) when Side
 
     @staticmethod
     def of(n: int, k: int, l: int) -> TrianglePosition:
-        """Position of the cell (k, l) in the triangle of the n-th row:
-        one of five shared instances, so that a listing looks up what it
-        made for the position of each cell by identity."""
+        """Position of the cell (k, l) in the triangle of the n-th row."""
         if k == 1:
             return _BASE
         if k == n:
@@ -162,15 +164,15 @@ class FillabilityVerdict:
 
 
 def structure_cells(r: Slope) -> tuple[FareyPath, dict, Iterator]:
-    """The structures of the r-surgery as (path, verdicts, runs): path
-    runs from r to 1/n and carries the phi(r) choices of P, in the order
-    of all_minus_counts, verdicts is the table {position: {P.features:
-    verdict}}, one _rule call per position and value of P.features on the
-    window of r (_window, read once), and runs is TrianglePosition.runs(n),
-    which yields (k, lo, hi, position) for the cells (k, l), lo <= l < hi,
-    of one position, k ascending, l ascending.  The verdict of (k, l, P)
-    is verdicts[position][P.features], and tori.feature_column lists the
-    features of every P.
+    """The structures of the r-surgery as (path, verdicts, runs), each fact
+    of r made once: path runs from r to 1/n and carries the phi(r) choices
+    of P, in the order of all_minus_counts; verdicts is the table
+    {position: {P.features: (verdict, classes)}}, one _rule call per
+    position and value of P.features on the window of r (_window), classes
+    the number of P with those features (feature_counts); runs is
+    TrianglePosition.runs(n), which yields (k, lo, hi, position) for the
+    cells (k, l), lo <= l < hi, of one position, k and l ascending.
+    tori.feature_column lists the features of every P.
 
     r is checked here, not at the first run: n_of raises on a
     coefficient outside (0,1), and every class lies on the one path from
@@ -178,8 +180,8 @@ def structure_cells(r: Slope) -> tuple[FareyPath, dict, Iterator]:
     structure."""
     n = n_of(r)
     path = minimal_path(r, make_slope(1, n))
-    window, kinds = _window(r, n), feature_counts(path)
-    verdicts = {pos: {features: _rule(window, n, pos, features) for features in kinds}
+    window, kinds = _window(r, n), feature_counts(path).items()
+    verdicts = {pos: {f: (_rule(window, n, pos, f), classes) for f, classes in kinds}
                 for pos in TrianglePosition.cells(n)}
     return path, verdicts, TrianglePosition.runs(n)
 
@@ -297,17 +299,14 @@ def classify(sid: TightStructureId) -> FillabilityVerdict:
 
 def cell_tallies(r: Slope) -> dict[TrianglePosition, Counter]:
     """Verdict tallies over the phi(r) structures of one (k, l) cell, for
-    each triangle position present on the r-surgery.  No structure is
-    enumerated: it reads the path and the verdict table of
-    structure_cells, and weights each verdict by the number of classes
-    with its features (feature_counts of the path)."""
-    path, verdicts, _ = structure_cells(r)
-    kinds = feature_counts(path)
+    each triangle position present on the r-surgery: the classes of the
+    verdict table of structure_cells, summed per status.  No structure is
+    enumerated and nothing of r is made twice."""
     out = {}
-    for pos, found in verdicts.items():
+    for pos, found in structure_cells(r)[1].items():
         tally = out[pos] = Counter()
-        for features, verdict in found.items():
-            tally[verdict.status] += kinds[features]
+        for verdict, classes in found.values():
+            tally[verdict.status] += classes
     return out
 
 
@@ -315,8 +314,7 @@ def verdict_summary(r: Slope) -> dict[Fillability, int]:
     """Verdict tallies over all n(n+1)/2 * phi(r) structures of the
     r-surgery, statuses with count 0 omitted: each tally of cell_tallies
     weighted by the number of cells in its position."""
-    cells = TrianglePosition.cells(n_of(r))
-    tally = Counter()
+    cells, tally = TrianglePosition.cells(n_of(r)), Counter()
     for pos, found in cell_tallies(r).items():
         for status, cnt in found.items():
             tally[status] += cells[pos] * cnt

@@ -307,18 +307,18 @@ def _cmd_classify(args) -> Iterator[str]:
     path, verdicts, runs = structure_cells(args.r)  # raises on a bad r before any output
     fmt, column = args.format, feature_column(path)
     # a verdict reads only P's features: one text per position and value
-    found = {position: {f: _verdict_text(fmt, position, verdict) for f, verdict in vs.items()}
+    found = {position: {f: _verdict_text(fmt, position, verdict) for f, (verdict, _) in vs.items()}
              for position, vs in verdicts.items()}
-    # a JSON row glues its verdict text onto a tail of ClassTexts, made per write
-    tails = minus_texts(path, "]}") if fmt == "json" else None
+    # a JSON row glues its verdict text onto a text of ClassTexts.last, one head at a time
+    groups = minus_texts(path, "]}").groups if fmt == "json" else None
 
     def texts(position, a, b):
-        rows = map(found[position].__getitem__, column[a:b])
-        return [("", rows if tails is None else map(add, tails[a:b], rows))]
+        rows = map(found[position].__getitem__, column[a:b])  # read in order across the groups
+        return [(h, map(add, ts, rows)) for h, ts in groups(a, b)] if groups else [("", rows)]
 
     yield from _write_listing(fmt, args.r, path, runs, texts, len(column),
                               "position\tstatus\tcite\tnote", "")
-    statuses = {verdict.status for vs in verdicts.values() for verdict in vs.values()}
+    statuses = {verdict.status for vs in verdicts.values() for verdict, _ in vs.values()}
     if args.strict and Fillability.NOT_COVERED in statuses:
         return 4
 

@@ -23,6 +23,7 @@ which is decided by the sign of det(a, b) = a.num*b.den - b.num*a.den.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,19 +92,19 @@ ZERO = Slope(0, 1)
 ONE = Slope(1, 1)
 
 
+_SLOPE_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")  # ASCII digits only
+
+
 def parse_slope(text: str) -> Slope:
-    """Parse 'p/q', 'p' or 'inf' (case-insensitive)."""
+    """Parse 'p/q', 'p' or 'inf' (case-insensitive); p and q signed ASCII integers."""
     tok = text.strip()
     if tok.lower() == "inf":
         return INF
-    try:
-        if "/" in tok:
-            p, q = tok.split("/", 1)
-            return make_slope(int(p), int(q))
-        return make_slope(int(tok), 1)
-    except (ValueError, DomainError) as exc:
-        # DomainError covers 0/0; anything else is a bad token.
-        raise ParseError("not a slope: %r" % text) from exc
+    m = _SLOPE_TEXT.fullmatch(tok)
+    p, q = (int(m[1]), int(m[2] or 1)) if m else (0, 0)
+    if not (p or q):  # no match, or 0/0
+        raise ParseError("not a slope: %r" % text)
+    return make_slope(p, q)
 
 
 def det(a: Slope, b: Slope) -> int:

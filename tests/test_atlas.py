@@ -115,6 +115,14 @@ def test_triangle_position_fixtures():
     assert pos(3, 0) .tag == "Side" and pos(3, 0).side == "low"
     assert pos(3, 3).tag == "Side" and pos(3, 3).side == "high"
     assert pos(1, 0).tag == "Base"  # base beats side on the corner
+    # five shared instances, hashed and compared by identity
+    assert TrianglePosition.__hash__ is object.__hash__
+    for n in range(1, 9):
+        shared = set(map(id, TrianglePosition.cells(n)))
+        for k, lo, hi, run_pos in TrianglePosition.runs(n):
+            for l in range(lo, hi):
+                assert TrianglePosition.of(n, k, l) is run_pos, (n, k, l)
+                assert id(run_pos) in shared, (n, k, l)
 
 
 def test_triangle_cells_match_positions():
@@ -410,14 +418,31 @@ def test_structure_cells_match_enumeration(monkeypatch):
         calls.clear()
         path, verdicts, runs = structure_cells(r)
         classes = [ShuffleClass(path, counts) for counts in all_minus_counts(path)]
-        walked = [(k, l, pos, P, verdicts[pos][P.features])
+        walked = [(k, l, pos, P, verdicts[pos][P.features][0])
                   for k, lo, hi, pos in runs for l in range(lo, hi) for P in classes]
         # one rule evaluation per position and value of P's features
         assert set(calls.values()) == {1}, text
         assert set(calls) == {(pos, P.features) for _, _, pos, P, _ in walked}, text
+        # each entry carries the number of classes with its features
+        found = Counter(P.features for P in classes)
+        for pos, entries in verdicts.items():
+            assert {f: cnt for f, (_, cnt) in entries.items()} == found, (text, pos)
         listed = [(sid.k, sid.l, triangle_position(sid), sid.P, classify(sid))
                   for sid in enumerate_structures(r)]
         assert walked == listed, text
+
+
+def test_verdict_summary_makes_each_fact_once(monkeypatch):
+    import fareytight.atlas as atlas
+
+    calls = Counter()
+    for name in ("feature_counts", "minimal_path", "_window"):
+        fn = getattr(atlas, name)
+        monkeypatch.setattr(atlas, name, lambda *a, name=name, fn=fn: calls.update([name]) or fn(*a))
+    for text in ("2/3", "1/3", "9/25", "13/49", "7/32", "41/187", "1/7"):
+        calls.clear()
+        verdict_summary(S(text))
+        assert calls == {"feature_counts": 1, "minimal_path": 1, "_window": 1}, text
 
 
 def test_window_matches_fraction_bounds():

@@ -435,6 +435,9 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "path", "1/2", "3/0x")
     assert code == 2
+    for text in ("1_0/3", "２/５", "1 /3"):
+        assert run(capsys, "summary", text)[0] == 2, text
+        assert run(capsys, "dot", "triangle", text)[0] == 2, text
 
 
 def test_unknown_command_exit_code(capsys):

@@ -70,7 +70,10 @@ def test_parse_and_print():
     assert str(S("INF")) == "inf"
     assert str(S("5")) == "5"
     assert S("4/2") == Slope(2, 1)
-    for bad in ("zz", "", "1/2/3", "1.5", "2/"):
+    assert S("+2/5") == Slope(2, 5)
+    assert S("1/-2") == Slope(-1, 2)
+    # ASCII digits with an optional sign, no whitespace inside
+    for bad in ("zz", "", "1/2/3", "1.5", "2/", "1_0/3", "١/٣", "２/５", "1 /3", "1/ 3"):
         with pytest.raises(ParseError):
             S(bad)
 

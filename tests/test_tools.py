@@ -1,6 +1,7 @@
-"""The benchmark's smoke run, the DOT export script and the CLI, each run
-as its own process."""
+"""The benchmark's smoke run, the DOT export and CLI digest scripts and
+the CLI, each run as its own process."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -33,6 +34,20 @@ def test_export_dot_script(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
     written = [Path(line) for line in res.stdout.split()]
     assert written and all(p.parent == tmp_path and p.read_text().startswith("digraph") for p in written)
+
+
+def test_cli_digests_script():
+    res = run_script("scripts/cli_digests.py", "--max-den", "6")
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    # 11 reduced p/q with q <= 6, 14 commands each, then two sweeps
+    assert len(lines) == 11 * 14 + 2
+    # 1/2 is the n = 1 surgery: one structure, in the Stein base row
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    line = "0 %s %s summary 1/2 --format json" % (sha('{"total":1,"stein":1}\n'), sha(""))
+    assert line in lines
+    # 1/3 has one uncovered structure, so --strict exits 4
+    assert any(l.startswith("4 ") and l.endswith(" summary 1/3 --format text --strict") for l in lines)
 
 
 def test_library_lifts_the_int_str_digit_limit():
