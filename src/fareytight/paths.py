@@ -29,10 +29,11 @@ least pi from V_i, and c == 2 means D_i+1 == D_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, pairwise
+from functools import partial
+from itertools import chain, count, islice, pairwise
 from typing import Iterator
 
-from .slopes import INF, DomainError, Slope, cw_interval_contains, _fan_basis
+from .slopes import INF, ZERO, DomainError, Slope, _fan_basis
 
 
 def _text(d: int, n: int) -> str:
@@ -205,16 +206,18 @@ class FareyPath:
         from_blocks takes them."""
         return self._blocks
 
-    def _map_vertices(self, fn) -> Iterator:
-        """fn(den, num) for the lifted vector of each vertex."""
-        yield fn(self._start.den, self._start.num)
+    def _map_vertices(self, fn, s: int = 1) -> Iterator:
+        """fn(dens, nums), chained block by block, on the lift from s *
+        (start.den, start.num): zip gives the vectors, partial(map, f)
+        f(den, num) for each."""
+        yield from fn((s * self._start.den,), (s * self._start.num,))
         for (pd, pn), (ud, un), m in self._blocks:
-            yield from map(fn, islice(count(ud + pd, pd), m), count(un + pn, pn))
+            yield from fn(islice(count(s * (ud + pd), s * pd), m), count(s * (un + pn), s * pn))
 
     @property
     def vertices(self) -> tuple[Slope, ...]:
         if self._vertices is None:
-            self._vertices = tuple(self._map_vertices(_slope))
+            self._vertices = tuple(self._map_vertices(partial(map, _slope)))
         return self._vertices
 
     def format_vertices(self, template: str, size: int) -> Iterator[str]:
@@ -258,7 +261,7 @@ class FareyPath:
         return "FareyPath.from_blocks(%r, %r, %r)" % (self._start, self._end, self._blocks)
 
     def __str__(self) -> str:
-        return " → ".join(self._map_vertices(_text))
+        return " → ".join(self._map_vertices(partial(map, _text)))
 
 
 def minimal_path(a: Slope, b: Slope) -> FareyPath:
@@ -364,13 +367,26 @@ def lengthen_through(path: FareyPath, t: Slope) -> FareyPath:
 
 def _lengthen(path: FareyPath, t: Slope) -> tuple[FareyPath, int]:
     """lengthen_through(path, t) and the index of the edge it refined."""
-    vs = path.vertices
-    if t in vs:
+    vecs = list(path._map_vertices(zip))
+    if (t.den, t.num) in vecs or (-t.den, -t.num) in vecs:
         raise DomainError("slope %s is already a path vertex" % t)
-    for i in range(len(vs) - 1):
-        if cw_interval_contains(t, vs[i], vs[i + 1]):
-            left = minimal_path(vs[i], t)
-            right = minimal_path(t, vs[i + 1])
-            new_vs = vs[: i + 1] + left.vertices[1:-1] + (t,) + right.vertices[1:] + vs[i + 2 :]
-            return FareyPath(new_vs), i
-    raise DomainError("slope %s is not interior to any edge of the path" % t)
+    i = _lengthen_lift(vecs, t.den, t.num)
+    if i is None:
+        raise DomainError("slope %s is not interior to any edge of the path" % t)
+    return FareyPath(tuple(_slope(d, n) for d, n in vecs)), i
+
+
+def _lengthen_lift(vecs: list, td: int, tn: int) -> int | None:
+    """Lengthen the lift vecs in place through T = (td, tn) and return
+    the edge i refined, where cross(V, T) changes sign (None if none
+    does): a*V_i + b*V_i+1 = +-T, a, b >= 1, and its refinement is the
+    image of 0 -> b/a -> inf under (x, y) -> x*V_i + y*V_i+1, det 1."""
+    turns = [d * tn - n * td for d, n in vecs]
+    i = next((i for i in range(len(vecs) - 1) if turns[i] * turns[i + 1] < 0), None)
+    if i is not None:
+        (ud, un), (wd, wn) = vecs[i], vecs[i + 1]
+        mid = Slope(abs(turns[i]), abs(turns[i + 1]))  # b/a
+        both = chain(minimal_path(ZERO, mid)._map_vertices(zip),
+                     islice(minimal_path(mid, INF)._map_vertices(zip), 1, None))
+        vecs[i : i + 2] = [(x * ud + y * wd, x * un + y * wn) for x, y in both]
+    return i

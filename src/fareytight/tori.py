@@ -19,7 +19,6 @@ from .slopes import (
     DomainError,
     ONE,
     Slope,
-    is_edge,
     make_slope,
     _pos_lt,
 )
@@ -90,10 +89,9 @@ class ShuffleClass:
     def canonical_decorated(self) -> DecoratedPath:
         """Representative with the minus signs at the clockwise end of
         each block."""
-        signs = [1] * (len(self.path) - 1)
-        for cnt, run in zip(self.minus_counts, self.blocks.runs):
-            for e in run[len(run) - cnt :]:
-                signs[e - 1] = -1
+        signs = []
+        for cnt, size in zip(self.minus_counts, self.blocks.sizes):
+            signs += [1] * (size - cnt) + [-1] * cnt
         return DecoratedPath(self.path, tuple(signs))
 
     @property
@@ -123,10 +121,8 @@ class ShuffleClass:
 def shuffle_canonical(d: DecoratedPath) -> ShuffleClass:
     """The shuffle class of a decorated path (on a minimal path this is
     the isotopy class of the structure it describes)."""
-    counts = []
-    for run in signed_blocks(d.path).runs:
-        counts.append(sum(1 for e in run if d.signs[e - 1] == -1))
-    return ShuffleClass(d.path, tuple(counts))
+    runs = signed_blocks(d.path).runs
+    return ShuffleClass(d.path, tuple(d.signs[run[0] - 1 : run[-1]].count(-1) for run in runs))
 
 
 @dataclass(frozen=True)
@@ -301,18 +297,19 @@ def _products(texts: list[str], pieces: list[list[str]]) -> list[str]:
     return texts
 
 
+def _refined_signs(signs: tuple[int, ...], i: int, c: int) -> tuple[int, ...]:
+    """The signs once c edges replace edge i, by lengthen_decorated's rule."""
+    return signs[: i - 1] + (signs[i - 1],) * c + signs[i:] if i else (1,) * (c - 1) + signs
+
+
 def lengthen_decorated(d: DecoratedPath, t: Slope) -> DecoratedPath:
     """Refine the edge containing t.  Edges replacing a signed edge all
     inherit its sign; edges replacing the unsigned first edge stay
     unsigned next to the meridian and take + elsewhere (the two sign
-    choices there give the same structure, + is the canonical pick)."""
+    choices there give the same structure, + is the canonical pick).
+    legendrian_cable_surgery shares this rule, _refined_signs."""
     new_path, i = _lengthen(d.path, t)
-    c = len(new_path) - len(d.path) + 1  # edges replacing edge i
-    if i == 0:
-        new_signs = (1,) * (c - 1) + d.signs
-    else:
-        new_signs = d.signs[: i - 1] + (d.signs[i - 1],) * c + d.signs[i:]
-    return DecoratedPath(new_path, new_signs)
+    return DecoratedPath(new_path, _refined_signs(d.signs, i, len(new_path) - len(d.path) + 1))
 
 
 def consistently_shorten(d: DecoratedPath) -> DecoratedPath | None:
@@ -348,27 +345,35 @@ def consistently_shorten(d: DecoratedPath) -> DecoratedPath | None:
     signs a group holds, and one edge holds one sign.  So the moves
     succeed exactly when each group is uniform, as merging only equal
     signs tests, and then no shuffle moves anything: the result keeps
-    d's signs.  O(len**2); the closing check rejects removals that stop
-    short of minimal_path.
+    d's signs.  _shorten_lift runs the loop on the lift of d's vertices.
     """
-    target = minimal_path(d.path.start, d.path.end)
-    verts = list(d.path.vertices)
-    signs = [0] + list(d.signs)  # signs[e] is the sign of edge e
-    i = 1
-    while i < len(verts) - 1:
-        if not is_edge(verts[i - 1], verts[i + 1]):
-            i += 1
-            continue
-        if i > 1 and signs[i - 1] != signs[i]:
-            return None
-        # edge i-1 becomes verts[i-1] -- verts[i+1] and keeps its sign
-        del verts[i], signs[i]
-        # only the vertices on either side of the dropped one have new
-        # neighbours, so every vertex before i-1 stays unremovable
-        i = max(1, i - 1)
-    if tuple(verts) != target.vertices:
+    return _shorten_lift(d.path._map_vertices(zip), d.signs, d.path.start, d.path.end)
+
+
+def _shorten_lift(vectors, signs: tuple[int, ...], start: Slope, end: Slope) -> DecoratedPath | None:
+    """consistently_shorten on the lift of a monotone path, edge e >= 1
+    signed signs[e-1], in one pass with a stack: the top is removable
+    exactly when the cross of the vertex under it and the next one is 1
+    (the leftmost removal), and its merge keeps the sign into it.  O(len).
+    """
+    kept, into = [], []  # into[j] is the sign of the edge into kept[j]
+    for w, sign in zip(vectors, itertools.chain((0, 0), signs)):
+        wd, wn = w
+        while len(kept) > 1:
+            ud, un = kept[-2]
+            if ud * wn - un * wd != 1:
+                break
+            if len(kept) > 2 and into[-1] != sign:
+                return None
+            kept.pop()
+            sign = into.pop()
+        kept.append(w)
+        into.append(sign)
+    target = minimal_path(start, end)
+    s = 1 if kept[0] == (start.den, start.num) else -1  # a lift of start is +-(den, num)
+    if kept != list(target._map_vertices(zip, s)):
         return None
-    return DecoratedPath(target, tuple(signs[1:]))
+    return DecoratedPath(target, tuple(into[2:]))
 
 
 def is_tight(d: DecoratedPath) -> bool:

@@ -17,7 +17,11 @@ the stored blocks of a path replace, path_output_oracle, the `path`
 command's text as it was made from the vertices, and phi_oracle, the continued fraction product
 that tori.phi replaces by a count over blocks; bfs_shorten,
 the breadth-first search over sign sequences that
-tori.consistently_shorten replaces; and listing_oracle, the
+tori.consistently_shorten replaces; shorten_oracle and
+cable_surgery_oracle, the Slope-level consistently_shorten and
+legendrian_cable_surgery that the loops on lifted vectors replace (the
+oracle lengthens on Slopes, with its own copy of the sign rule); and
+listing_oracle, the
 per-structure `classify` and `enumerate r` listings that the CLI's
 batched writes of rows made from block texts replace.
 """
@@ -63,9 +67,10 @@ from fareytight.atlas import (
     structure_record,
     triangle_position,
 )
+from fareytight.cables import reglue_map
 from fareytight.cli import _build_parser
 from fareytight.paths import FareyPath, minimal_path
-from fareytight.tori import DecoratedPath, ShuffleClass
+from fareytight.tori import DecoratedPath, ShuffleClass, SolidTorusStructure, shuffle_canonical
 
 
 def circle_pos(s: Slope) -> Fraction:
@@ -452,6 +457,69 @@ def bfs_shorten(d: DecoratedPath) -> DecoratedPath | None:
             seen.add(nxt)
             queue.append(nxt)
     return None
+
+
+def shorten_oracle(d: DecoratedPath) -> DecoratedPath | None:
+    """consistently_shorten on Slopes: drop the leftmost vertex i whose
+    neighbours span a Farey edge, merging edges i-1 and i when their
+    signs agree (None when they do not; the unsigned first edge absorbs
+    edge 1), then compare the vertex tuple with minimal_path's."""
+    target = minimal_path(d.path.start, d.path.end)
+    verts = list(d.path.vertices)
+    signs = [0] + list(d.signs)  # signs[e] is the sign of edge e
+    i = 1
+    while i < len(verts) - 1:
+        if not is_edge(verts[i - 1], verts[i + 1]):
+            i += 1
+            continue
+        if i > 1 and signs[i - 1] != signs[i]:
+            return None
+        del verts[i], signs[i]
+        i = max(1, i - 1)
+    if tuple(verts) != target.vertices:
+        return None
+    return DecoratedPath(target, tuple(signs[1:]))
+
+
+def cable_surgery_oracle(x: SolidTorusStructure, p: int, q: int, count: int) -> SolidTorusStructure:
+    """legendrian_cable_surgery on Slopes: lengthen the canonical
+    decorated path of x through q/p (new edges take the refined edge's
+    sign; next to the meridian the first stays unsigned and the rest
+    take +), push the vertices up to q/p through
+    reglue_map(p, q, -1)**count as Slopes, check the image as a
+    FareyPath and shorten it with shorten_oracle."""
+    if p < 2:
+        raise DomainError("cabling requires p >= 2")
+    if math.gcd(p, abs(q)) != 1:
+        raise DomainError("cabling requires gcd(p,q) = 1")
+    if count < 1:
+        raise DomainError("count must be a positive integer")
+    t = make_slope(q, p)
+    if t == x.meridian:
+        raise DomainError("cabling slope coincides with the meridian")
+    d = x.iso_class.canonical_decorated()
+    if t not in d.path.vertices:
+        if not cw_interval_contains(t, x.meridian, x.dividing):
+            raise DomainError(
+                "cabling slope %s is outside the interval (%s, %s)" % (t, x.meridian, x.dividing)
+            )
+        vs = d.path.vertices
+        i = next(i for i in range(len(vs) - 1) if cw_interval_contains(t, vs[i], vs[i + 1]))
+        left, right = minimal_path(vs[i], t), minimal_path(t, vs[i + 1])
+        path = FareyPath(vs[: i + 1] + left.vertices[1:-1] + (t,) + right.vertices[1:] + vs[i + 2 :])
+        c = len(path) - len(d.path) + 1  # edges replacing edge i
+        if i == 0:
+            signs = (1,) * (c - 1) + d.signs
+        else:
+            signs = d.signs[: i - 1] + (d.signs[i - 1],) * c + d.signs[i:]
+        d = DecoratedPath(path, signs)
+    idx = d.path.vertices.index(t)
+    m = reglue_map(p, q, -1) ** count
+    new_verts = tuple(m.apply(v) for v in d.path.vertices[: idx + 1]) + d.path.vertices[idx + 1 :]
+    short = shorten_oracle(DecoratedPath(FareyPath(new_verts), d.signs))
+    if short is None:
+        raise DomainError("surgered path did not shorten to a tight structure")
+    return SolidTorusStructure(new_verts[0], x.dividing, shuffle_canonical(short))
 
 
 def _json(obj) -> str:

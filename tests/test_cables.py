@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ZERO, make_slope, parse_slope
@@ -11,6 +12,7 @@ from fareytight.paths import minimal_path
 from fareytight.tori import (
     ShuffleClass,
     SolidTorusStructure,
+    enumerate_tight,
     shuffle_canonical,
     signed_blocks,
 )
@@ -21,6 +23,8 @@ from fareytight.cables import (
     legendrian_cable_surgery,
     reglue_map,
 )
+
+from helpers import cable_surgery_oracle
 
 
 def S(text):
@@ -253,3 +257,57 @@ def test_legendrian_cable_surgery_well_formed_class():
         assert out.iso_class == shuffle_canonical(out.iso_class.canonical_decorated())
         done += 1
     assert done == 15
+
+
+_MERIDIANS = [INF, ZERO, S("1/3"), S("-2")]
+
+
+@st.composite
+def surgery_inputs(draw):
+    """A tight structure on a solid torus with meridian inf, 0, 1/3 or
+    -2 and a dividing slope of denominator at most 9, a cable with
+    2 <= p <= 6 and |q| <= 15 (gcd 1 or not, inside the interval or
+    not) and a count 0-10 or 4000."""
+    r = draw(st.sampled_from(_MERIDIANS))
+    s = make_slope(draw(st.integers(-30, 30)), draw(st.integers(1, 9)))
+    assume(s != r)
+    classes = enumerate_tight(r, s)
+    x = classes[draw(st.integers(0, len(classes) - 1))]
+    count = draw(st.sampled_from(list(range(11)) + [4000]))
+    return x, draw(st.integers(2, 6)), draw(st.integers(-15, 15)), count
+
+
+def _surgery_result(fn, x, p, q, count):
+    try:
+        y = fn(x, p, q, count)
+    except DomainError as exc:
+        return "DomainError: %s" % exc
+    return y.meridian, y.dividing, y.iso_class.path, y.iso_class.minus_counts
+
+
+def test_cable_surgery_matches_oracle():
+    # the surgery on lifted vectors against the Slope-level surgery it
+    # replaced: the same structure, or the same DomainError text
+    reached = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(surgery_inputs())
+    @example((standard_torus(), 5, 2, 0))  # count 0
+    @example((standard_torus(), 3, 5, 1))  # 5/3 outside (inf, 1/2)
+    @example((SolidTorusStructure(S("1/3"), S("1/2"), ShuffleClass(minimal_path(S("1/3"), S("1/2")), ())), 3, 1, 2))
+    def check(args):
+        x, p, q, count = args
+        got = _surgery_result(legendrian_cable_surgery, x, p, q, count)
+        assert got == _surgery_result(cable_surgery_oracle, x, p, q, count), args
+        if isinstance(got, str):
+            reached["outside" if " is outside the interval " in got else got] += 1
+        else:
+            vertex = make_slope(q, p) in x.iso_class.path.vertices
+            reached["cable slope on the path" if vertex else "lengthened"] += 1
+
+    check()
+    assert reached["cable slope on the path"] and reached["lengthened"], reached
+    for error in ("count must be a positive integer", "cabling slope coincides with the meridian",
+                  "cabling requires gcd(p,q) = 1"):
+        assert reached["DomainError: " + error], reached
+    assert reached["outside"], reached

@@ -1,5 +1,5 @@
-"""The benchmark's smoke run, the DOT export and CLI digest scripts and
-the CLI, each run as its own process."""
+"""The benchmark's smoke run, the DOT export, CLI digest and surgery
+digest scripts and the CLI, each run as its own process."""
 
 import hashlib
 import os
@@ -48,6 +48,23 @@ def test_cli_digests_script():
     assert line in lines
     # 1/3 has one uncovered structure, so --strict exits 4
     assert any(l.startswith("4 ") and l.endswith(" summary 1/3 --format text --strict") for l in lines)
+
+
+def test_surgery_digests_script():
+    res = run_script("scripts/surgery_digests.py", "--max-den", "2", "--max-num", "1",
+                     "--max-p", "5", "--max-q", "2")
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    # 36 structures on 19 tori, 12 cables with gcd 1 and two without, 5 counts
+    assert len(lines) == 36 * 14 * 5
+    # one surgery on the (5,2)-cable in the torus inf -> 0 -> 1/2: the
+    # lift of 9/25 -> 4/11 -> 3/8 -> 2/5 -> 1/2 is (25, 9), (11, 4), (8,
+    # 3), (5, 2), (2, 1), so its steps are (-14, -5) once and (-3, -1)
+    # three times, and the all-plus class stays all plus
+    assert "inf 1/2 [0] (5,2) x1 -> 9/25 (((-14, -5), (25, 9), 1), ((-3, -1), (11, 4), 3)) [0]" in lines
+    assert "inf 1/2 [0] (5,2) x0 -> DomainError: count must be a positive integer" in lines
+    assert "1/3 1/2 [] (3,1) x1 -> DomainError: cabling slope coincides with the meridian" in lines
+    assert "inf 1/2 [0] (3,2) x1 -> DomainError: cabling slope 2/3 is outside the interval (inf, 1/2)" in lines
 
 
 def test_library_lifts_the_int_str_digit_limit():

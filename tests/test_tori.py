@@ -32,7 +32,7 @@ from fareytight.tori import (
     signed_blocks,
 )
 
-from helpers import bfs_shorten, phi_oracle, random_unit_rational, shuffle_orbit_count
+from helpers import bfs_shorten, phi_oracle, random_unit_rational, shorten_oracle, shuffle_orbit_count
 
 
 def S(text):
@@ -498,6 +498,17 @@ def test_consistently_shorten_matches_bfs():
     assert reached["tight"] and reached["overtwisted"] and reached["first edge merge"], reached
     assert reached["merge next to a long left block"], reached
     assert reached["merge next to a long right block"], reached
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengthened_paths(), st.integers(-40, 40))
+def test_consistently_shorten_matches_shorten_oracle(d, a):
+    # the loop on lifted vectors against the Slope-level loop it
+    # replaced, also on paths translated by a into the negatives: the
+    # same decorated path, or None for both
+    vs = tuple(make_slope(v.num + a * v.den, v.den) for v in d.path.vertices)
+    d = DecoratedPath(FareyPath(vs), d.signs)
+    assert consistently_shorten(d) == shorten_oracle(d), d
 
 
 @pytest.mark.parametrize(
