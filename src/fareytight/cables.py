@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .slopes import DomainError, Slope, make_slope
-from .paths import FareyPath, _lengthen_lift, _slope
+from .paths import _lengthen_lift, _slope
 from .tori import SolidTorusStructure, shuffle_canonical, _refined_signs, _shorten_lift
 
 
@@ -96,16 +96,35 @@ def legendrian_cable_surgery(
     performed inside the solid torus x.
 
     The path of x is lengthened through q/p if needed, the part between
-    the meridian and q/p is pushed through reglue_map(p,q,-1)**count
-    (signs carried along unchanged), and the composite is consistently
-    shortened, all on the lift of the path in time linear in len.  The
-    map has determinant 1 and fixes (p, q), so the image is one lift
-    again, a monotone path exactly when cross(V_0, V) > 0 at every later
-    V.  The Slopes built are the new meridian and, to lengthen, one b/a.
-    Observed, not proved, on a grid (meridians inf, 0, 1/3, -2; dividing
-    slopes num/den with |num| <= 15, den <= 7; every class; p <= 5, |q|
-    <= 12; counts 1, 2, 7): no image turned back or failed to shorten,
-    and no successful one needed a merge.
+    the meridian and q/p is pushed through M**count, M = reglue_map(p, q,
+    -1) (signs carried along unchanged), and the composite is
+    consistently shortened, all on the lift V_0, ..., V_m of the path in
+    time linear in len.  The Slopes built are the new meridian and, to
+    lengthen, one b/a.
+
+    The image is a monotone lift.  M - I sends V to cross(V, (p, q)) *
+    (p, q), so with P = V_j the lift of q/p, M**k V = V + k*cross(V, P)*P.
+    A pushed V_i, i < j, has cross(V_i, P) > 0, so it moves into the cone
+    (V_i, P), and P stays.  M has determinant 1, so each pushed edge
+    keeps its cross of 1, and the edges from P on do not move: the image
+    is one lift.  It is monotone when cross(M**k V_0, W) > 0 at every
+    later image W (FareyPath.from_blocks, condition 3).  For a pushed W =
+    M**k V_i it is cross(V_0, V_i) > 0, as det M = 1.  For W after P,
+    with t = k*cross(V_0, P) > 0, it is cross(V_0 + t*P, W) = cross(V_0,
+    W) + t*cross(P, W) > 0.
+
+    No merge on a minimal path.  Put c_i = cross(V_i-1, V_i+1) at an
+    interior vertex: _shorten_lift pops exactly at a c_i of 1, and a
+    geodesic has every c_i >= 2.  Lengthening keeps that except at P,
+    where c >= 1: the geodesics 0 -> b/a -> inf have it inside, the map
+    onto the edge V_i -- V_i+1 keeps crosses, and the new neighbours
+    h*V_i + V_i+1 and V_i + n*V_i+1 of V_i and V_i+1, the images of the
+    first step 1/h and the last step n, h, n >= 1, raise c_i by h and
+    c_i+1 by n.  The push keeps every cross but the one at P (if P is
+    interior): with U and W its neighbours, cross(M**k U, W) =
+    cross(U + k*P, W) = c_P + k >= 2.  So the stack pops nothing and the
+    result has the image's len; only a path that is not minimal, which
+    ShuffleClass accepts, can need a merge.
     """
     _check_cable(p, q)
     if count < 1:
@@ -114,19 +133,16 @@ def legendrian_cable_surgery(
         raise DomainError("cabling slope coincides with the meridian")
     d = x.iso_class.canonical_decorated()
     vecs, signs = list(d.path._map_vertices(zip)), d.signs
-    if (p, q) not in vecs and (-p, -q) not in vecs:
-        i = _lengthen_lift(vecs, p, q)
-        if i is None:
-            raise DomainError("cabling slope %d/%d is outside the interval (%s, %s)"
-                              % (q, p, x.meridian, x.dividing))
+    i = _lengthen_lift(vecs, p, q)  # None when q/p is a vertex already, or outside
+    if i is not None:
         signs = _refined_signs(signs, i, len(vecs) - len(d.path))
-    idx = vecs.index((p, q) if (p, q) in vecs else (-p, -q))
+    idx = next((j for j, (vd, vn) in enumerate(vecs) if vd * q == vn * p), None)  # +-(p, q)
+    if idx is None:
+        raise DomainError("cabling slope %d/%d is outside the interval (%s, %s)"
+                          % (q, p, x.meridian, x.dividing))
     m = reglue_map(p, q, -1) ** count
     vecs[: idx + 1] = [(m.a * vd + m.b * vn, m.c * vd + m.d * vn) for vd, vn in vecs[: idx + 1]]
-    ad, an = vecs[0]
-    if any(ad * vn - an * vd <= 0 for vd, vn in vecs[1:]):
-        FareyPath(tuple(_slope(vd, vn) for vd, vn in vecs))  # raises as the path of the slopes did
-    meridian = _slope(ad, an)
+    meridian = _slope(*vecs[0])
     short = _shorten_lift(vecs, signs, meridian, x.dividing)
     if short is None:
         raise DomainError("surgered path did not shorten to a tight structure")

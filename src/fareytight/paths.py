@@ -82,6 +82,24 @@ def _slope(d: int, n: int) -> Slope:
     return Slope(n, d) if d else INF
 
 
+def _lift_blocks(lift: list) -> list:
+    """The maximal blocks (pivot, base, count) of a lift, a list of
+    (den, num) vectors with cross +1 at every edge: the open block grows
+    while the step to the next vector is its pivot (module docstring)."""
+    blocks, (xd, xn), pd, pn, m = [], lift[0], 0, 0, 0  # the last vector; the open block's pivot, count
+    for yd, yn in islice(lift, 1, None):
+        if yd - xd == pd and yn - xn == pn:
+            m += 1
+        else:
+            if m:
+                blocks.append(((pd, pn), base, m))
+            pd, pn, base, m = yd - xd, yn - xn, (xd, xn), 1
+        xd, xn = yd, yn
+    if m:
+        blocks.append(((pd, pn), base, m))
+    return blocks
+
+
 class FareyPath:
     """Clockwise edge path in the Farey graph, stored as its maximal
     continued-fraction blocks, (pivot, base, count) integer vectors.
@@ -102,34 +120,22 @@ class FareyPath:
             raise DomainError("a path needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise DomainError("path vertices must be distinct")
-        # One pass on integers: check each edge, lift its end to the
-        # vector with cross +1 from the last one, and extend the open
-        # block while the step between them is its pivot.  Monotone
-        # clockwise is from_blocks' condition 3, cross(A, V) > 0 at the
-        # last member V of each block, with A the lift of the start.  A
-        # non-edge anywhere wins over a turn back.
-        ad, an = vs[0].den, vs[0].num
-        xd, xn, pd, pn, m = ad, an, 0, 0, 0  # the last vector; the open block's pivot and count
-        blocks, monotone = [], True
+        # Lift each vertex to the vector with cross +1 from the last one,
+        # checking the edge, then group the lift into its maximal blocks.
+        # Monotone clockwise is from_blocks' condition 3, cross(A, V) > 0
+        # at the last member V of each block, with A the lift of the
+        # start, tested once every edge is: a non-edge anywhere wins over
+        # a turn back.
+        xd, xn = vs[0].den, vs[0].num  # the last vector
+        lift = [(xd, xn)]
         for x, y in pairwise(vs):
-            yd, yn = y.den, y.num
-            turn = xd * yn - xn * yd
-            if turn != 1:
-                if turn != -1:
-                    raise DomainError("%s -- %s is not a Farey edge" % (x, y))
-                yd, yn = -yd, -yn
-            if yd - xd == pd and yn - xn == pn:
-                m += 1
-            else:
-                if m:
-                    blocks.append(((pd, pn), base, m))
-                    if ad * xn - an * xd <= 0:
-                        monotone = False
-                pd, pn, base, m = yd - xd, yn - xn, (xd, xn), 1
-            xd, xn = yd, yn
-        if m:
-            blocks.append(((pd, pn), base, m))
-        if not monotone or m and ad * xn - an * xd <= 0:
+            turn = xd * y.num - xn * y.den
+            if turn != 1 and turn != -1:
+                raise DomainError("%s -- %s is not a Farey edge" % (x, y))
+            xd, xn = turn * y.den, turn * y.num
+            lift.append((xd, xn))
+        (ad, an), blocks = lift[0], _lift_blocks(lift)
+        if any(ad * (un + m * pn) - an * (ud + m * pd) <= 0 for (pd, pn), (ud, un), m in blocks):
             raise DomainError("path is not monotone clockwise")
         self._start, self._end, self._len = vs[0], vs[-1], len(vs) - 1
         self._blocks, self._vertices, self._signed = tuple(blocks), vs, None
@@ -206,13 +212,13 @@ class FareyPath:
         from_blocks takes them."""
         return self._blocks
 
-    def _map_vertices(self, fn, s: int = 1) -> Iterator:
-        """fn(dens, nums), chained block by block, on the lift from s *
+    def _map_vertices(self, fn) -> Iterator:
+        """fn(dens, nums), chained block by block, on the lift from
         (start.den, start.num): zip gives the vectors, partial(map, f)
         f(den, num) for each."""
-        yield from fn((s * self._start.den,), (s * self._start.num,))
+        yield from fn((self._start.den,), (self._start.num,))
         for (pd, pn), (ud, un), m in self._blocks:
-            yield from fn(islice(count(s * (ud + pd), s * pd), m), count(s * (un + pn), s * pn))
+            yield from fn(islice(count(ud + pd, pd), m), count(un + pn, pn))
 
     @property
     def vertices(self) -> tuple[Slope, ...]:
@@ -373,14 +379,15 @@ def _lengthen(path: FareyPath, t: Slope) -> tuple[FareyPath, int]:
     i = _lengthen_lift(vecs, t.den, t.num)
     if i is None:
         raise DomainError("slope %s is not interior to any edge of the path" % t)
-    return FareyPath(tuple(_slope(d, n) for d, n in vecs)), i
+    return FareyPath.from_blocks(path.start, path.end, _lift_blocks(vecs)), i
 
 
 def _lengthen_lift(vecs: list, td: int, tn: int) -> int | None:
     """Lengthen the lift vecs in place through T = (td, tn) and return
     the edge i refined, where cross(V, T) changes sign (None if none
-    does): a*V_i + b*V_i+1 = +-T, a, b >= 1, and its refinement is the
-    image of 0 -> b/a -> inf under (x, y) -> x*V_i + y*V_i+1, det 1."""
+    does, as when T is a vertex): a*V_i + b*V_i+1 = +-T, a, b >= 1, and
+    its refinement is the image of 0 -> b/a -> inf under (x, y) -> x*V_i
+    + y*V_i+1, det 1."""
     turns = [d * tn - n * td for d, n in vecs]
     i = next((i for i in range(len(vecs) - 1) if turns[i] * turns[i + 1] < 0), None)
     if i is not None:

@@ -28,6 +28,7 @@ from .paths import (
     blocks,
     minimal_path,
     _lengthen,
+    _lift_blocks,
 )
 
 
@@ -355,6 +356,27 @@ def _shorten_lift(vectors, signs: tuple[int, ...], start: Slope, end: Slope) -> 
     signed signs[e-1], in one pass with a stack: the top is removable
     exactly when the cross of the vertex under it and the next one is 1
     (the leftmost removal), and its merge keeps the sign into it.  O(len).
+
+    The stack left is the lift of minimal_path(start, end), so its
+    blocks are the result's, with no geodesic built.  It is a chain with
+    cross +1 at every edge (a pop joins the vertex under the top to the
+    next one by a cross of 1), from a lift A of start to a lift B of end,
+    and monotone, as its vertices are vertices of the monotone input.
+    At an interior vertex V_i, c_i = cross(V_i-1, V_i+1) is the integer
+    with V_i+1 = c_i*V_i - V_i-1.  It is positive by monotonicity, and
+    not 1, as V_i+1 went onto V_i only once that cross tested != 1: so
+    c_i >= 2.  Such a chain is unique given A and B.  Put r_i =
+    cross(V_i, B): r_m = 0, r_m-1 = 1, and r_i-1 - r_i = (c_i - 1)*r_i -
+    r_i+1 >= r_i - r_i+1, so the r_i fall strictly from r_0 = q =
+    cross(A, B) to 1.  V_1 is W + k*A for a fixed W with
+    cross(A, W) = 1, so r_1 = cross(W, B) + k*q is fixed mod q, hence
+    fixed in [1, q-1] (or m = 1 when q = 1), and then 0 <= r_i+1 < r_i
+    makes c_i the ceiling of r_i-1 / r_i: the c_i are the minus continued
+    fraction of q / r_1 (Hirzebruch-Jung; Honda, section 4.3), and each
+    fixes the next vertex.  The lift of minimal_path(start, end) is such
+    a chain, as a geodesic has no c_i of 1, and B is the lift of end
+    with cross(A, B) > 0 in both; so the stack is that lift, from
+    (start.den, start.num) or from its negative.
     """
     kept, into = [], []  # into[j] is the sign of the edge into kept[j]
     for w, sign in zip(vectors, itertools.chain((0, 0), signs)):
@@ -369,11 +391,9 @@ def _shorten_lift(vectors, signs: tuple[int, ...], start: Slope, end: Slope) -> 
             sign = into.pop()
         kept.append(w)
         into.append(sign)
-    target = minimal_path(start, end)
-    s = 1 if kept[0] == (start.den, start.num) else -1  # a lift of start is +-(den, num)
-    if kept != list(target._map_vertices(zip, s)):
-        return None
-    return DecoratedPath(target, tuple(into[2:]))
+    if kept[0] != (start.den, start.num):  # a lift of start is +-(den, num)
+        kept = [(-d, -n) for d, n in kept]
+    return DecoratedPath(FareyPath.from_blocks(start, end, _lift_blocks(kept)), tuple(into[2:]))
 
 
 def is_tight(d: DecoratedPath) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ZERO, make_slope, parse_slope
-from fareytight.paths import minimal_path
+from fareytight.paths import lengthen_through, minimal_path
 from fareytight.tori import (
     ShuffleClass,
     SolidTorusStructure,
@@ -311,3 +311,46 @@ def test_cable_surgery_matches_oracle():
                   "cabling requires gcd(p,q) = 1"):
         assert reached["DomainError: " + error], reached
     assert reached["outside"], reached
+
+
+def test_cable_surgery_of_a_minimal_path_merges_nothing():
+    # on a minimal path no interior vertex of the image lift has a cross
+    # of 1 between its neighbours (legendrian_cable_surgery's docstring),
+    # so the result keeps every edge of the path lengthened through q/p
+    done = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(surgery_inputs())
+    @example((standard_torus(), 5, 2, 0))
+    @example((standard_torus(), 3, 5, 1))
+    @example((SolidTorusStructure(S("1/3"), S("1/2"), ShuffleClass(minimal_path(S("1/3"), S("1/2")), ())), 3, 1, 2))
+    def check(args):
+        x, p, q, count = args
+        try:
+            y = legendrian_cable_surgery(x, p, q, count)
+        except DomainError:
+            return
+        path, t = x.iso_class.path, make_slope(q, p)
+        image = path if t in path.vertices else lengthen_through(path, t)
+        assert len(y.iso_class.path) == len(image), args
+        done.append(args)
+
+    check()
+    assert done
+
+
+def test_legendrian_cable_surgery_merges_on_a_path_that_is_not_minimal():
+    # inf -> 0 -> 1/3 -> 1/2 is lengthened through -1/2 and pushed through
+    # reglue_map(2, -1, -1)**3; in the image 0 -- 1/2 is still an edge, so
+    # 1/3 drops and the edges at it merge, which needs their signs to agree
+    path = lengthen_through(minimal_path(INF, S("1/2")), S("1/3"))
+    for counts, minus in (((0, 0), (0, 0, 0)), ((1, 1), (0, 0, 1)), ((0, 1), None), ((1, 0), None)):
+        x = SolidTorusStructure(INF, S("1/2"), ShuffleClass(path, counts))
+        got = _surgery_result(legendrian_cable_surgery, x, 2, -1, 3)
+        assert got == _surgery_result(cable_surgery_oracle, x, 2, -1, 3), counts
+        if minus is None:
+            assert got == "DomainError: surgered path did not shorten to a tight structure", counts
+        else:
+            meridian, dividing, short, got_minus = got
+            assert (meridian, dividing, got_minus) == (S("-7/12"), S("1/2"), minus), counts
+            assert [str(v) for v in short.vertices] == ["-7/12", "-4/7", "-1/2", "0", "1/2"]
