@@ -12,7 +12,17 @@ checkouts can be compared line by line:
 The commands: for every reduced p/q in (0, 1) with q <= --max-den,
 `summary` (text, json), `classify` (text, json, tsv), each with and
 without --strict, `enumerate p/q` (text, json, tsv) and `dot triangle
-p/q`; then `sweep --interval 1/60 1 --bound 60` in tsv and json.
+p/q`; then `sweep --interval 1/60 1 --bound 60` in tsv and json.  Then
+the solid-torus commands, over the box of slopes num/den with den <= 3
+and |num| <= 4, and inf: for every ordered pair a, b, `path a b` (text,
+json, dot), `dot path a b`, `count a b` and `enumerate a b` (text,
+json, tsv); for every slope x, `phi x` and `cf x` (text, json); for
+every slope s0 and every ordered pair of its Farey neighbours s1, s_neg1
+in the box, `exceptional s0 s1 s_neg1` in text, and in json with
+--paper-mode; and `exceptional 1/n 2/(2n+1) 1/(n-1) --paper-mode` for
+n = 2..6, the pattern that --paper-mode changes.  Pairs and slopes
+outside a command's domain are run too: their digests cover the error
+text.
 """
 
 import argparse
@@ -41,6 +51,16 @@ class _Digest:
         pass
 
 
+def _box() -> dict[str, tuple[int, int]]:
+    """The text and (num, den) of inf and of every reduced num/den with
+    den <= 3 and |num| <= 4."""
+    box = {"inf": (1, 0)}
+    for den in range(1, 4):
+        box.update((str(num) if den == 1 else "%d/%d" % (num, den), (num, den))
+                   for num in range(-4, 5) if math.gcd(num, den) == 1)
+    return box
+
+
 def commands(max_den: int):
     for q in range(2, max_den + 1):
         for p in range(1, q):
@@ -58,6 +78,27 @@ def commands(max_den: int):
             yield ["dot", "triangle", r]
     for fmt in ("tsv", "json"):
         yield ["sweep", "--interval", "1/60", "1", "--bound", "60", "--format", fmt]
+    box = _box()
+    for a in box:
+        for b in box:
+            for fmt in ("text", "json", "dot"):
+                yield ["path", a, b, "--format", fmt]
+            yield ["dot", "path", a, b]
+            yield ["count", a, b]
+            for fmt in ("text", "json", "tsv"):
+                yield ["enumerate", a, b, "--format", fmt]
+    for x in box:
+        for fmt in ("text", "json"):
+            yield ["phi", x, "--format", fmt]
+            yield ["cf", x, "--format", fmt]
+    for s0, (n0, d0) in box.items():
+        near = [s for s, (n, d) in box.items() if abs(n0 * d - n * d0) == 1]
+        for s1 in near:
+            for s_neg1 in near:
+                yield ["exceptional", s0, s1, s_neg1]
+                yield ["exceptional", s0, s1, s_neg1, "--format", "json", "--paper-mode"]
+    for n in range(2, 7):
+        yield ["exceptional", "1/%d" % n, "2/%d" % (2 * n + 1), "1/%d" % (n - 1), "--paper-mode"]
 
 
 def digest_line(argv: list[str]) -> str:

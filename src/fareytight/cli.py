@@ -23,6 +23,7 @@ from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_
 from .slopes import _farey_walk, slope_sort_key
 from .paths import blocks, minimal_path
 from .tori import ShuffleClass, count_tight, decorated_texts, feature_column, minus_texts, phi
+from .tori import _signed_run
 from .cables import cable_surgery_slope, reglue_map
 from .atlas import (
     Fillability,
@@ -60,14 +61,16 @@ def _slope(text: str) -> Slope:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-# a path is written this many vertices, or edge indices, at a time, so
-# that no write holds a whole long geodesic
+# a path is written this many vertices, or edge indices, at a time, or
+# fewer where vertices are long: no more vertices than _BYTES_PER_WRITE
+# characters hold, but one at least.  No write holds a whole long geodesic
 _VERTICES_PER_WRITE = 4096
+_BYTES_PER_WRITE = 1 << 20
 
 
 def _path_text(path) -> Iterator[str]:
     yield str(path.start)
-    yield from path.format_vertices(" → %s", _VERTICES_PER_WRITE)
+    yield from path.format_vertices(" → %s", _VERTICES_PER_WRITE, _BYTES_PER_WRITE)
     yield " → %s" % path.end
 
 
@@ -75,7 +78,7 @@ def _path_json(path) -> Iterator[str]:
     """The text of {"vertices": [...], "blocks": [[1], [2, 3, 4]]}, with
     one-based edge indices, in pieces."""
     yield '{"vertices":["%s"' % path.start
-    yield from path.format_vertices(',"%s"', _VERTICES_PER_WRITE)
+    yield from path.format_vertices(',"%s"', _VERTICES_PER_WRITE, _BYTES_PER_WRITE)
     yield ',"%s"],"blocks":[' % path.end
     e = 1
     for size in blocks(path).sizes:
@@ -95,7 +98,7 @@ def _numbers(lo: int, hi: int) -> str:
 def emit_dot_path(path) -> Iterator[str]:
     """DOT text of the path in pieces, with no newline at the end."""
     yield 'digraph farey_path {\n  rankdir=LR;\n  node [shape=ellipse];\n  "%s" -> "' % path.start
-    yield from path.format_vertices('%s";\n  "%s" -> "', _VERTICES_PER_WRITE)
+    yield from path.format_vertices('%s";\n  "%s" -> "', _VERTICES_PER_WRITE, _BYTES_PER_WRITE)
     yield '%s";\n}' % path.end
 
 
@@ -166,7 +169,6 @@ def _cmd_count(args) -> Iterator[str]:
 # most: no write holds a whole cell of a large listing, and a listing of
 # many small cells makes one write per this many rows, not one per cell
 _ROWS_PER_WRITE = 512
-_BYTES_PER_WRITE = 1 << 20
 
 
 def _write_rows(runs, pre, post: str, count: int, texts, sep: str = "", ends=None) -> Iterator[str]:
@@ -233,14 +235,9 @@ def _reciprocal_tails(n: int):
     """ends(k, l) for the text of `enumerate r`: the edges 1/n -> ... -> 1/k
     that full_path appends to P, with l minus signs at the clockwise end,
     then the newline."""
-    edges = [" →+ %s" % make_slope(1, j) for j in range(n - 1, 0, -1)]
-    plus = "".join(edges)
-    minus = plus.replace("+", "-")
-    # plus[:cut[j]] holds the edges into 1/(n-1), ..., 1/j
-    cut = [0] * (n + 1)
-    for j, edge in zip(range(n - 1, 0, -1), edges):
-        cut[j] = cut[j + 1] + len(edge)
-    return lambda k, l: plus[: cut[k + l]] + minus[cut[k + l] : cut[k]] + "\n"
+    # the edges into 1/(n-1), ..., 1/1: the first n - j end at 1/j
+    plus, minus, cuts = _signed_run([str(make_slope(1, j)) for j in range(n - 1, 0, -1)])
+    return lambda k, l: plus[: cuts[n - k - l]] + minus[cuts[n - k - l] : cuts[n - k]] + "\n"
 
 
 def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, columns: str,

@@ -30,19 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, count, islice, pairwise
+from itertools import accumulate, chain, count, islice, pairwise
 from typing import Iterator
 
-from .slopes import INF, ZERO, DomainError, Slope, _fan_basis
-
-
-def _text(d: int, n: int) -> str:
-    """str of the slope of the vector (d, n), made from the integers."""
-    if d < 0:
-        d, n = -d, -n
-    if d > 1:
-        return "%d/%d" % (n, d)
-    return str(n) if d else "inf"
+from .slopes import INF, ZERO, DomainError, Slope, _fan_basis, _text
 
 
 def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
@@ -121,11 +112,10 @@ class FareyPath:
         if len(set(vs)) != len(vs):
             raise DomainError("path vertices must be distinct")
         # Lift each vertex to the vector with cross +1 from the last one,
-        # checking the edge, then group the lift into its maximal blocks.
-        # Monotone clockwise is from_blocks' condition 3, cross(A, V) > 0
-        # at the last member V of each block, with A the lift of the
-        # start, tested once every edge is: a non-edge anywhere wins over
-        # a turn back.
+        # checking the edge, then run the lift's maximal blocks through
+        # from_blocks' checks.  On a lift only the monotone test (3) can
+        # fail, and it runs once every edge is checked: a non-edge
+        # anywhere wins over a turn back.
         xd, xn = vs[0].den, vs[0].num  # the last vector
         lift = [(xd, xn)]
         for x, y in pairwise(vs):
@@ -134,11 +124,9 @@ class FareyPath:
                 raise DomainError("%s -- %s is not a Farey edge" % (x, y))
             xd, xn = turn * y.den, turn * y.num
             lift.append((xd, xn))
-        (ad, an), blocks = lift[0], _lift_blocks(lift)
-        if any(ad * (un + m * pn) - an * (ud + m * pd) <= 0 for (pd, pn), (ud, un), m in blocks):
-            raise DomainError("path is not monotone clockwise")
+        blocks = FareyPath.from_blocks(vs[0], vs[-1], _lift_blocks(lift))._blocks if len(vs) > 1 else ()
         self._start, self._end, self._len = vs[0], vs[-1], len(vs) - 1
-        self._blocks, self._vertices, self._signed = tuple(blocks), vs, None
+        self._blocks, self._vertices, self._signed = blocks, vs, None
 
     @classmethod
     def from_blocks(cls, start: Slope, end: Slope, blocks) -> FareyPath:
@@ -155,11 +143,11 @@ class FareyPath:
         4. the last member of the last block is a vector of end.
 
         These hold exactly when the vertices pass FareyPath's checks and
-        the blocks are the maximal ones; FareyPath(vertices) checks 3 on
-        its lift, where 1, 2 and 4 hold by construction.  By 1 and 2 the
-        members form one chain with cross +1 at every edge, so
-        consecutive vertices span Farey edges, and an edge inside a
-        block turns the chain anticlockwise by less than pi.  Such a
+        the blocks are the maximal ones; FareyPath(vertices) runs them on
+        the blocks of its lift, where 1, 2 and 4 hold by construction.
+        By 1 and 2 the members form one chain with cross +1 at every
+        edge, so consecutive vertices span Farey edges, and an edge
+        inside a block turns the chain anticlockwise by less than pi.  Such a
         chain is monotone clockwise with distinct vertices exactly when
         it turns by less than pi in all, that is when cross(A, V) > 0 at
         every vertex V after the first: a chain that turns by pi or more
@@ -226,15 +214,22 @@ class FareyPath:
             self._vertices = tuple(self._map_vertices(partial(map, _slope)))
         return self._vertices
 
-    def format_vertices(self, template: str, size: int) -> Iterator[str]:
+    def format_vertices(self, template: str, size: int, chars: int) -> Iterator[str]:
         """template % (t, ..., t), one t for each "%s" of template, for
         the text t of each vertex strictly between start and end, made
-        from the block integers, size vertices to a text at most."""
-        last = len(self._blocks) - 1
-        for j, (pivot, base, m) in enumerate(self._blocks):
+        from the block integers, size vertices to a text at most, and no
+        more than a text of chars characters holds, but one at least.  A
+        member's num and den are linear in k, so on a block they are
+        largest in absolute value at an end member: the bits of those, at
+        most 0.30103 decimal digits a bit, a "/" and a sign bound the
+        text of every member of the block."""
+        last, slots = len(self._blocks) - 1, template.count("%s")
+        for j, ((pd, pn), (ud, un), m) in enumerate(self._blocks):
             stop = m if j < last else m - 1  # the last member of all is the end
-            for lo in range(1, stop + 1, size):
-                yield _format_members(template, pivot, base, lo, min(lo + size, stop + 1))
+            bits = max(abs(un), abs(un + m * pn)).bit_length() + max(abs(ud), abs(ud + m * pd)).bit_length()
+            step = min(size, max(1, chars // (len(template) + slots * (bits * 30103 // 100000 + 2))))
+            for lo in range(1, stop + 1, step):
+                yield _format_members(template, (pd, pn), (ud, un), lo, min(lo + step, stop + 1))
 
     def __len__(self) -> int:
         return self._len
@@ -330,23 +325,19 @@ class BlockDecomposition:
     @property
     def runs(self) -> tuple[tuple[int, ...], ...]:
         """The edge indices of each block."""
-        out, e = [], self.first
-        for size in self.sizes:
-            out.append(tuple(range(e, e + size)))
-            e += size
-        return tuple(out)
+        return tuple(map(tuple, self._ranges()))
+
+    def _ranges(self) -> Iterator[range]:
+        """The edge indices of each block, as ranges."""
+        return (range(a, b) for a, b in pairwise(accumulate(self.sizes, initial=self.first)))
 
 
 def edge_runs(path: FareyPath, first_edge: int, last_edge: int) -> tuple[tuple[int, ...], ...]:
     """Maximal runs among edges first_edge..last_edge inclusive that
-    share a block, by the rule of BlockDecomposition."""
-    runs, e = [], 0
-    for _, _, m in path.block_vectors:
-        lo, hi = max(e, first_edge), min(e + m, last_edge + 1)
-        if lo < hi:
-            runs.append(tuple(range(lo, hi)))
-        e += m
-    return tuple(runs)
+    share a block: the runs of blocks(path), clipped as ranges, so that
+    only the edges asked for are made."""
+    clipped = (range(max(r.start, first_edge), min(r.stop, last_edge + 1)) for r in blocks(path)._ranges())
+    return tuple(tuple(r) for r in clipped if r)
 
 
 def blocks(path: FareyPath) -> BlockDecomposition:

@@ -65,14 +65,19 @@ class Slope:
         return make_slope(self.den, self.num)
 
     def __str__(self) -> str:
-        if self.den == 0:
-            return "inf"
-        if self.den == 1:
-            return str(self.num)
-        return "%d/%d" % (self.num, self.den)
+        return _text(self.den, self.num)
 
     def __repr__(self) -> str:
         return "Slope(%s)" % self
+
+
+def _text(d: int, n: int) -> str:
+    """str of the slope of the vector (d, n), made from the integers."""
+    if d < 0:
+        d, n = -d, -n
+    if d > 1:
+        return "%d/%d" % (n, d)
+    return str(n) if d else "inf"
 
 
 def make_slope(num: int, den: int) -> Slope:
@@ -204,35 +209,26 @@ def _farey_steps(u, v, b: Slope, bound: int) -> Iterator[Slope]:
         u, v = v, (k * v[0] - u[0], k * v[1] - u[1])
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, u, v) with u*a + v*b == g
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_r, old_u, old_v
-
-
 def _cross(v: tuple[int, int], w: tuple[int, int]) -> int:
     return v[0] * w[1] - v[1] * w[0]
 
 
 def _fan_basis(s: Slope) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Vector v0 = (den, num) of s and some w0 with cross(v0, w0) == 1.
+    """Vector v0 = (den, num) of s and some w0 with cross(v0, w0) == 1:
+    den*wn - num*wd == 1 says num*wd == -1 mod den, so wd is minus the
+    inverse of num mod den, and wn follows.
 
     The Farey neighbours of s are exactly the slopes of w0 + k*v0 over
     integer k, swept monotonically around the circle and accumulating
-    at s on both ends.
+    at s on both ends.  Every other choice of w0 is w0 + j*v0, which
+    shifts each parameter k by -j: the members, so the set of
+    neighbors_in_interval, and the pivot w0 + (k-1)*v0 of each step of
+    minimal_path do not depend on the choice.
     """
-    v0 = (s.den, s.num)
-    g, u, v = _egcd(s.den, s.num)
-    # cross(v0, (-v, u)) = den*u + num*v = g, which is 1 or, for a
-    # negative slope, -1; scaling by g makes it g*g = 1
-    return v0, (-v * g, u * g)
+    if s.den == 0:
+        return (0, 1), (-1, 0)
+    wd = -pow(s.num, -1, s.den)
+    return (s.den, s.num), (wd, (1 + s.num * wd) // s.den)
 
 
 def _fan_member(v0, w0, k: int) -> Slope:

@@ -270,13 +270,19 @@ def decorated_texts(path: FareyPath, end: str = "") -> ClassTexts:
     vs = [str(v) for v in path.vertices]
     pieces = []
     for run in signed_blocks(path).runs:
-        ends = [vs[e + 1] for e in run]
-        plus = "".join(" →+ " + v for v in ends)
-        minus = plus.replace("→+", "→-")  # no slope text holds a +
-        cuts = list(itertools.accumulate((len(" →+ ") + len(v) for v in ends), initial=0))
-        pieces.append([plus[: cuts[len(run) - c]] + minus[cuts[len(run) - c] :]
-                       for c in range(len(run) + 1)])
+        plus, minus, cuts = _signed_run([vs[e + 1] for e in run])
+        pieces.append([plus[:cut] + minus[cut:] for cut in reversed(cuts)])
     return _class_texts("%s → %s" % (vs[0], vs[1]), pieces, end)
+
+
+def _signed_run(texts: list[str]) -> tuple[str, str, list[int]]:
+    """The signed edges " →+ t" into the vertex texts t, joined, the
+    same with every sign minus, and the offsets cuts[i] where the first i
+    edges end in both: plus[:cuts[i]] + minus[cuts[i]:] signs the edges
+    after the first i minus."""
+    plus = "".join(" →+ " + t for t in texts)
+    cuts = list(itertools.accumulate((len(" →+ ") + len(t) for t in texts), initial=0))
+    return plus, plus.replace("→+", "→-"), cuts  # no slope text holds a +
 
 
 def _class_texts(first: str, pieces: list[list[str]], end: str) -> ClassTexts:

@@ -9,7 +9,8 @@ of its features and tests r against each window with the Fraction bounds
 of window_oracle, sharing no window code with atlas._window;
 enumerated_tally, which runs classify_oracle on every enumerated
 structure to check the aggregates in atlas; greedy_minimal_path,
-the vertex-by-vertex greedy that paths.minimal_path replaces,
+the vertex-by-vertex greedy that paths.minimal_path replaces, on its own
+extended-Euclid fan basis and Fraction fan parameter,
 path_error_oracle, the checks that FareyPath now runs on integers,
 block_vectors_oracle, the vertex-by-vertex lift that every path's
 stored blocks replace, edge_runs_oracle, the per-vertex block rule that
@@ -47,9 +48,6 @@ from fareytight.slopes import (
     det,
     is_edge,
     make_slope,
-    _fan_basis,
-    _fan_member,
-    _fan_param,
 )
 from fareytight.atlas import (
     CITE_BASE_ROW,
@@ -181,20 +179,37 @@ def geodesic_length_oracle(a: Slope, b: Slope) -> int:
     raise AssertionError("no geodesic found from %s to %s" % (a, b))
 
 
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b == g, by the extended Euclidean algorithm."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    return old_r, old_u, old_v
+
+
 def greedy_minimal_path(a: Slope, b: Slope) -> FareyPath:
     """Geodesic from a clockwise to b, one greedy Farey step at a time:
     from the current vertex u, the neighbour of u in the open clockwise
     arc (u, b) closest to b, until u is adjacent to b.  The construction
-    that paths.minimal_path speeds up by crossing a block at once."""
+    that paths.minimal_path speeds up by crossing a block at once.  The
+    neighbours of u = (d, n) are the slopes of W + k*(d, n), for the W =
+    g*(-y, x) of the extended Euclid x*d + y*n = g = +-1, and the one
+    parallel to b has the Fraction k = cross(W, B) / cross(B, V)."""
     if a == b:
         raise DomainError("minimal path endpoints must be distinct")
     verts = [a]
     u = a
     while not is_edge(u, b):
-        v0, w0 = _fan_basis(u)
-        kb = _fan_param(v0, w0, b)
+        g, x, y = _egcd(u.den, u.num)
+        (vd, vn), (wd, wn) = (u.den, u.num), (-y * g, x * g)
+        kb = Fraction(wd * b.num - wn * b.den, b.den * vn - b.num * vd)
         for k in (math.floor(kb), math.ceil(kb)):
-            cand = _fan_member(v0, w0, k)
+            cand = make_slope(wn + k * vn, wd + k * vd)
             if cw_interval_contains(cand, u, b):
                 verts.append(cand)
                 u = cand
@@ -264,6 +279,11 @@ def path_output_oracle(a: Slope, b: Slope) -> dict:
         vs = greedy_minimal_path(a, b).vertices
     except DomainError as exc:
         return dict.fromkeys(("text", "json", "dot"), (3, "", "error: %s\n" % exc))
+    return path_texts_oracle(vs)
+
+
+def path_texts_oracle(vs) -> dict:
+    """path_output_oracle on the geodesic through the vertices vs."""
     runs = edge_runs_oracle(vs, 0, len(vs) - 2)
     obj = {"vertices": [str(v) for v in vs], "blocks": [[e + 1 for e in r] for r in runs]}
     lines = ["digraph farey_path {", "  rankdir=LR;", "  node [shape=ellipse];"]

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from fareytight import cli
 from fareytight.atlas import TightStructureId, TrianglePosition, n_of
 from fareytight.cli import _BYTES_PER_WRITE, _VERTICES_PER_WRITE, _ROWS_PER_WRITE, main
-from fareytight.slopes import parse_slope
+from fareytight.paths import minimal_path
+from fareytight.slopes import ZERO, parse_slope
 from fareytight.tori import enumerate_tight, phi
 
-from helpers import all_slopes_in_box, classify_oracle, listing_oracle, path_output_oracle
+from helpers import all_slopes_in_box, classify_oracle, listing_oracle, path_output_oracle, path_texts_oracle
 
 
 def run(capsys, *argv):
@@ -635,6 +636,25 @@ def test_path_matches_oracle():
         for fmt in ("text", "json", "dot"):
             argv = ["path", "--format", fmt, "--", str(a), str(b)]
             assert run_captured(argv) == want[fmt], argv
+
+
+def test_path_writes_are_bounded_in_bytes():
+    # `path 0 5000/N`, N = 1 + 5000*10**1000, is one block of 5,000
+    # edges whose inner vertices k/(1 + k*10**1000) have about 1,000
+    # digits each: _VERTICES_PER_WRITE of them are about 4 MB of text,
+    # and 8 MB of DOT, so the byte bound cuts the block's writes
+    b = parse_slope("5000/%d" % (1 + 5000 * 10**1000))
+    path = minimal_path(ZERO, b)
+    assert [m for _, _, m in path.block_vectors] == [5000]
+    want = path_texts_oracle(path.vertices)
+    longest = max(len(str(v)) for v in path.vertices)
+    assert _VERTICES_PER_WRITE * longest > 3 * _BYTES_PER_WRITE
+    for fmt in ("text", "json", "dot"):
+        sink = RecordingSink()
+        with contextlib.redirect_stdout(sink):
+            assert main(["path", "0", str(b), "--format", fmt]) == 0, fmt
+        assert (0, "".join(sink.writes), "") == want[fmt], fmt
+        assert max(map(len, sink.writes)) <= _BYTES_PER_WRITE + longest, fmt
 
 
 def test_listing_domain_errors_write_nothing():

@@ -11,6 +11,7 @@ from fareytight.paths import (
     FareyPath,
     blocks,
     concat,
+    edge_runs,
     lengthen_through,
     minimal_path,
 )
@@ -355,6 +356,26 @@ def test_blocks_fixtures():
     assert blocks(P("1/5", "1/4", "1/3", "1/2")).runs == ((0, 1, 2),)
     assert blocks(P("2/5", "1/2")).runs == ((0,),)
     assert blocks(P("13/49", "4/15", "3/11", "2/7", "1/3")).runs == ((0,), (1, 2, 3))
+
+
+def test_edge_runs_matches_oracle():
+    # every first_edge <= last_edge on the geodesic of every ordered pair
+    # of distinct slopes with |num|, den <= 4, against the per-vertex rule
+    box = all_slopes_in_box(4)
+    for a in box:
+        for b in box:
+            if a != b:
+                path = minimal_path(a, b)
+                vs, m = path.vertices, len(path)
+                for first in range(m):
+                    for last in range(first, m):
+                        want = edge_runs_oracle(vs, first, last)
+                        assert edge_runs(path, first, last) == want, (a, b, first, last)
+    # a window of a geodesic of 10**12 - 2 edges in one block makes only
+    # the edges asked for
+    path = minimal_path(S("1/1000000000000"), S("1/2"))
+    assert edge_runs(path, 5, 8) == ((5, 6, 7, 8),)
+    assert edge_runs(path, 10**12 - 3, 10**13) == ((10**12 - 3,),)
 
 
 def test_blocks_empty_on_single_vertex():

@@ -163,6 +163,18 @@ def test_point_lies_in_exactly_one_open_arc(tx, ta, tb):
     assert cw_interval_contains(x, a, b) != cw_interval_contains(x, b, a)
 
 
+def test_fan_basis_has_cross_one():
+    # every slope in a box that holds inf, 0, the integers and negative
+    # slopes: V is the slope's own vector and cross(V, W) == 1
+    from fareytight.slopes import _fan_basis
+
+    box = all_slopes_in_box(15)
+    assert {INF, ZERO, ONE, S("-1"), S("15"), S("-15"), S("-7/15")} <= set(box)
+    for s in box:
+        (vd, vn), (wd, wn) = _fan_basis(s)
+        assert (vd, vn) == (s.den, s.num) and vd * wn - vn * wd == 1, s
+
+
 def test_neighbors_in_interval_fixtures():
     assert neighbors_in_interval(S("1/2"), ONE, S("1/3")) == frozenset({ZERO})
     assert neighbors_in_interval(S("3/8"), S("2/5"), S("4/11")) == frozenset({S("1/3")})

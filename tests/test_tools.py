@@ -40,12 +40,17 @@ def test_cli_digests_script():
     res = run_script("scripts/cli_digests.py", "--max-den", "6")
     assert res.returncode == 0, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    # 11 reduced p/q with q <= 6, 14 commands each, then two sweeps
-    assert len(lines) == 11 * 14 + 2
+    # 11 reduced p/q with q <= 6, 14 commands each, then two sweeps; then,
+    # on the box of 20 slopes, 8 commands per ordered pair, 4 per slope,
+    # 2 per triple s0, s1, s_neg1 with s1 and s_neg1 Farey neighbours of
+    # s0 (360 triples), and the 5 --paper-mode patterns
+    assert len(lines) == 11 * 14 + 2 + 20 * 20 * 8 + 20 * 4 + 2 * 360 + 5
     # 1/2 is the n = 1 surgery: one structure, in the Stein base row
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
     line = "0 %s %s summary 1/2 --format json" % (sha('{"total":1,"stein":1}\n'), sha(""))
     assert line in lines
+    # the geodesic 0 -> 1/2 is one edge
+    assert "0 %s %s path 0 1/2 --format text" % (sha("0 → 1/2\n"), sha("")) in lines
     # 1/3 has one uncovered structure, so --strict exits 4
     assert any(l.startswith("4 ") and l.endswith(" summary 1/3 --format text --strict") for l in lines)
 
