@@ -63,14 +63,19 @@ def _slope(text: str) -> Slope:
 
 # a path is written this many vertices, or edge indices, at a time, or
 # fewer where vertices are long: no more vertices than _BYTES_PER_WRITE
-# characters hold, but one at least.  No write holds a whole long geodesic
+# holds, but one at least.  No write holds a whole long geodesic.  No
+# write of a path, a listing or a DOT triangle keeps more than
+# _BYTES_PER_WRITE bytes in its string, besides one vertex, row or cell:
+# half of glibc's default mmap threshold (128 KiB), so that the string
+# and its UTF-8 copy are not mapped afresh for every write
 _VERTICES_PER_WRITE = 4096
-_BYTES_PER_WRITE = 1 << 20
+_BYTES_PER_WRITE = 1 << 16
 
 
 def _path_text(path) -> Iterator[str]:
     yield str(path.start)
-    yield from path.format_vertices(" → %s", _VERTICES_PER_WRITE, _BYTES_PER_WRITE)
+    # the text holds the arrow →, two bytes a character (_size)
+    yield from path.format_vertices(" → %s", _VERTICES_PER_WRITE, _BYTES_PER_WRITE // 2)
     yield " → %s" % path.end
 
 
@@ -103,27 +108,41 @@ def emit_dot_path(path) -> Iterator[str]:
 
 
 def emit_dot_triangle(r: Slope) -> Iterator[str]:
-    """DOT text of r's verdict triangle, one row of cells per chunk and no
-    newline at the end; r is checked before the first chunk."""
+    """DOT text of r's verdict triangle, each row of cells in pieces
+    (_cuts), and no newline at the end; r is checked before the first
+    piece."""
     n = n_of(r)
     styles = {}  # label text and colour of a cell, per position
     for pos, found in cell_tallies(r).items():
         counts = sorted((status.value, cnt) for status, cnt in found.items())
         color = _DOT_COLORS[counts[0][0]] if len(counts) == 1 else "orange"
         styles[pos] = ("\\n".join("%s %d" % sc for sc in counts), color)
+    node = '\n  "k%d_l%d" [label="k=%d l=%d\\n%s", fillcolor="%s"];'
+    widest = node % ((n, n, n, n) + max(styles.values(), key=lambda style: len("".join(style))))
     yield 'digraph classification_triangle {\n  label="surgery coefficient %s";' % r
     yield "\n  node [shape=box, style=filled];"
     for k in range(1, n + 1):
-        yield "".join(
-            '\n  "k%d_l%d" [label="k=%d l=%d\\n%s", fillcolor="%s"];'
-            % ((k, l, k, l) + styles[TrianglePosition.of(n, k, l)])
-            for l in range(n - k + 1)
-        )
+        for lo, hi in _cuts(n - k + 1, widest):
+            yield "".join(node % ((k, l, k, l) + styles[TrianglePosition.of(n, k, l)])
+                          for l in range(lo, hi))
+    rank = ' "k%d_l%d";'
     for k in range(1, n + 1):
-        row = " ".join('"k%d_l%d";' % (k, l) for l in range(n - k + 1))
-        yield "\n  { rank=same; %s }" % row
-    yield "".join('\n  "k%d_l0" -> "k%d_l0" [style=invis];' % (k, k + 1) for k in range(1, n))
+        yield "\n  { rank=same;"
+        for lo, hi in _cuts(n - k + 1, rank % (n, n)):
+            yield "".join(rank % (k, l) for l in range(lo, hi))
+        yield " }"
+    edge = '\n  "k%d_l0" -> "k%d_l0" [style=invis];'
+    for lo, hi in _cuts(n - 1, edge % (n, n)):
+        yield "".join(edge % (k, k + 1) for k in range(lo + 1, hi + 1))
     yield "\n}"
+
+
+def _cuts(count: int, widest: str) -> Iterator[tuple[int, int]]:
+    """(lo, hi) for the pieces of a row of count cells: as many cells as
+    _BYTES_PER_WRITE holds at the _size of widest, a cell's longest
+    text, but one at least."""
+    step = max(1, _BYTES_PER_WRITE // _size(widest))
+    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _cmd_phi(args) -> Iterator[str]:
@@ -165,31 +184,47 @@ def _cmd_count(args) -> Iterator[str]:
 
 
 # a listing is written this many rows at a time, gathered across cells,
-# or fewer where rows are long, about _BYTES_PER_WRITE characters at
-# most: no write holds a whole cell of a large listing, and a listing of
-# many small cells makes one write per this many rows, not one per cell
+# or fewer where rows are long: as many as _BYTES_PER_WRITE holds at the
+# size of the longest row, but one at least.  No write holds a whole
+# cell of a large listing, and a listing of many small cells makes one
+# write per this many rows, not one per cell
 _ROWS_PER_WRITE = 512
 
 
-def _write_rows(runs, pre, post: str, count: int, texts, sep: str = "", ends=None) -> Iterator[str]:
+def _size(text: str) -> int:
+    """The bytes that CPython keeps text in, but for the header: one per
+    character of an ASCII text, two per character of a text that holds
+    the arrow →.  Its UTF-8 copy, three bytes to an arrow, is no larger
+    than one and a half times that."""
+    return len(text) * (1 if text.isascii() else 2)
+
+
+def _write_rows(runs, pre, post: str, count: int, texts, longest: str, sep: str = "",
+                ends=None) -> Iterator[str]:
     """Yield the rows of a listing, _ROWS_PER_WRITE rows to a write, or
-    fewer: as many as _BYTES_PER_WRITE holds at the length of the first
-    row, in cell (1, 0) of a triangle, whose ends are the longest.  runs
+    fewer: as many as _BYTES_PER_WRITE holds at the _size of the longest
+    row, so that a write of more than one row holds no more.  runs
     yields (k, lo, hi, key) for the cells (k, l), lo <= l < hi, that
-    share key.  A cell holds count rows, and texts(key, a, b) gives rows
-    a..b-1 as _cell groups.  A row of cell (k, l) is pre % k, l (neither
-    when pre is None), post, its text, then ends(k, l) if given; sep
-    separates rows.  No text is made per row: a cell is one _cell, of
-    rows kept once per key where a write holds it whole, and a run of
-    one-row cells with no ends is one join over the numbers l."""
+    share key; the first run is the cells (1, l), l < n, of a triangle,
+    or the one cell (0, 0, 1, key) of a listing without k and l.  A cell
+    holds count rows, texts(key, a, b) gives rows a..b-1 as _cell
+    groups, and no row's text is longer than longest, which is ASCII
+    exactly when they are.  A row of cell (k, l) is pre % k, l (neither
+    when pre is None), post, its text, then ends(k, l) if given, no
+    longer than ends(1, l); sep separates rows.  No text is made per
+    row: a cell is one _cell, of rows kept once per key where a write
+    holds the cell whole, and sliced from them where a write cuts it; a
+    run of one-row cells with no ends is one join over the numbers l."""
     pieces, per_write, whole, labels = [], 0, {}, []  # labels[l] is label(l), made once
     # "".format(l) is empty, as l is written only with k; the first row drops sep
     label, skip = (str if pre is not None else "".format), len(sep)
     for k, lo, hi, key in runs:
         start = sep + (pre % k if pre is not None else "")
         if not per_write:
-            first = _cell(start + label(lo) + post, ends(k, lo) if ends else "", texts(key, 0, 1))
-            per_write = room = min(_ROWS_PER_WRITE, max(1, _BYTES_PER_WRITE // sum(map(len, first))))
+            # a row as long as the longest: no k or l is longer than n = hi
+            row = sep + (pre % hi if pre is not None else "") + label(hi - 1) + post + longest
+            row += ends(k, lo) if ends else ""
+            per_write = room = min(_ROWS_PER_WRITE, max(1, _BYTES_PER_WRITE // _size(row)))
         full = whole.get(key)
         if full is None and count <= per_write:
             full = whole[key] = [p + t for p, ts in texts(key, 0, count) for t in ts]
@@ -202,7 +237,7 @@ def _write_rows(runs, pre, post: str, count: int, texts, sep: str = "", ends=Non
                 l, room = stop, room - (stop - l)
             else:
                 h, e, b = start + label(l) + post, ends(k, l) if ends else "", min(count, a + room)
-                pieces += _cell(h, e, [("", full)] if b - a == count else texts(key, a, b))
+                pieces += _cell(h, e, [("", full[a:b])] if full else texts(key, a, b))
                 room -= b - a
                 l, a = (l + 1, 0) if b == count else (l, b)
             if skip:
@@ -240,23 +275,23 @@ def _reciprocal_tails(n: int):
     return lambda k, l: plus[: cuts[n - k - l]] + minus[cuts[n - k - l] : cuts[n - k]] + "\n"
 
 
-def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, columns: str,
-                   text_post: str, ends=None) -> Iterator[str]:
+def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, longest: str,
+                   columns: str, text_post: str, ends=None) -> Iterator[str]:
     """Yield the listing of `classify r` or `enumerate r` through
-    _write_rows, the rows of each cell made of texts(position, a, b): a
-    JSON array, whose row head holds the text that P's JSON shares on
-    every class, TSV under a header ending in columns, or text rows
-    headed "k=K l=L" and text_post."""
+    _write_rows, the rows of each cell made of texts(position, a, b),
+    none longer than longest: a JSON array, whose row head holds the
+    text that P's JSON shares on every class, TSV under a header ending
+    in columns, or text rows headed "k=K l=L" and text_post."""
     if fmt == "json":
         yield "["
         pre = '{"r":%s,"k":%%d,"l":' % _json(str(r))
-        yield from _write_rows(runs, pre, ',"P":' + _p_head(path), count, texts, ",")
+        yield from _write_rows(runs, pre, ',"P":' + _p_head(path), count, texts, longest, ",")
         yield "]\n"
     elif fmt == "tsv":
         yield "r\tk\tl\t%s\n" % columns
-        yield from _write_rows(runs, "%s\t%%d\t" % r, "\t", count, texts)
+        yield from _write_rows(runs, "%s\t%%d\t" % r, "\t", count, texts, longest)
     else:
-        yield from _write_rows(runs, "k=%d l=", text_post, count, texts, ends=ends)
+        yield from _write_rows(runs, "k=%d l=", text_post, count, texts, longest, ends=ends)
 
 
 def _cmd_enumerate(args) -> Iterator[str]:
@@ -268,21 +303,25 @@ def _cmd_enumerate(args) -> Iterator[str]:
         else:
             rows = decorated_texts(path, "\n" if args.format == "tsv" else "")
         ends = _reciprocal_tails(n_of(args.r)) if args.format == "text" else None
-        yield from _write_listing(args.format, args.r, path, runs, texts, len(rows), "P", " ", ends)
+        yield from _write_listing(args.format, args.r, path, runs, texts, len(rows), rows.longest,
+                                  "P", " ", ends)
         return
     path = minimal_path(args.r, args.s)  # raises on a bad pair before any output
     sep = post = ""
     if args.format == "json":
         rows, sep, post = minus_texts(path, "]}"), ",", _p_head(path)
+        longest = rows.longest
         yield "["
     elif args.format == "tsv":
         minus, rows = minus_texts(path), decorated_texts(path, "\n")
         yield "r\ts\tminus\tP\n"
         texts = lambda _, a, b: [("", [m[1:] + "\t" + t for m, t in zip(minus[a:b], rows[a:b])])]
+        longest = minus.longest[1:] + "\t" + rows.longest
         post = "%s\t%s\t" % (args.r, args.s)
     else:
         rows = decorated_texts(path, "\n")
-    yield from _write_rows([(0, 0, 1, None)], None, post, len(rows), texts, sep)  # one cell
+        longest = rows.longest
+    yield from _write_rows([(0, 0, 1, None)], None, post, len(rows), texts, longest, sep)  # one cell
     if args.format == "json":
         yield "]\n"
 
@@ -307,13 +346,17 @@ def _cmd_classify(args) -> Iterator[str]:
     found = {position: {f: _verdict_text(fmt, position, verdict) for f, (verdict, _) in vs.items()}
              for position, vs in verdicts.items()}
     # a JSON row glues its verdict text onto a text of ClassTexts.last, one head at a time
-    groups = minus_texts(path, "]}").groups if fmt == "json" else None
+    minus = minus_texts(path, "]}") if fmt == "json" else None
+    longest = max((text for vs in found.values() for text in vs.values()), key=len)
+    longest = (minus.longest if minus is not None else "") + longest
 
     def texts(position, a, b):
         rows = map(found[position].__getitem__, column[a:b])  # read in order across the groups
-        return [(h, map(add, ts, rows)) for h, ts in groups(a, b)] if groups else [("", rows)]
+        if minus is None:
+            return [("", rows)]
+        return [(h, map(add, ts, rows)) for h, ts in minus.groups(a, b)]
 
-    yield from _write_listing(fmt, args.r, path, runs, texts, len(column),
+    yield from _write_listing(fmt, args.r, path, runs, texts, len(column), longest,
                               "position\tstatus\tcite\tnote", "")
     statuses = {verdict.status for vs in verdicts.values() for verdict, _ in vs.values()}
     if args.strict and Fillability.NOT_COVERED in statuses:

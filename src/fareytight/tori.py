@@ -227,7 +227,8 @@ class ClassTexts:
     index p * len(last) + c has the text heads[p] + last[c], where heads
     holds the texts of the minus counts on the signed blocks before a
     split and last those of the counts on the blocks after it.  A slice
-    builds the texts of its classes only."""
+    builds the texts of its classes only.  Either factor may be a
+    _Product, whose texts are made when read."""
 
     __slots__ = ("heads", "last")
 
@@ -236,6 +237,12 @@ class ClassTexts:
 
     def __len__(self) -> int:
         return len(self.heads) * len(self.last)
+
+    @property
+    def longest(self) -> str:
+        """A longest text, the last one: the text of a minus count is no
+        shorter than those of smaller counts."""
+        return self.heads[-1] + self.last[-1]
 
     def __iter__(self) -> Iterator[str]:
         return (head + text for head in self.heads for text in self.last)
@@ -261,18 +268,44 @@ def minus_texts(path: FareyPath, end: str = "") -> ClassTexts:
     return _class_texts("", [[",%d" % c for c in range(size + 1)] for size in sizes], end)
 
 
+# the s + 1 texts of a signed block of s edges are kept where they hold
+# at most this many characters, and made when read where they hold more
+_KEPT_CHARS = 1 << 22
+
+
 def decorated_texts(path: FareyPath, end: str = "") -> ClassTexts:
     """str(P) + end for every class P on the path, in the order of
     all_minus_counts, with no class built.  The canonical decorated path
     carries c minus signs at the clockwise end of a block with minus
     count c, so the s + 1 texts of a block of s edges are cut from its
-    all-plus and its all-minus text."""
+    all-plus and its all-minus text: kept as a list, or, where that
+    would hold more than _KEPT_CHARS characters, a _SignedTexts that
+    cuts each text when it is read, so that memory does not grow with
+    the square of a long block."""
     vs = [str(v) for v in path.vertices]
     pieces = []
     for run in signed_blocks(path).runs:
-        plus, minus, cuts = _signed_run([vs[e + 1] for e in run])
-        pieces.append([plus[:cut] + minus[cut:] for cut in reversed(cuts)])
+        block = _SignedTexts([vs[e + 1] for e in run])
+        pieces.append(block if len(block) * len(block.plus) > _KEPT_CHARS else list(block))
     return _class_texts("%s → %s" % (vs[0], vs[1]), pieces, end)
+
+
+class _SignedTexts:
+    """The texts of the minus counts 0..s on a signed block of s edges,
+    as a sequence whose items are made when read: count c signs the last
+    c edges minus, so it is plus[:cuts[s - c]] + minus[cuts[s - c]:]."""
+
+    __slots__ = ("plus", "minus", "cuts")
+
+    def __init__(self, texts: list[str]):
+        self.plus, self.minus, self.cuts = _signed_run(texts)
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    def __getitem__(self, c: int) -> str:
+        cut = self.cuts[~c]  # raises IndexError as a list of the texts would
+        return self.plus[:cut] + self.minus[cut:]
 
 
 def _signed_run(texts: list[str]) -> tuple[str, str, list[int]]:
@@ -285,23 +318,49 @@ def _signed_run(texts: list[str]) -> tuple[str, str, list[int]]:
     return plus, plus.replace("→+", "→-"), cuts  # no slope text holds a +
 
 
-def _class_texts(first: str, pieces: list[list[str]], end: str) -> ClassTexts:
+def _class_texts(first: str, pieces: list, end: str) -> ClassTexts:
     """first + pieces[0][c_0] + ... + end for every choice of the c_j, the
     last index running fastest, as ClassTexts: one text is made per block
-    and count, and the blocks are split where the longer of the two
-    factors is shortest."""
+    and count, or per read where a block is a _SignedTexts, and the
+    blocks are split where the longer of the two factors is shortest."""
     counts = list(itertools.accumulate(map(len, pieces), operator.mul, initial=1))
     split = min(range(len(counts)), key=lambda j: max(counts[j], counts[-1] // counts[j]))
-    return ClassTexts(_products([first], pieces[:split]),
-                      _products([""], pieces[split:] + [[end]]))
+    return ClassTexts(_products(first, pieces[:split]), _products("", pieces[split:] + [[end]]))
 
 
-def _products(texts: list[str], pieces: list[list[str]]) -> list[str]:
-    """texts extended block by block by every piece of each block, the
-    last block's piece running fastest."""
+def _products(first: str, pieces: list) -> list[str] | _Product:
+    """first extended block by block by every piece of each block, the
+    last block's piece running fastest: a list, or a _Product where a
+    block is a _SignedTexts, whose texts are not kept."""
+    if not all(isinstance(block, list) for block in pieces):
+        return _Product(first, pieces)
+    texts = [first]
     for block in pieces:
         texts = [text + piece for text in texts for piece in block]
     return texts
+
+
+class _Product:
+    """The texts of _products as a sequence whose items are made when
+    read, from one piece of each block."""
+
+    __slots__ = ("first", "blocks", "size")
+
+    def __init__(self, first: str, blocks: list):
+        self.first, self.blocks = first, blocks
+        self.size = math.prod(map(len, blocks))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self.size)[i]]
+        i, pieces = range(self.size)[i], []  # raises IndexError as a list would
+        for block in reversed(self.blocks):
+            i, c = divmod(i, len(block))
+            pieces.append(block[c])
+        return self.first + "".join(reversed(pieces))
 
 
 def _refined_signs(signs: tuple[int, ...], i: int, c: int) -> tuple[int, ...]:

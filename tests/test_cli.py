@@ -4,6 +4,7 @@ import io
 import json
 import re
 import shlex
+import sys
 import tracemalloc
 from math import gcd
 from pathlib import Path
@@ -537,6 +538,23 @@ class NullSink(io.TextIOBase):
         return len(text)
 
 
+class DigestSink(io.TextIOBase):
+    """A stdout that keeps the UTF-8 size and sha256 of what is written
+    to it, the largest write in characters, and the largest write's
+    string and its UTF-8 copy in bytes."""
+
+    def __init__(self):
+        self.nbytes, self.sha, self.largest, self.largest_bytes = 0, hashlib.sha256(), 0, 0
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self.sha.update(data)
+        self.nbytes += len(data)
+        self.largest = max(self.largest, len(text))
+        self.largest_bytes = max(self.largest_bytes, sys.getsizeof(text), len(data))
+        return len(text)
+
+
 def test_json_listings_keep_one_head_of_p():
     # `enumerate r` and `classify r` keep P's path and blocks once per
     # listing, not once per class: 1/r = [3,20,20,20] has 6,859 classes
@@ -602,6 +620,30 @@ def test_enumerate_keeps_no_text_per_class(argv):
             finally:
                 tracemalloc.stop()
         assert (code, peak < 10_000_000) == (0, True), (fmt, peak)
+
+
+def test_enumerate_keeps_no_text_per_count_of_a_long_block():
+    # 3001/9002 1/2 is one signed block of 2,999 edges: 3,000 rows of
+    # about 43 KB, 131 MB of text.  When the block kept the texts of its
+    # 3,000 minus counts, the traced peak was 452 MB on Python 3.11; its
+    # texts are now cut from the all-plus and the all-minus text per
+    # write, and the peak is about 1.4 MB.  The bytes are checked against
+    # the size and sha256 of the output of the commit before.
+    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    for fmt, size, digest in (
+        ("text", 130599000, "af9eb1a864dcf5ac5b89f0b81915385609808a7c6399edaa29d5a4168ae2fab8"),
+        ("tsv", 130654902, "8a67ef182fa3358df74d6798107d2dfff20bf50ded37a387b027ba36998b362f"),
+    ):
+        sink = DigestSink()
+        with contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["enumerate", "3001/9002", "1/2", "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (code, peak < 10_000_000) == (0, True), (fmt, peak)
+        assert (sink.nbytes, sink.sha.hexdigest()) == (size, digest), fmt
 
 
 def test_path_streams_in_bounded_memory():
@@ -676,7 +718,33 @@ def test_listings_match_oracle_exhaustive():
             assert run_captured(argv) == listing_oracle(argv), argv
 
 
-def test_listings_match_oracle_at_write_slices():
+def _rows_in_first_write(argv) -> int:
+    """The number of rows that the first write of a listing's rows holds."""
+    sink = RecordingSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) in (0, 4), argv
+    if "json" in argv:
+        return sink.writes[1].count('{"r":')  # after the "["
+    return sink.writes["tsv" in argv].count("\n")  # after the TSV header
+
+
+def _assert_listings_match_oracle_at_the_row_bound(r, monkeypatch):
+    """listing_commands(r) against the oracle, and where each write holds
+    _ROWS_PER_WRITE rows.  Where the byte bound holds a write to fewer
+    rows (JSON, and `enumerate r` in text and TSV, whose rows hold a
+    path), _BYTES_PER_WRITE is raised for that listing, so that the row
+    bound is the one in force, and the listing is compared again."""
+    for argv in listing_commands(r):
+        want = listing_oracle(argv)
+        assert run_captured(argv) == want, argv
+        if _rows_in_first_write(argv) != _ROWS_PER_WRITE:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_BYTES_PER_WRITE", 1 << 20)
+                assert _rows_in_first_write(argv) == _ROWS_PER_WRITE, argv
+                assert run_captured(argv) == want, argv
+
+
+def test_listings_match_oracle_at_write_slices(monkeypatch):
     # cells of as many rows as one write holds (1/r = [3,9,9,9]), one
     # more, so that the second slice holds a single row ([3,4,4,4,20]),
     # and exactly two full slices ([3,9,9,17])
@@ -686,17 +754,15 @@ def test_listings_match_oracle_at_write_slices():
         ("1351/3901", 2 * _ROWS_PER_WRITE),
     ):
         assert phi(parse_slope(r)) == rows
-        for argv in listing_commands(r):
-            assert run_captured(argv) == listing_oracle(argv), argv
+        _assert_listings_match_oracle_at_the_row_bound(r, monkeypatch)
 
 
-def test_listings_match_oracle_where_a_write_cuts_a_small_cell():
+def test_listings_match_oracle_where_a_write_cuts_a_small_cell(monkeypatch):
     # 1/r = [21,4]: n = 20 and phi = 3, so 210 cells of 3 rows; the first
-    # write ends after 170 cells and one row of the next
+    # write ends after 170 cells and two rows of the next
     assert phi(parse_slope("4/83")) == 3 and 210 * 3 > _ROWS_PER_WRITE
     assert _ROWS_PER_WRITE % 3
-    for argv in listing_commands("4/83"):
-        assert run_captured(argv) == listing_oracle(argv), argv
+    _assert_listings_match_oracle_at_the_row_bound("4/83", monkeypatch)
 
 
 def test_listings_match_oracle_where_bytes_bound_a_write():
@@ -734,6 +800,39 @@ class RecordingSink(io.TextIOBase):
         return len(text)
 
 
+def test_listing_writes_stay_below_the_mmap_threshold():
+    # glibc maps an allocation of 128 KiB or more afresh by default
+    # (M_MMAP_THRESHOLD), and neither a write's string nor its UTF-8
+    # copy reaches that.  classify 7960/23481 --format json made writes
+    # of 437 KB, and enumerate 1/300 of 2.1 MB (2 bytes a character in
+    # CPython, as its text holds the arrow →), when a write held 1 MiB
+    # of characters.
+    for r in ("7960/23481", "3905/19029", "1/300"):
+        for argv in listing_commands(r):
+            sink = DigestSink()
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) in (0, 4), argv
+            assert sink.largest_bytes < 1 << 17, (argv, sink.largest_bytes)
+
+
+def test_dot_triangle_writes_are_bounded():
+    # dot triangle 1/3000: n = 2999 and 4,498,500 cells, 424 MB of DOT;
+    # a row of cells was one write of up to 234 KB.  No write holds more
+    # than _BYTES_PER_WRITE and one cell, and no cell is longer than one
+    # with k = l = 2999, the longest status and the longest colour (phi
+    # = 1, so each cell holds one status).  The bytes are checked
+    # against the size and sha256 of the DOT of the commit before rows
+    # were cut.
+    longest = len('\n  "k2999_l2999" [label="k=2999 l=2999\\nStrongSteinConditional 1", '
+                  'fillcolor="lightcoral"];')
+    sink = DigestSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(["dot", "triangle", "1/3000"]) == 0
+    assert (sink.nbytes, sink.sha.hexdigest()) == (
+        424087096, "1dcc4558bac34ad6edeb763ec2450d596a387706d669cd71d38618153fd0d43b")
+    assert sink.largest <= _BYTES_PER_WRITE + longest
+
+
 def _classify_rows_oracle(r: str, fmt: str) -> list[str]:
     """The rows of `classify r` for phi(r) = 1, made one by one with %
     from one verdict (classify_oracle) and one P per triangle position."""
@@ -763,8 +862,11 @@ def _classify_rows_oracle(r: str, fmt: str) -> list[str]:
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_classify_writes_are_bounded_at_large_n(fmt):
     # classify 1/700: n = 699, 244,650 one-row cells in runs of up to
-    # 699 cells.  Every write but the last holds _ROWS_PER_WRITE rows,
-    # none more, and none more than _BYTES_PER_WRITE and one row.
+    # 699 cells.  Every write but the last holds as many rows as
+    # _BYTES_PER_WRITE holds at the length of the longest, with its
+    # separator, or _ROWS_PER_WRITE where that is fewer: 428 rows of up
+    # to 153 characters in JSON, 512 in TSV.  None holds more than
+    # _BYTES_PER_WRITE and one row.
     rows = _classify_rows_oracle("1/700", fmt)
     sink = RecordingSink()
     with contextlib.redirect_stdout(sink):
@@ -777,7 +879,9 @@ def test_classify_writes_are_bounded_at_large_n(fmt):
         assert "".join(sink.writes) == "r\tk\tl\tposition\tstatus\tcite\tnote\n" + "".join(rows)
         counts = [w.count("\n") for w in sink.writes[1:]]
     assert sum(counts) == len(rows) == 699 * 700 // 2
-    assert set(counts[:-1]) == {_ROWS_PER_WRITE} and 0 < counts[-1] <= _ROWS_PER_WRITE
+    sep = "," if fmt == "json" else ""
+    per_write = min(_ROWS_PER_WRITE, _BYTES_PER_WRITE // max(len(sep + row) for row in rows))
+    assert set(counts[:-1]) == {per_write} and 0 < counts[-1] <= per_write
     longest = max(map(len, rows)) + 1
     assert max(map(len, sink.writes)) <= _BYTES_PER_WRITE + longest
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, det, farey_sum, is_edge, make_slope, parse_slope
 from fareytight.slopes import ContinuedFraction, cf_minus, cf_value
+from fareytight import tori
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import (
     ClassTexts,
@@ -308,6 +309,35 @@ def test_class_texts_split_where_the_factors_balance():
         assert signed_blocks(path).sizes == sizes
         texts = minus_texts(path)
         assert (len(texts.heads), len(texts.last)) == factors, entries
+
+
+def test_decorated_texts_made_when_read_match_kept_texts(monkeypatch):
+    # with _KEPT_CHARS at 0 every signed block cuts its texts when read,
+    # and each factor of ClassTexts that holds one makes its texts when
+    # read: they equal str(P) for every class, and slices, groups and
+    # the longest text, the last one, equal those of the kept texts;
+    # the last text of minus_texts is a longest one too
+    paths = []
+    for entries in [(3,), (3, 3), (3, 5), (3, 5, 4, 6), (4, 2, 7, 2, 3), (3, 12, 2, 2, 9)]:
+        x = cf_value(ContinuedFraction(entries))
+        paths.append(minimal_path(make_slope(x.den, x.num), make_slope(1, entries[0] - 1)))
+    paths.append(minimal_path(S("-1/3"), S("inf")))  # across 0 and into inf
+    kept = [decorated_texts(path, "\n") for path in paths]
+    monkeypatch.setattr(tori, "_KEPT_CHARS", 0)
+    for path, want in zip(paths, kept):
+        texts = decorated_texts(path, "\n")
+        classes = [ShuffleClass(path, c) for c in all_minus_counts(path)]
+        assert list(texts) == list(want) == [str(P) + "\n" for P in classes]
+        assert texts.longest == want.longest == want[-1:][0]
+        assert len(want.longest) == max(map(len, want))
+        minus = minus_texts(path, "]}")
+        assert minus.longest == list(minus)[-1] and len(minus.longest) == max(map(len, minus))
+        n = len(texts)
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                assert texts[a:b] == want[a:b], (a, b)
+                assert list(texts.groups(a, b)) == list(want.groups(a, b)), (a, b)
+    assert any(not isinstance(t.last, list) for t in map(decorated_texts, paths))
 
 
 def test_enumerate_tight_fixture():
