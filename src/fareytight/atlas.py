@@ -13,14 +13,14 @@ ranges is reported as NotCoveredByPaper rather than guessed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator
 
 from .slopes import (
     DomainError,
     Slope,
     ZERO,
+    _Value,
     cw_interval_contains,
     is_edge,
     make_slope,
@@ -64,33 +64,36 @@ def n_of(r: Slope) -> int:
     return (r.den - 1) // r.num
 
 
-@dataclass(frozen=True)
-class TightStructureId:
+class TightStructureId(_Value):
     """Coordinates (k, l, P) of one tight structure on the r-surgery."""
 
-    r: Slope
-    k: int
-    l: int
-    P: ShuffleClass
+    __slots__ = ("r", "k", "l", "P")
 
-    def __post_init__(self):
-        n = n_of(self.r)
-        if not 1 <= self.k <= n:
+    def __init__(self, r: Slope, k: int, l: int, P: ShuffleClass):
+        n = n_of(r)
+        if not 1 <= k <= n:
             raise DomainError("k must lie in 1..%d" % n)
-        if not 0 <= self.l <= n - self.k:
-            raise DomainError("l must lie in 0..%d" % (n - self.k))
-        if self.P.path.start != self.r or self.P.path.end != make_slope(1, n):
-            raise DomainError("P must run from %s to 1/%d" % (self.r, n))
+        if not 0 <= l <= n - k:
+            raise DomainError("l must lie in 0..%d" % (n - k))
+        if P.path.start != r or P.path.end != make_slope(1, n):
+            raise DomainError("P must run from %s to 1/%d" % (r, n))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "P", P)
 
 
-@dataclass(frozen=True, eq=False)
-class TrianglePosition:
+class TrianglePosition(_Value):
     """Position of a cell (k, l) in the triangle: one of five module
     instances, the only ones that of, cells and runs hand out, so
     positions compare and hash by identity."""
 
-    tag: str  # Base, Top, Interior or Side
-    side: str | None = None  # "low" (l=0) or "high" (l=n-k) when Side
+    __slots__ = ("tag", "side")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, tag: str, side: str | None = None):
+        object.__setattr__(self, "tag", tag)  # Base, Top, Interior or Side
+        object.__setattr__(self, "side", side)  # "low" (l=0) or "high" (l=n-k) when Side
 
     @staticmethod
     def of(n: int, k: int, l: int) -> TrianglePosition:
@@ -135,32 +138,32 @@ _INTERIOR = TrianglePosition("Interior")
 _SIDE_LOW, _SIDE_HIGH = TrianglePosition("Side", "low"), TrianglePosition("Side", "high")
 
 
-@dataclass(frozen=True)
-class MixedTorus:
+class MixedTorus(_Value):
     """Convex torus with dividing slope s0 flanked by opposite-sign
     basic slices whose far dividing slopes are s1 and s_neg1."""
 
-    s0: Slope
-    s1: Slope
-    s_neg1: Slope
+    __slots__ = ("s0", "s1", "s_neg1")
 
-    def __post_init__(self):
-        if not (is_edge(self.s0, self.s1) and is_edge(self.s0, self.s_neg1)):
+    def __init__(self, s0: Slope, s1: Slope, s_neg1: Slope):
+        if not (is_edge(s0, s1) and is_edge(s0, s_neg1)):
             raise DomainError("associated slopes must be Farey-adjacent to s0")
+        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "s_neg1", s_neg1)
 
 
-@dataclass(frozen=True)
-class FillabilityVerdict:
-    status: Fillability
-    cite: str | None
-    note: str | None = None
+class FillabilityVerdict(_Value):
+    __slots__ = ("status", "cite", "note")
 
-    def __post_init__(self):
-        if self.status is Fillability.NOT_COVERED:
-            if self.cite is not None:
+    def __init__(self, status: Fillability, cite: str | None, note: str | None = None):
+        if status is Fillability.NOT_COVERED:
+            if cite is not None:
                 raise DomainError("uncovered verdicts carry no citation")
-        elif not self.cite:
+        elif not cite:
             raise DomainError("covered verdicts must cite their source result")
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "cite", cite)
+        object.__setattr__(self, "note", note)
 
 
 def structure_cells(r: Slope) -> tuple[FareyPath, dict, Iterator]:

@@ -10,26 +10,25 @@ surgery on the cable as a map of solid-torus structures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .slopes import DomainError, Slope, make_slope
+from .slopes import DomainError, Slope, _Value, make_slope
 from .paths import _lengthen_lift, _slope
 from .tori import SolidTorusStructure, shuffle_canonical, _refined_signs, _shorten_lift
 
 
-@dataclass(frozen=True)
-class MobiusMap:
+class MobiusMap(_Value):
     """Matrix [[a,b],[c,d]], determinant 1, acting on the vector
     (den,num) of a slope; the slope y/x maps to (c*x+d*y)/(a*x+b*y)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise DomainError("Mobius map must have determinant 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def apply(self, s: Slope) -> Slope:
         x, y = s.den, s.num

@@ -15,9 +15,9 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from functools import cache, lru_cache
 from operator import add
-from typing import Iterator
 
 from .slopes import DomainError, ParseError, Slope, cf_minus, make_slope, parse_slope
 from .slopes import _farey_walk, slope_sort_key

@@ -28,12 +28,11 @@ least pi from V_i, and c == 2 means D_i+1 == D_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import partial
 from itertools import accumulate, chain, count, islice, pairwise
-from typing import Iterator
 
-from .slopes import INF, ZERO, DomainError, Slope, _fan_basis, _text
+from .slopes import INF, ZERO, DomainError, Slope, _Value, _fan_basis, _text
 
 
 def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
@@ -266,7 +265,15 @@ class FareyPath:
 
 
 def minimal_path(a: Slope, b: Slope) -> FareyPath:
-    """Geodesic in the Farey graph from a clockwise to b, by blocks.
+    """Geodesic in the Farey graph from a clockwise to b: the blocks of
+    _greedy_blocks, run through from_blocks' checks."""
+    return FareyPath.from_blocks(a, b, _greedy_blocks(a, b))
+
+
+def _greedy_blocks(a: Slope, b: Slope) -> Iterator[tuple[tuple[int, int], tuple[int, int], int]]:
+    """The maximal blocks (pivot, base, count) of the geodesic from a
+    clockwise to b, made as they are read; a == b raises DomainError on
+    the first read.
 
     Greedy construction: while the current vertex u is not b, step to
     the Farey neighbour of u in the clockwise arc (u, b] that is closest
@@ -293,21 +300,18 @@ def minimal_path(a: Slope, b: Slope) -> FareyPath:
     bd, bn = b.den, b.num
     if vd * bn - vn * bd < 0:
         bd, bn = -bd, -bn
-    blocks = []
     c = vd * bn - vn * bd
     while c:
         k = -((wd * bn - wn * bd) // c)  # ceil(-cross(W, B) / c)
         pd, pn = wd + (k - 1) * vd, wn + (k - 1) * vn
         m = c // (bd * pn - bn * pd)
-        blocks.append(((pd, pn), (vd, vn), m))
+        yield (pd, pn), (vd, vn), m
         vd, vn = vd + m * pd, vn + m * pn
         wd, wn = pd - vd, pn - vn
         c = vd * bn - vn * bd
-    return FareyPath.from_blocks(a, b, blocks)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(_Value):
     """Partition of a path's edge indices, from first on, into continued
     fraction blocks of the given sizes.
 
@@ -319,8 +323,11 @@ class BlockDecomposition:
     p's fan.
     """
 
-    sizes: tuple[int, ...]
-    first: int = 0
+    __slots__ = ("sizes", "first")
+
+    def __init__(self, sizes: tuple[int, ...], first: int = 0):
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "first", first)
 
     @property
     def runs(self) -> tuple[tuple[int, ...], ...]:

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from collections.abc import Iterator
+from functools import cmp_to_key
+from operator import attrgetter
 
 # exact answers have no size limit: lift CPython's 4,300-digit int <-> str limit
 if hasattr(sys, "set_int_max_str_digits"):
@@ -42,20 +42,53 @@ class ParseError(ValueError):
     """Malformed textual input."""
 
 
-@dataclass(frozen=True)
-class Slope:
+class _Value:
+    """An immutable value whose fields are the names in __slots__: the
+    subclass's __init__ sets each once, through object.__setattr__, and
+    values of one class compare and hash by the tuple of their fields,
+    as frozen dataclasses do, without importing dataclasses."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return self.__class__, self._fields(self)
+
+    def __repr__(self):
+        fields = ("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(fields))
+
+
+class Slope(_Value):
     """Reduced fraction num/den with den >= 0; infinity is Slope(1, 0)."""
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den < 0:
+    def __init__(self, num: int, den: int):
+        if den < 0:
             raise DomainError("slope denominator must be nonnegative")
-        if self.den == 0 and self.num != 1:
+        if den == 0 and num != 1:
             raise DomainError("infinite slope must be stored as 1/0")
-        if self.den > 0 and math.gcd(abs(self.num), self.den) != 1:
-            raise DomainError("slope %d/%d is not reduced" % (self.num, self.den))
+        if den > 0 and math.gcd(abs(num), den) != 1:
+            raise DomainError("slope %d/%d is not reduced" % (num, den))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def is_infinite(self) -> bool:
@@ -127,11 +160,9 @@ def _pos_lt(a: Slope, b: Slope) -> bool:
     return det(a, b) < 0
 
 
-def slope_sort_key(s: Slope):
-    """Sort key realising the linear position order (inf last)."""
-    if s.is_infinite:
-        return (1, Fraction(0))
-    return (0, Fraction(s.num, s.den))
+# sort key realising the linear position order (inf last): a sorts
+# before b exactly when det(a, b) < 0, which puts inf after every finite slope
+slope_sort_key = cmp_to_key(det)
 
 
 def cw_interval_contains(x: Slope, a: Slope, b: Slope, closed: bool = False) -> bool:
@@ -235,13 +266,15 @@ def _fan_member(v0, w0, k: int) -> Slope:
     return make_slope(w0[1] + k * v0[1], w0[0] + k * v0[0])
 
 
-def _fan_param(v0, w0, t: Slope) -> Fraction:
-    """Exact k with t parallel to w0 + k*v0 (t must differ from the apex)."""
+def _fan_param(v0, w0, t: Slope) -> tuple[int, int]:
+    """floor(k) and ceil(k) of the k with t parallel to w0 + k*v0 (t must
+    differ from the apex): k = -cross(T, w0) / cross(T, v0), T = (t.den,
+    t.num); // floors whatever the signs."""
     vt = (t.den, t.num)
-    denom = _cross(vt, v0)
+    num, denom = -_cross(vt, w0), _cross(vt, v0)
     if denom == 0:
         raise DomainError("slope coincides with the fan apex")
-    return Fraction(-_cross(vt, w0), denom)
+    return num // denom, -(-num // denom)
 
 
 def neighbors_in_interval(s0: Slope, a: Slope, b: Slope) -> frozenset[Slope]:
@@ -256,31 +289,27 @@ def neighbors_in_interval(s0: Slope, a: Slope, b: Slope) -> frozenset[Slope]:
     if s0 == a or s0 == b or cw_interval_contains(s0, a, b):
         raise DomainError("neighbour set inside the interval is infinite")
     v0, w0 = _fan_basis(s0)
-    ka = _fan_param(v0, w0, a)
-    kb = _fan_param(v0, w0, b)
-    lo, hi = min(ka, kb), max(ka, kb)
+    (fa, ca), (fb, cb) = _fan_param(v0, w0, a), _fan_param(v0, w0, b)
     # the fan parametrises the circle minus s0; the arc away from s0 is
-    # the bounded parameter window, endpoints excluded
-    out = set()
-    for k in range(math.floor(lo) + 1, math.ceil(hi)):
-        out.add(_fan_member(v0, w0, k))
-    return frozenset(out)
+    # the bounded parameter window, endpoints excluded: the integers
+    # above floor(min(ka, kb)) and below ceil(max(ka, kb))
+    return frozenset(_fan_member(v0, w0, k) for k in range(min(fa, fb) + 1, max(ca, cb)))
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Value):
     """Minus-convention continued fraction [a0, ..., an], every ai >= 2.
 
     Value is a0 - 1/(a1 - 1/(... - 1/an)), always a rational > 1.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...]):
+        if not entries:
             raise DomainError("continued fraction needs at least one entry")
-        if any(e < 2 for e in self.entries):
+        if any(e < 2 for e in entries):
             raise DomainError("minus continued fraction entries must be >= 2")
+        object.__setattr__(self, "entries", entries)
 
     def __str__(self) -> str:
         return "[%s]" % ",".join(str(e) for e in self.entries)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .slopes import (
     DomainError,
@@ -21,32 +20,33 @@ from .slopes import (
     Slope,
     make_slope,
     _pos_lt,
+    _Value,
 )
 from .paths import (
     BlockDecomposition,
     FareyPath,
-    blocks,
     minimal_path,
+    _greedy_blocks,
     _lengthen,
     _lift_blocks,
 )
 
 
-@dataclass(frozen=True)
-class DecoratedPath:
+class DecoratedPath(_Value):
     """Farey path with a sign (+1 or -1) on every edge except the first."""
 
-    path: FareyPath
-    signs: tuple[int, ...]
+    __slots__ = ("path", "signs")
 
-    def __post_init__(self):
-        m = len(self.path)
+    def __init__(self, path: FareyPath, signs: tuple[int, ...]):
+        m = len(path)
         if m < 1:
             raise DomainError("decorated path needs at least one edge")
-        if len(self.signs) != m - 1:
-            raise DomainError("expected %d signs, got %d" % (m - 1, len(self.signs)))
-        if any(s not in (1, -1) for s in self.signs):
+        if len(signs) != m - 1:
+            raise DomainError("expected %d signs, got %d" % (m - 1, len(signs)))
+        if any(s not in (1, -1) for s in signs):
             raise DomainError("signs must be +1 or -1")
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "signs", signs)
 
     def __str__(self) -> str:
         vs = self.path.vertices
@@ -66,22 +66,20 @@ def signed_blocks(path: FareyPath) -> BlockDecomposition:
     return path.signed_blocks
 
 
-@dataclass(frozen=True)
-class ShuffleClass:
+class ShuffleClass(_Value):
     """A decorated path up to shuffling: per-signed-block minus counts."""
 
-    path: FareyPath
-    minus_counts: tuple[int, ...]
+    __slots__ = ("path", "minus_counts")
 
-    def __post_init__(self):
-        sizes = signed_blocks(self.path).sizes
-        if len(self.minus_counts) != len(sizes):
-            raise DomainError(
-                "expected %d block counts, got %d" % (len(sizes), len(self.minus_counts))
-            )
-        for cnt, size in zip(self.minus_counts, sizes):
+    def __init__(self, path: FareyPath, minus_counts: tuple[int, ...]):
+        sizes = signed_blocks(path).sizes
+        if len(minus_counts) != len(sizes):
+            raise DomainError("expected %d block counts, got %d" % (len(sizes), len(minus_counts)))
+        for cnt, size in zip(minus_counts, sizes):
             if not 0 <= cnt <= size:
                 raise DomainError("minus count %d outside block of size %d" % (cnt, size))
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "minus_counts", minus_counts)
 
     @property
     def blocks(self) -> BlockDecomposition:
@@ -126,27 +124,29 @@ def shuffle_canonical(d: DecoratedPath) -> ShuffleClass:
     return ShuffleClass(d.path, tuple(d.signs[run[0] - 1 : run[-1]].count(-1) for run in runs))
 
 
-@dataclass(frozen=True)
-class SolidTorusStructure:
+class SolidTorusStructure(_Value):
     """Tight structure on the solid torus with the given lower meridian
     and boundary dividing slope."""
 
-    meridian: Slope
-    dividing: Slope
-    iso_class: ShuffleClass
+    __slots__ = ("meridian", "dividing", "iso_class")
 
-    def __post_init__(self):
-        if self.iso_class.path.start != self.meridian:
+    def __init__(self, meridian: Slope, dividing: Slope, iso_class: ShuffleClass):
+        if iso_class.path.start != meridian:
             raise DomainError("class path must start at the meridian")
-        if self.iso_class.path.end != self.dividing:
+        if iso_class.path.end != dividing:
             raise DomainError("class path must end at the dividing slope")
+        object.__setattr__(self, "meridian", meridian)
+        object.__setattr__(self, "dividing", dividing)
+        object.__setattr__(self, "iso_class", iso_class)
 
 
 def count_tight(r: Slope, s: Slope) -> int:
     """Number of tight structures with lower meridian r and dividing
     slope s: product of (size + 1) over signed blocks of the minimal
-    path from r to s."""
-    return math.prod(size + 1 for size in signed_blocks(minimal_path(r, s)).sizes)
+    path from r to s, from its greedy blocks less the first edge."""
+    sizes = [m for _, _, m in _greedy_blocks(r, s)]
+    sizes[0] -= 1
+    return math.prod(size + 1 for size in sizes)
 
 
 def phi(r: Slope) -> int:
@@ -169,7 +169,7 @@ def count_tight_upper(x: Slope, s: Slope) -> int:
         raise DomainError("upper meridian must be a rational > 1")
     if s.is_infinite or not _pos_lt(s, x):
         raise DomainError("dividing slope must be a rational below the meridian")
-    sizes = list(blocks(minimal_path(s, x)).sizes)
+    sizes = [m for _, _, m in _greedy_blocks(s, x)]
     sizes[-1] -= 1  # a last block of one edge adds a factor 1
     return math.prod(size + 1 for size in sizes)
 

@@ -15,7 +15,8 @@ path_error_oracle, the checks that FareyPath now runs on integers,
 block_vectors_oracle, the vertex-by-vertex lift that every path's
 stored blocks replace, edge_runs_oracle, the per-vertex block rule that
 the stored blocks of a path replace, path_output_oracle, the `path`
-command's text as it was made from the vertices, and phi_oracle, the continued fraction product
+command's text as it was made from the vertices, sort_key_oracle, the
+Fraction key that slope_sort_key replaces, and phi_oracle, the continued fraction product
 that tori.phi replaces by a count over blocks; bfs_shorten,
 the breadth-first search over sign sequences that
 tori.consistently_shorten replaces; shorten_oracle and
@@ -81,6 +82,15 @@ def circle_pos(s: Slope) -> Fraction:
         return 2 * v / (v + 1)
     w = -v
     return 4 - 2 * w / (w + 1)
+
+
+def sort_key_oracle(s: Slope):
+    """The linear position order (negatives < 0 < positives < inf) as a
+    Fraction key, the slope_sort_key that the cross-product comparison
+    replaces."""
+    if s.is_infinite:
+        return (1, Fraction(0))
+    return (0, Fraction(s.num, s.den))
 
 
 def cw_contains_oracle(x: Slope, a: Slope, b: Slope, closed: bool = False) -> bool:

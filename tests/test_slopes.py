@@ -34,6 +34,7 @@ from helpers import (
     farey_edges_oracle,
     neighbors_scan_oracle,
     random_unit_rational,
+    sort_key_oracle,
 )
 
 
@@ -175,6 +176,30 @@ def test_fan_basis_has_cross_one():
         assert (vd, vn) == (s.den, s.num) and vd * wn - vn * wd == 1, s
 
 
+def test_fan_param_is_floor_and_ceil_of_the_fraction():
+    # on every ordered pair s0 != t of the slopes with |num|, den <= 6 and
+    # inf: t is parallel to W + k*V, with k = -cross(T, W) / cross(T, V)
+    # as a Fraction, which is negative, or has a negative denominator,
+    # without being an integer
+    import math
+
+    from fareytight.slopes import _fan_basis, _fan_param
+
+    box, signs = all_slopes_in_box(6), set()
+    for s0 in box:
+        v0, w0 = _fan_basis(s0)
+        for t in box:
+            if t != s0:
+                num = -(t.den * w0[1] - t.num * w0[0])
+                denom = t.den * v0[1] - t.num * v0[0]
+                k = Fraction(num, denom)
+                assert _fan_param(v0, w0, t) == (math.floor(k), math.ceil(k)), (s0, t)
+                signs.add((denom < 0, k < 0, k.denominator == 1))
+    assert {(True, False, False), (False, True, False)} <= signs
+    with pytest.raises(DomainError):
+        _fan_param(*_fan_basis(S("2/3")), S("2/3"))
+
+
 def test_neighbors_in_interval_fixtures():
     assert neighbors_in_interval(S("1/2"), ONE, S("1/3")) == frozenset({ZERO})
     assert neighbors_in_interval(S("3/8"), S("2/5"), S("4/11")) == frozenset({S("1/3")})
@@ -215,6 +240,32 @@ def test_neighbors_in_interval_matches_scan():
         assert got == neighbors_scan_oracle(s0, a, b, bound)
         done += 1
     assert done == 25
+
+
+def test_neighbors_in_interval_matches_scan_on_the_whole_circle():
+    # s0, a and b drawn from the slopes with |num|, den <= 6 and inf, so
+    # negatives, integers and inf all occur; the fan parameter of an end
+    # t has the denominator det(s0, t), whose sign both cases take, and
+    # is an integer exactly when t is a Farey neighbour of s0
+    rng = random.Random(20261019)
+    box = all_slopes_in_box(6)
+    bound, done, drawn, signs = 60, 0, set(), set()
+    for _ in range(5000):
+        if done == 120:
+            break
+        s0, a, b = rng.sample(box, 3)
+        if cw_interval_contains(s0, a, b, closed=True):
+            continue
+        got = neighbors_in_interval(s0, a, b)
+        if any(t.den > bound // 2 or abs(t.num) > bound // 2 for t in got):
+            continue  # answer outgrows the scan box; skip, do not trust
+        assert got == neighbors_scan_oracle(s0, a, b, bound), (s0, a, b)
+        drawn |= {s0, a, b}
+        signs |= {(det(s0, t) < 0, is_edge(s0, t)) for t in (a, b)}
+        done += 1
+    assert done == 120
+    assert INF in drawn and any(t.num < 0 for t in drawn) and any(t.den == 1 for t in drawn)
+    assert signs == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_cf_minus_fixtures():
@@ -259,6 +310,18 @@ def test_sort_key_orders_by_position():
     slopes = [S(t) for t in ("-3", "-1/2", "0", "1/5", "1", "7/2", "inf")]
     assert sorted(slopes, key=slope_sort_key) == slopes
     assert circle_pos(S("-3")) > circle_pos(INF)
+
+
+def test_sort_key_matches_fraction_order():
+    # every slope with |num|, den <= 6, and inf, against the Fraction key
+    box = all_slopes_in_box(6)
+    shuffled = box[:]
+    random.Random(7).shuffle(shuffled)
+    assert sorted(shuffled, key=slope_sort_key) == sorted(box, key=sort_key_oracle)
+    for a in box:
+        for b in box:
+            ka, kb, oa, ob = slope_sort_key(a), slope_sort_key(b), sort_key_oracle(a), sort_key_oracle(b)
+            assert (ka < kb, ka == kb, ka > kb) == (oa < ob, oa == ob, oa > ob), (a, b)
 
 
 def test_det_antisymmetry():
@@ -315,3 +378,74 @@ def test_farey_interval_domain():
     for bound in (0, -5):
         with pytest.raises(DomainError):
             rationals_in(S("1/3"), S("1/2"), bound)
+
+
+def test_value_classes_behave_as_frozen_dataclasses():
+    import copy
+    import pickle
+
+    import fareytight as ft
+    from fareytight.atlas import _BASE, _INTERIOR, _SIDE_HIGH, _SIDE_LOW, _TOP
+
+    path = ft.minimal_path(S("9/25"), S("1/2"))
+    P = ft.ShuffleClass(path, (1,))
+    shown = ("FareyPath.from_blocks(Slope(9/25), Slope(1/2), "
+             "(((-14, -5), (25, 9), 1), ((-3, -1), (11, 4), 3)))")
+    # each class twice from equal fields, and its repr, taken from the
+    # frozen dataclasses these classes replace
+    cases = [
+        (lambda: Slope(1, 2), "num den", "Slope(1/2)"),
+        (lambda: ContinuedFraction((3, 5, 2)), "entries", "ContinuedFraction(entries=(3, 5, 2))"),
+        (lambda: ft.BlockDecomposition((1, 2)), "sizes first",
+         "BlockDecomposition(sizes=(1, 2), first=0)"),
+        (lambda: ft.DecoratedPath(path, (1, -1, -1)), "path signs",
+         "DecoratedPath(path=%s, signs=(1, -1, -1))" % shown),
+        (lambda: ft.ShuffleClass(ft.minimal_path(S("9/25"), S("1/2")), (1,)), "path minus_counts",
+         "ShuffleClass(path=%s, minus_counts=(1,))" % shown),
+        (lambda: ft.SolidTorusStructure(S("9/25"), S("1/2"), P), "meridian dividing iso_class",
+         "SolidTorusStructure(meridian=Slope(9/25), dividing=Slope(1/2), "
+         "iso_class=ShuffleClass(path=%s, minus_counts=(1,)))" % shown),
+        (lambda: ft.TightStructureId(S("9/25"), k=1, l=0, P=P), "r k l P",
+         "TightStructureId(r=Slope(9/25), k=1, l=0, "
+         "P=ShuffleClass(path=%s, minus_counts=(1,)))" % shown),
+        (lambda: ft.MixedTorus(S("1/3"), S("1/2"), s_neg1=S("1/4")), "s0 s1 s_neg1",
+         "MixedTorus(s0=Slope(1/3), s1=Slope(1/2), s_neg1=Slope(1/4))"),
+        (lambda: ft.FillabilityVerdict(status=ft.Fillability.STEIN, cite="Lemma 4.2"),
+         "status cite note",
+         "FillabilityVerdict(status=<Fillability.STEIN: 'Stein'>, cite='Lemma 4.2', note=None)"),
+        (lambda: ft.MobiusMap(11, -25, 4, -9), "a b c d", "MobiusMap(a=11, b=-25, c=4, d=-9)"),
+    ]
+    for make, fields, text in cases:
+        x, y, fields = make(), make(), fields.split()
+        assert x is not y and x == y and not x != y and hash(x) == hash(y), text
+        assert x != object() and repr(x) == text
+        assert hash(x) == hash(tuple(getattr(x, f) for f in fields)), text
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, f, None)
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert x == y == pickle.loads(pickle.dumps(x)) == copy.copy(x) == copy.deepcopy(x), text
+    assert ft.MobiusMap(11, -25, 4, -9) != ft.MobiusMap(11, 25, -4, -9)
+    assert ft.BlockDecomposition((1, 2)) != ft.BlockDecomposition((1, 2), 1)
+    # defaults
+    assert ft.BlockDecomposition((1, 2)).first == 0
+    assert ft.FillabilityVerdict(status=ft.Fillability.STEIN, cite="Lemma 4.2").note is None
+    assert ft.TrianglePosition("Base").side is None
+    # the five positions compare and hash by identity
+    positions = [_BASE, _TOP, _INTERIOR, _SIDE_LOW, _SIDE_HIGH]
+    assert len(set(positions)) == 5 and len({id(p) for p in positions}) == 5
+    assert ft.TrianglePosition("Base") != _BASE and hash(ft.TrianglePosition("Base")) != hash(_BASE)
+    assert repr(_SIDE_LOW) == "TrianglePosition(tag='Side', side='low')"
+    for f in ("tag", "side"):
+        with pytest.raises(AttributeError):
+            setattr(_TOP, f, "Base")
+        with pytest.raises(AttributeError):
+            delattr(_TOP, f)
+    # the checks run on keyword construction too
+    with pytest.raises(DomainError):
+        ft.MobiusMap(a=1, b=1, c=1, d=1)
+    with pytest.raises(DomainError):
+        Slope(num=2, den=4)

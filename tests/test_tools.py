@@ -1,5 +1,6 @@
 """The benchmark's smoke run, the DOT export, CLI digest and surgery
-digest scripts and the CLI, each run as its own process."""
+digest scripts, the library's import and the CLI, each run as its own
+process."""
 
 import hashlib
 import os
@@ -80,6 +81,22 @@ def test_library_lifts_the_int_str_digit_limit():
             "print(len(str(sum(verdict_summary(parse_slope('1/1' + '0' * 3000)).values()))))\n")
     res = run_script("-c", code)
     assert (res.returncode, res.stdout, res.stderr) == (0, "True\n6000\n", "")
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    # a fresh interpreter importing the library and its CLI loads none of
+    # the modules that dataclasses, fractions and typing pull in
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import fareytight, fareytight.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    res = run_script("-c", code)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert "fareytight.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal",
+             "_decimal", "numbers", "typing"}
+    assert not loaded & heavy, sorted(loaded & heavy)
 
 
 def test_listing_into_closed_pipe():
