@@ -16,7 +16,9 @@ p/q`; then `sweep --interval 1/60 1 --bound 60` in tsv and json.  Then
 the solid-torus commands, over the box of slopes num/den with den <= 3
 and |num| <= 4, and inf: for every ordered pair a, b, `path a b` (text,
 json, dot), `dot path a b`, `count a b` and `enumerate a b` (text,
-json, tsv); for every slope x, `phi x` and `cf x` (text, json); for
+json, tsv); `path` (text, json, dot) on the fans of 0 and inf from
+1/40 to -1/40, -40 to 40, 0 to 40 and -1/2 to -1/40; for every slope x,
+`phi x` and `cf x` (text, json); for
 every slope s0 and every ordered pair of its Farey neighbours s1, s_neg1
 in the box, `exceptional s0 s1 s_neg1` in text, and in json with
 --paper-mode; and `exceptional 1/n 2/(2n+1) 1/(n-1) --paper-mode` for
@@ -87,6 +89,10 @@ def commands(max_den: int):
             yield ["count", a, b]
             for fmt in ("text", "json", "tsv"):
                 yield ["enumerate", a, b, "--format", fmt]
+    # fans of 0 and inf beyond the box: across inf, across 0 and into the negatives
+    for a, b in (("1/40", "-1/40"), ("-40", "40"), ("0", "40"), ("-1/2", "-1/40")):
+        for fmt in ("text", "json", "dot"):
+            yield ["path", a, b, "--format", fmt]
     for x in box:
         for fmt in ("text", "json"):
             yield ["phi", x, "--format", fmt]

@@ -199,6 +199,13 @@ def _size(text: str) -> int:
     return len(text) * (1 if text.isascii() else 2)
 
 
+def _rows_per_write(row: str) -> int:
+    """Rows to a write of a listing whose longest row is row: as many as
+    _BYTES_PER_WRITE holds at its _size, at most _ROWS_PER_WRITE, one at
+    least."""
+    return min(_ROWS_PER_WRITE, max(1, _BYTES_PER_WRITE // _size(row)))
+
+
 def _write_rows(runs, pre, post: str, count: int, texts, longest: str, sep: str = "",
                 ends=None) -> Iterator[str]:
     """Yield the rows of a listing, _ROWS_PER_WRITE rows to a write, or
@@ -224,7 +231,7 @@ def _write_rows(runs, pre, post: str, count: int, texts, longest: str, sep: str 
             # a row as long as the longest: no k or l is longer than n = hi
             row = sep + (pre % hi if pre is not None else "") + label(hi - 1) + post + longest
             row += ends(k, lo) if ends else ""
-            per_write = room = min(_ROWS_PER_WRITE, max(1, _BYTES_PER_WRITE // _size(row)))
+            per_write = room = _rows_per_write(row)
         full = whole.get(key)
         if full is None and count <= per_write:
             full = whole[key] = [p + t for p, ts in texts(key, 0, count) for t in ts]
@@ -247,6 +254,24 @@ def _write_rows(runs, pre, post: str, count: int, texts, longest: str, sep: str 
                 pieces.clear()
                 room = per_write
     yield "".join(pieces)
+
+
+def _tsv_rows(head: str, minus, texts) -> Iterator[str]:
+    """Yield the rows head + m + t of `enumerate r s --format tsv`, m
+    and t the texts of a class in minus and in texts, as many rows to a
+    write as _write_rows puts there.  The two ClassTexts have as many
+    texts for each signed block, so they split alike and each pair of
+    their groups covers the same classes: a write is one join over the
+    heads and texts of its groups, taken in turn, and no text is made
+    per row."""
+    per_write, count = _rows_per_write(head + minus.longest + texts.longest), len(texts)
+    for a in range(0, count, per_write):
+        pieces, b = [], min(a + per_write, count)
+        for (mh, ms), (th, ts) in zip(minus.groups(a, b), texts.groups(a, b), strict=True):
+            rows = [head + mh, None, th, None] * len(ms)
+            rows[1::4], rows[3::4] = ms, ts
+            pieces += rows
+        yield "".join(pieces)
 
 
 def _cell(h: str, e: str, groups) -> list[str]:
@@ -313,11 +338,10 @@ def _cmd_enumerate(args) -> Iterator[str]:
         longest = rows.longest
         yield "["
     elif args.format == "tsv":
-        minus, rows = minus_texts(path), decorated_texts(path, "\n")
         yield "r\ts\tminus\tP\n"
-        texts = lambda _, a, b: [("", [m[1:] + "\t" + t for m, t in zip(minus[a:b], rows[a:b])])]
-        longest = minus.longest[1:] + "\t" + rows.longest
-        post = "%s\t%s\t" % (args.r, args.s)
+        head = "%s\t%s\t" % (args.r, args.s)
+        yield from _tsv_rows(head, minus_texts(path, "\t", ""), decorated_texts(path, "\n"))
+        return
     else:
         rows = decorated_texts(path, "\n")
         longest = rows.longest
@@ -431,8 +455,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
-@cache  # built on the first call, then shared by every later main()
 def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@cache  # built on the first call, then shared by every later main()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand, by name."""
     parser = _Parser(
         prog="fareytight",
         description="Tight contact structures on trefoil surgeries, exactly.",
@@ -518,15 +547,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("slopes", nargs="+")
     p.set_defaults(func=_cmd_dot)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # argv[1:] goes to the parser of the command that argv[0] names,
+        # into a namespace that holds the name, as the top-level parser
+        # would hand it over; the top-level parser runs only to report
+        # what it alone reports: no command, an unknown one, its own -h,
+        # and arguments that the command's parser leaves over
+        sub = commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if rest:
+                args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    return _run(args)
+
+
+def _run(args) -> int:
+    """Write the output of the parsed command piece by piece; the exit code."""
     pieces, write = args.func(args), sys.stdout.write
     try:
         while True:

@@ -37,27 +37,51 @@ from .slopes import INF, ZERO, DomainError, Slope, _Value, _fan_basis, _text
 
 def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
     """template % (t, ..., t) for the text t of each member base +
-    k*pivot, k = lo..hi-1, of a fan, joined.  The denominators are
-    linear in k: where they exceed 1 in absolute value at both ends they
-    all do, and the members are fractions n/d after a change of sign."""
+    k*pivot, k = lo..hi-1, of a fan, joined.  The denominators d are
+    linear in k, so the members fall in at most three runs, each made in
+    one % operation: fractions with |d| > 1, whose d have one sign, then
+    the members with |d| <= 1, the integers n*d and inf, then fractions
+    again.  The run with |d| <= 1 is at most three members, or, on the
+    fan of inf (pd == 0, so d = ud = +-1), the whole block."""
     (pd, pn), (ud, un) = pivot, base
-    first, last = ud + lo * pd, ud + (hi - 1) * pd
-    sign = 1 if min(first, last) > 1 else -1 if max(first, last) < -1 else 0
-    if not sign:
-        slots = template.count("%s")
-        return "".join(template % ((_text(ud + k * pd, un + k * pn),) * slots) for k in range(lo, hi))
-    nums = _progression(sign * (un + lo * pn), sign * pn, hi - lo)
-    return _format_fractions(template, nums, _progression(sign * first, sign * pd, hi - lo))
+    if not pd:
+        return _fill(template, "%d", [_progression(ud * (un + lo * pn), ud * pn, hi - lo)])
+    sign = 1 if pd > 0 else -1
+    # |ud + k*pd| <= 1 exactly where a <= k < b
+    a = min(max(lo, -((1 + sign * ud) // (sign * pd))), hi)
+    b = max(min(hi, (1 - sign * ud) // (sign * pd) + 1), a)
+    units, slots = [(ud + k * pd, un + k * pn) for k in range(a, b)], template.count("%s")
+    mid = "".join(template.replace("%s", "%d" if d else "inf") for d, _ in units)
+    mid %= tuple(n * d for d, n in units if d for _ in range(slots))
+    return _fractions(template, pivot, base, lo, a) + mid + _fractions(template, pivot, base, b, hi)
 
 
-def _format_fractions(template: str, nums: list[int], dens: list[int]) -> str:
-    """template % (n/d, ..., n/d), one n/d for each "%s", for each pair
-    of nums and dens, joined, in one % operation."""
-    step = 2 * template.count("%s")
-    args = [0] * (step * len(nums))
-    for i in range(0, step, 2):
-        args[i::step], args[i + 1 :: step] = nums, dens
-    return (template.replace("%s", "%d/%d") * len(nums)) % tuple(args)
+def _fractions(template: str, pivot, base, lo: int, hi: int) -> str:
+    """_format_members on members k = lo..hi-1 whose denominators exceed
+    1 in absolute value and share a sign: fractions n/d after a change of
+    sign.  On the fan of 0 (pn == 0) every n is the same, +-1, since
+    cross(base, pivot) = -un*pd = 1, and the template holds it."""
+    if lo == hi:
+        return ""
+    (pd, pn), (ud, un) = pivot, base
+    sign = 1 if ud + lo * pd > 0 else -1
+    dens = _progression(sign * (ud + lo * pd), sign * pd, hi - lo)
+    if not pn:
+        return _fill(template, "%d/%%d" % (sign * un), [dens])
+    return _fill(template, "%d/%d", [_progression(sign * (un + lo * pn), sign * pn, hi - lo), dens])
+
+
+def _fill(template: str, spec: str, columns: list[list[int]]) -> str:
+    """template once for each member, spec in place of each "%s",
+    joined, and filled in one % operation: each spec of member i takes
+    the i-th number of every column."""
+    width, size = template.count("%s") * len(columns), len(columns[0])
+    args = columns[0]
+    if width > 1:
+        args = [0] * (width * size)
+        for i in range(width):
+            args[i::width] = columns[i % len(columns)]
+    return (template.replace("%s", spec) * size) % tuple(args)
 
 
 def _progression(first: int, step: int, length: int) -> list[int]:

@@ -260,12 +260,15 @@ class ClassTexts:
             yield self.heads[p], self.last[max(a - p * width, 0) : b - p * width]
 
 
-def minus_texts(path: FareyPath, end: str = "") -> ClassTexts:
-    """",c_1,...,c_m" + end for the minus counts c of every class on the
-    path, in the order of all_minus_counts: with end "]}", the end of
-    the text of P.to_json() after its first minus count."""
+def minus_texts(path: FareyPath, end: str = "", first: str = ",") -> ClassTexts:
+    """first + "c_1,...,c_m" + end for the minus counts c of every class
+    on the path (end alone on a path with no signed block), in the order
+    of all_minus_counts: with end "]}", the end of the text of
+    P.to_json() after its first minus count."""
     sizes = signed_blocks(path).sizes
-    return _class_texts("", [[",%d" % c for c in range(size + 1)] for size in sizes], end)
+    seps = [first] + [","] * (len(sizes) - 1)
+    return _class_texts("", [["%s%d" % (sep, c) for c in range(size + 1)]
+                             for sep, size in zip(seps, sizes)], end)
 
 
 # the s + 1 texts of a signed block of s edges are kept where they hold

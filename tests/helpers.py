@@ -22,10 +22,12 @@ the breadth-first search over sign sequences that
 tori.consistently_shorten replaces; shorten_oracle and
 cable_surgery_oracle, the Slope-level consistently_shorten and
 legendrian_cable_surgery that the loops on lifted vectors replace (the
-oracle lengthens on Slopes, with its own copy of the sign rule); and
+oracle lengthens on Slopes, with its own copy of the sign rule);
 listing_oracle, the
 per-structure `classify` and `enumerate r` listings that the CLI's
-batched writes of rows made from block texts replace.
+batched writes of rows made from block texts replace; and main_oracle,
+the one top-level parse of argv that cli.main's dispatch by command
+name replaces.
 """
 
 import contextlib
@@ -67,7 +69,7 @@ from fareytight.atlas import (
     triangle_position,
 )
 from fareytight.cables import reglue_map
-from fareytight.cli import _build_parser
+from fareytight.cli import _build_parser, _run
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import DecoratedPath, ShuffleClass, SolidTorusStructure, shuffle_canonical
 
@@ -608,6 +610,17 @@ def _classify_listing(args) -> int:
 
 
 _PARSER = _build_parser()
+
+
+def main_oracle(argv=None) -> int:
+    """fareytight.cli.main as it parsed argv before it dispatched by the
+    command's name: one parse_args of the top-level parser over all of
+    argv (sys.argv[1:] when argv is None)."""
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return _run(args)
 
 
 def listing_oracle(argv) -> tuple[int, str, str]:

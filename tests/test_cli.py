@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -17,10 +18,17 @@ from fareytight import cli
 from fareytight.atlas import TightStructureId, TrianglePosition, n_of
 from fareytight.cli import _BYTES_PER_WRITE, _VERTICES_PER_WRITE, _ROWS_PER_WRITE, main
 from fareytight.paths import minimal_path
-from fareytight.slopes import ZERO, parse_slope
+from fareytight.slopes import INF, ZERO, make_slope, parse_slope
 from fareytight.tori import enumerate_tight, phi
 
-from helpers import all_slopes_in_box, classify_oracle, listing_oracle, path_output_oracle, path_texts_oracle
+from helpers import (
+    all_slopes_in_box,
+    classify_oracle,
+    listing_oracle,
+    main_oracle,
+    path_output_oracle,
+    path_texts_oracle,
+)
 
 
 def run(capsys, *argv):
@@ -29,11 +37,15 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def run_captured(argv):
+def captured(fn, *args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = fn(*args)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_captured(argv):
+    return captured(main, list(argv))
 
 
 def listing_commands(r: str):
@@ -450,7 +462,8 @@ def test_missing_args_exit_code(capsys):
     assert run(capsys, "path", "1/2")[0] == 2
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 # the README commands whose comment is their first line of output
 README_OUTPUT_COMMANDS = {"phi", "cf", "path", "cable-slope", "cable-map", "count", "summary",
                           "exceptional"}
@@ -509,6 +522,76 @@ def test_help_and_unknown_options_still_parse_as_options():
                  ["count", "-1/3", "1/2", "--frob"]):
         code, out, err = run_captured(argv)
         assert (code, out) == (2, "") and err.startswith("usage: fareytight"), argv
+
+
+# argvs that end in an error or in help text, read by the top-level
+# parser, a command's parser or both
+ERROR_AND_HELP_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["-x", "phi"], ["-", "phi"], ["--version"],
+    ["--", "phi", "3/10"], ["bogus"], ["bogus", "1"], ["phi"], ["phi", "-h"], ["phi", "--he"],
+    ["phi", "3/10", "-h"], ["phi", "-h", "extra"], ["phi", "3/10", "--help=x"],
+    ["phi", "3/10", "extra"], ["phi", "3/10", "--", "extra"], ["phi", "3/10", "-x"],
+    ["phi", "3/10", "--form", "json"], ["phi", "3/10", "--format=json"],
+    ["phi", "3/10", "--format", "xml"], ["phi", "3/10", "--format"], ["phi", "-"],
+    ["exceptional", "--", "-1", "0", "1"], ["cable-map", "5", "2", "--pow", "3"],
+    ["cable-slope", "5", "2", "--sign", "2"], ["dot", "triangle"], ["dot", "circle", "1/2"],
+    ["enumerate", "3/10", "1/2", "extra", "more"], ["count", "1/3"], ["sweep"],
+]
+
+
+def test_dispatch_by_name_matches_one_top_level_parse(monkeypatch):
+    # main hands argv[1:] to the parser of the command that argv[0]
+    # names, as the top-level parser does, and helpers.main_oracle is
+    # main with one top-level parse: the same exit code, stdout and
+    # stderr on every command of scripts/cli_digests.py up to
+    # denominator 12, on argvs that end in an error or in help, and with
+    # no argv, as the console script calls main
+    spec = importlib.util.spec_from_file_location("cli_digests", ROOT / "scripts" / "cli_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    for argv in [*digests.commands(12), *ERROR_AND_HELP_ARGVS]:
+        assert captured(main, argv) == captured(main_oracle, argv), argv
+    for argv in ([], ["-h"], ["phi", "3/10"], ["phi", "3/10", "extra"], ["path", "-1/2", "1/2"]):
+        monkeypatch.setattr(sys, "argv", ["fareytight", *argv])
+        assert captured(main) == captured(main_oracle), argv
+    # a command that parses needs no top-level parse
+    monkeypatch.setattr(cli._build_parser(), "parse_args", None)
+    assert captured(main, ["phi", "3/10", "--format", "json"]) == (0, '{"r":"3/10","phi":1}\n', "")
+
+
+def test_path_on_the_fans_of_0_and_inf():
+    # a block on the fan of 0 holds its numerator, +-1, in the template,
+    # and a block on the fan of inf is integers: each format equals the
+    # text made from str(v) of every vertex, on a fan of 0 that crosses
+    # inf, integers that cross 0, negative unit fractions, and blocks of
+    # more members than one write holds
+    n = _VERTICES_PER_WRITE + 7
+    for a, b, fan in (("1/40", "-1/40", ZERO), ("-40", "40", INF), ("0", "40", INF),
+                      ("-1/2", "-1/40", ZERO), ("1/%d" % n, "-1/%d" % n, ZERO), ("-%d" % n, str(n), INF)):
+        path = minimal_path(parse_slope(a), parse_slope(b))
+        assert {make_slope(pn, pd) for (pd, pn), _, _ in path.block_vectors} == {fan}, (a, b)
+        want = path_texts_oracle(path.vertices)
+        for fmt, emit in (("text", cli._path_text), ("json", cli._path_json), ("dot", cli.emit_dot_path)):
+            pieces = list(emit(path))
+            assert (0, "".join(pieces) + "\n", "") == want[fmt], (a, b, fmt)
+            # start, a piece per write of the block's members, end
+            assert len(pieces) > 3 or len(path) < _VERTICES_PER_WRITE, (a, b, fmt)
+
+
+def test_enumerate_tsv_rows_match_the_classes(monkeypatch):
+    # the rows of `enumerate r s --format tsv` glue the minus counts and
+    # the decorated path of each class, written a few rows at a time so
+    # that writes cut the groups of ClassTexts; on paths with no signed
+    # block, one, and several, which ClassTexts splits into two factors
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+    for r, s in (("1/3", "1/2"), ("-1/3", "inf"), ("9/25", "1/2"), ("41/187", "1/4"), ("29/81", "1/2")):
+        rows = ["%s\t%s\t%s\t%s\n" % (r, s, ",".join(map(str, c.iso_class.minus_counts)), c.iso_class)
+                for c in enumerate_tight(parse_slope(r), parse_slope(s))]
+        sink = RecordingSink()
+        with contextlib.redirect_stdout(sink):
+            assert main(["enumerate", r, s, "--format", "tsv"]) == 0
+        assert sink.writes[1:] == ["".join(rows[a : a + 3]) for a in range(0, len(rows), 3)], (r, s)
+        assert sink.writes[0] == "r\ts\tminus\tP\n"
 
 
 # length and sha256 of stdout, captured before the listings were

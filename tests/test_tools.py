@@ -42,10 +42,11 @@ def test_cli_digests_script():
     assert res.returncode == 0, res.stdout + res.stderr
     lines = res.stdout.splitlines()
     # 11 reduced p/q with q <= 6, 14 commands each, then two sweeps; then,
-    # on the box of 20 slopes, 8 commands per ordered pair, 4 per slope,
-    # 2 per triple s0, s1, s_neg1 with s1 and s_neg1 Farey neighbours of
-    # s0 (360 triples), and the 5 --paper-mode patterns
-    assert len(lines) == 11 * 14 + 2 + 20 * 20 * 8 + 20 * 4 + 2 * 360 + 5
+    # on the box of 20 slopes, 8 commands per ordered pair, 3 formats of
+    # `path` on 4 pairs on the fans of 0 and inf, 4 commands per slope, 2
+    # per triple s0, s1, s_neg1 with s1 and s_neg1 Farey neighbours of s0
+    # (360 triples), and the 5 --paper-mode patterns
+    assert len(lines) == 11 * 14 + 2 + 20 * 20 * 8 + 4 * 3 + 20 * 4 + 2 * 360 + 5
     # 1/2 is the n = 1 surgery: one structure, in the Stein base row
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
     line = "0 %s %s summary 1/2 --format json" % (sha('{"total":1,"stein":1}\n'), sha(""))
