@@ -57,6 +57,27 @@ def test_cli_digests_script():
     assert any(l.startswith("4 ") and l.endswith(" summary 1/3 --format text --strict") for l in lines)
 
 
+# sha256 of the whole output of each digest script, and its line count:
+# a change that alters any output byte on purpose updates these and says
+# why.  cli_digests.py --max-den 6 exits 0 on 3,776 lines, 3 on 372 and 4
+# on 25, and never 2, so no argparse text, which differs between Python
+# versions, is in it.
+DIGEST_GOLDENS = [
+    (["scripts/cli_digests.py", "--max-den", "6"], 4173,
+     "d2c95b0a887aacc1aeeac8e0465a5664ca8e4ea85e5e8e76203c279393824fd6"),
+    (["scripts/surgery_digests.py"], 51480,
+     "80bdb2181b3310c16887ecdc32cd1f2f22a02b7acf9b2d2cac5b026a9fa3bc47"),
+]
+
+
+def test_digest_scripts_match_their_goldens():
+    for argv, lines, digest in DIGEST_GOLDENS:
+        res = run_script(*argv)
+        assert res.returncode == 0, res.stdout + res.stderr
+        sha = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert (res.stdout.count("\n"), sha) == (lines, digest), argv
+
+
 def test_surgery_digests_script():
     res = run_script("scripts/surgery_digests.py", "--max-den", "2", "--max-num", "1",
                      "--max-p", "5", "--max-q", "2")
