@@ -10,7 +10,7 @@ import pathlib
 
 from fareytight.slopes import parse_slope
 from fareytight.paths import minimal_path
-from fareytight.cli import emit_dot_path, emit_dot_triangle
+from fareytight._output import emit_dot_path, emit_dot_triangle
 
 PATHS = [("9/25", "1/2"), ("13/49", "1/3")]
 TRIANGLES = ["1/7", "9/25", "13/49", "7/32"]

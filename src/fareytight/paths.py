@@ -35,60 +35,6 @@ from itertools import accumulate, chain, count, islice, pairwise
 from .slopes import INF, ZERO, DomainError, Slope, _Value, _fan_basis, _text
 
 
-def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
-    """template % (t, ..., t) for the text t of each member base +
-    k*pivot, k = lo..hi-1, of a fan, joined.  The denominators d are
-    linear in k, so the members fall in at most three runs, each made in
-    one % operation: fractions with |d| > 1, whose d have one sign, then
-    the members with |d| <= 1, the integers n*d and inf, then fractions
-    again.  The run with |d| <= 1 is at most three members, or, on the
-    fan of inf (pd == 0, so d = ud = +-1), the whole block."""
-    (pd, pn), (ud, un) = pivot, base
-    if not pd:
-        return _fill(template, "%d", [_progression(ud * (un + lo * pn), ud * pn, hi - lo)])
-    sign = 1 if pd > 0 else -1
-    # |ud + k*pd| <= 1 exactly where a <= k < b
-    a = min(max(lo, -((1 + sign * ud) // (sign * pd))), hi)
-    b = max(min(hi, (1 - sign * ud) // (sign * pd) + 1), a)
-    units, slots = [(ud + k * pd, un + k * pn) for k in range(a, b)], template.count("%s")
-    mid = "".join(template.replace("%s", "%d" if d else "inf") for d, _ in units)
-    mid %= tuple(n * d for d, n in units if d for _ in range(slots))
-    return _fractions(template, pivot, base, lo, a) + mid + _fractions(template, pivot, base, b, hi)
-
-
-def _fractions(template: str, pivot, base, lo: int, hi: int) -> str:
-    """_format_members on members k = lo..hi-1 whose denominators exceed
-    1 in absolute value and share a sign: fractions n/d after a change of
-    sign.  On the fan of 0 (pn == 0) every n is the same, +-1, since
-    cross(base, pivot) = -un*pd = 1, and the template holds it."""
-    if lo == hi:
-        return ""
-    (pd, pn), (ud, un) = pivot, base
-    sign = 1 if ud + lo * pd > 0 else -1
-    dens = _progression(sign * (ud + lo * pd), sign * pd, hi - lo)
-    if not pn:
-        return _fill(template, "%d/%%d" % (sign * un), [dens])
-    return _fill(template, "%d/%d", [_progression(sign * (un + lo * pn), sign * pn, hi - lo), dens])
-
-
-def _fill(template: str, spec: str, columns: list[list[int]]) -> str:
-    """template once for each member, spec in place of each "%s",
-    joined, and filled in one % operation: each spec of member i takes
-    the i-th number of every column."""
-    width, size = template.count("%s") * len(columns), len(columns[0])
-    args = columns[0]
-    if width > 1:
-        args = [0] * (width * size)
-        for i in range(width):
-            args[i::width] = columns[i % len(columns)]
-    return (template.replace("%s", spec) * size) % tuple(args)
-
-
-def _progression(first: int, step: int, length: int) -> list[int]:
-    """first, first + step, ..., length terms."""
-    return list(range(first, first + length * step, step)) if step else [first] * length
-
-
 def _slope(d: int, n: int) -> Slope:
     """The slope of the primitive vector (d, n)."""
     if d < 0:
@@ -236,23 +182,6 @@ class FareyPath:
         if self._vertices is None:
             self._vertices = tuple(self._map_vertices(partial(map, _slope)))
         return self._vertices
-
-    def format_vertices(self, template: str, size: int, chars: int) -> Iterator[str]:
-        """template % (t, ..., t), one t for each "%s" of template, for
-        the text t of each vertex strictly between start and end, made
-        from the block integers, size vertices to a text at most, and no
-        more than a text of chars characters holds, but one at least.  A
-        member's num and den are linear in k, so on a block they are
-        largest in absolute value at an end member: the bits of those, at
-        most 0.30103 decimal digits a bit, a "/" and a sign bound the
-        text of every member of the block."""
-        last, slots = len(self._blocks) - 1, template.count("%s")
-        for j, ((pd, pn), (ud, un), m) in enumerate(self._blocks):
-            stop = m if j < last else m - 1  # the last member of all is the end
-            bits = max(abs(un), abs(un + m * pn)).bit_length() + max(abs(ud), abs(ud + m * pd)).bit_length()
-            step = min(size, max(1, chars // (len(template) + slots * (bits * 30103 // 100000 + 2))))
-            for lo in range(1, stop + 1, step):
-                yield _format_members(template, (pd, pn), (ud, un), lo, min(lo + step, stop + 1))
 
     def __len__(self) -> int:
         return self._len

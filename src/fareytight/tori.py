@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Iterator
 
 from .slopes import (
@@ -219,151 +218,6 @@ def feature_column(path: FareyPath) -> list[tuple[bool, bool, bool]]:
     column = ([plus] + [mixed] * (sizes[-1] - 1) + [minus]) * math.prod(s + 1 for s in sizes[:-1])
     column[0], column[-1] = (True, True, False), (True, False, True)
     return column
-
-
-class ClassTexts:
-    """The texts of the shuffle classes on a path, in the order of
-    all_minus_counts, kept as a product of two lists: the class with
-    index p * len(last) + c has the text heads[p] + last[c], where heads
-    holds the texts of the minus counts on the signed blocks before a
-    split and last those of the counts on the blocks after it.  A slice
-    builds the texts of its classes only.  Either factor may be a
-    _Product, whose texts are made when read."""
-
-    __slots__ = ("heads", "last")
-
-    def __init__(self, heads: list[str], last: list[str]):
-        self.heads, self.last = heads, last
-
-    def __len__(self) -> int:
-        return len(self.heads) * len(self.last)
-
-    @property
-    def longest(self) -> str:
-        """A longest text, the last one: the text of a minus count is no
-        shorter than those of smaller counts."""
-        return self.heads[-1] + self.last[-1]
-
-    def __iter__(self) -> Iterator[str]:
-        return (head + text for head in self.heads for text in self.last)
-
-    def __getitem__(self, cut: slice) -> list[str]:
-        a, b, _ = cut.indices(len(self))
-        return [head + text for head, texts in self.groups(a, b) for text in texts]
-
-    def groups(self, a: int, b: int) -> Iterator[tuple[str, list[str]]]:
-        """The classes a..b-1, a < b, as (heads[p], the slice of last
-        that follows it), p ascending: sep.join of the classes is sep.join
-        of head + (sep + head).join(texts), one text per head."""
-        width = len(self.last)
-        for p in range(a // width, -(-b // width)):
-            yield self.heads[p], self.last[max(a - p * width, 0) : b - p * width]
-
-
-def minus_texts(path: FareyPath, end: str = "", first: str = ",") -> ClassTexts:
-    """first + "c_1,...,c_m" + end for the minus counts c of every class
-    on the path (end alone on a path with no signed block), in the order
-    of all_minus_counts: with end "]}", the end of the text of
-    P.to_json() after its first minus count."""
-    sizes = signed_blocks(path).sizes
-    seps = [first] + [","] * (len(sizes) - 1)
-    return _class_texts("", [["%s%d" % (sep, c) for c in range(size + 1)]
-                             for sep, size in zip(seps, sizes)], end)
-
-
-# the s + 1 texts of a signed block of s edges are kept where they hold
-# at most this many characters, and made when read where they hold more
-_KEPT_CHARS = 1 << 22
-
-
-def decorated_texts(path: FareyPath, end: str = "") -> ClassTexts:
-    """str(P) + end for every class P on the path, in the order of
-    all_minus_counts, with no class built.  The canonical decorated path
-    carries c minus signs at the clockwise end of a block with minus
-    count c, so the s + 1 texts of a block of s edges are cut from its
-    all-plus and its all-minus text: kept as a list, or, where that
-    would hold more than _KEPT_CHARS characters, a _SignedTexts that
-    cuts each text when it is read, so that memory does not grow with
-    the square of a long block."""
-    vs = [str(v) for v in path.vertices]
-    pieces = []
-    for run in signed_blocks(path).runs:
-        block = _SignedTexts([vs[e + 1] for e in run])
-        pieces.append(block if len(block) * len(block.plus) > _KEPT_CHARS else list(block))
-    return _class_texts("%s → %s" % (vs[0], vs[1]), pieces, end)
-
-
-class _SignedTexts:
-    """The texts of the minus counts 0..s on a signed block of s edges,
-    as a sequence whose items are made when read: count c signs the last
-    c edges minus, so it is plus[:cuts[s - c]] + minus[cuts[s - c]:]."""
-
-    __slots__ = ("plus", "minus", "cuts")
-
-    def __init__(self, texts: list[str]):
-        self.plus, self.minus, self.cuts = _signed_run(texts)
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def __getitem__(self, c: int) -> str:
-        cut = self.cuts[~c]  # raises IndexError as a list of the texts would
-        return self.plus[:cut] + self.minus[cut:]
-
-
-def _signed_run(texts: list[str]) -> tuple[str, str, list[int]]:
-    """The signed edges " →+ t" into the vertex texts t, joined, the
-    same with every sign minus, and the offsets cuts[i] where the first i
-    edges end in both: plus[:cuts[i]] + minus[cuts[i]:] signs the edges
-    after the first i minus."""
-    plus = "".join(" →+ " + t for t in texts)
-    cuts = list(itertools.accumulate((len(" →+ ") + len(t) for t in texts), initial=0))
-    return plus, plus.replace("→+", "→-"), cuts  # no slope text holds a +
-
-
-def _class_texts(first: str, pieces: list, end: str) -> ClassTexts:
-    """first + pieces[0][c_0] + ... + end for every choice of the c_j, the
-    last index running fastest, as ClassTexts: one text is made per block
-    and count, or per read where a block is a _SignedTexts, and the
-    blocks are split where the longer of the two factors is shortest."""
-    counts = list(itertools.accumulate(map(len, pieces), operator.mul, initial=1))
-    split = min(range(len(counts)), key=lambda j: max(counts[j], counts[-1] // counts[j]))
-    return ClassTexts(_products(first, pieces[:split]), _products("", pieces[split:] + [[end]]))
-
-
-def _products(first: str, pieces: list) -> list[str] | _Product:
-    """first extended block by block by every piece of each block, the
-    last block's piece running fastest: a list, or a _Product where a
-    block is a _SignedTexts, whose texts are not kept."""
-    if not all(isinstance(block, list) for block in pieces):
-        return _Product(first, pieces)
-    texts = [first]
-    for block in pieces:
-        texts = [text + piece for text in texts for piece in block]
-    return texts
-
-
-class _Product:
-    """The texts of _products as a sequence whose items are made when
-    read, from one piece of each block."""
-
-    __slots__ = ("first", "blocks", "size")
-
-    def __init__(self, first: str, blocks: list):
-        self.first, self.blocks = first, blocks
-        self.size = math.prod(map(len, blocks))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(self.size)[i]]
-        i, pieces = range(self.size)[i], []  # raises IndexError as a list would
-        for block in reversed(self.blocks):
-            i, c = divmod(i, len(block))
-            pieces.append(block[c])
-        return self.first + "".join(reversed(pieces))
 
 
 def _refined_signs(signs: tuple[int, ...], i: int, c: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,12 @@ from fareytight.atlas import (
     structure_record,
     triangle_position,
     verdict_summary,
+    _BASE,
+    _INTERIOR,
+    _SIDE_HIGH,
+    _SIDE_LOW,
+    _TOP,
+    _rule,
     _window,
 )
 
@@ -529,3 +536,30 @@ def test_fillability_json_keys():
     assert Fillability.NOT_COVERED.json_key == "not_covered_by_paper"
     assert Fillability.STEIN.value == "Stein"
     assert Fillability.NOT_COVERED.value == "NotCoveredByPaper"
+
+
+def test_rule_commutes_with_conjugation():
+    # conjugation flips the sign of every basic slice: it maps (k, l, P)
+    # to (k, n-k-l, P-bar), which swaps Side low and Side high and the
+    # features (u, a, b) to (u, b, a) of P-bar, and keeps the verdict,
+    # cite and note; 4 windows x n in 1..6 x 5 positions x 8 triples
+    conj = {_BASE: _BASE, _TOP: _TOP, _INTERIOR: _INTERIOR, _SIDE_LOW: _SIDE_HIGH, _SIDE_HIGH: _SIDE_LOW}
+    cases = 0
+    for window in (None, CITE_WIDE_INTERVAL, CITE_N2_INTERVAL, CITE_N3_INTERVAL):
+        for n in range(1, 7):
+            for pos in conj:
+                for u, a, b in itertools.product((False, True), repeat=3):
+                    v, w = _rule(window, n, pos, (u, a, b)), _rule(window, n, conj[pos], (u, b, a))
+                    assert (v.status, v.cite, v.note) == (w.status, w.cite, w.note), (window, n, pos, u, a, b)
+                    cases += 1
+    assert cases == 960
+    # and P -> P-bar is a bijection of the classes of a path that swaps
+    # the two last-block flags: feature_counts gives (u, a, b) and
+    # (u, b, a) the same count, on every path r -> 1/n with q <= 60
+    for q in range(2, 61):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                r = make_slope(p, q)
+                counts = feature_counts(minimal_path(r, make_slope(1, n_of(r))))
+                for u, a, b in itertools.product((False, True), repeat=3):
+                    assert counts.get((u, a, b), 0) == counts.get((u, b, a), 0), (r, u, a, b)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fareytight import cli
+from fareytight import _output, cli
+from fareytight._output import _BYTES_PER_WRITE
 from fareytight.atlas import TightStructureId, TrianglePosition, n_of
-from fareytight.cli import _BYTES_PER_WRITE, _VERTICES_PER_WRITE, _ROWS_PER_WRITE, main
+from fareytight.cli import main
 from fareytight.paths import minimal_path
 from fareytight.slopes import INF, ZERO, make_slope, parse_slope
 from fareytight.tori import enumerate_tight, phi
@@ -564,32 +565,35 @@ def test_path_on_the_fans_of_0_and_inf():
     # and a block on the fan of inf is integers: each format equals the
     # text made from str(v) of every vertex, on a fan of 0 that crosses
     # inf, integers that cross 0, negative unit fractions, and blocks of
-    # more members than one write holds
-    n = _VERTICES_PER_WRITE + 7
+    # more members than one write holds: no member's unit is under 4
+    # bytes, so no write holds n of them
+    n = _BYTES_PER_WRITE // 4 + 7
     for a, b, fan in (("1/40", "-1/40", ZERO), ("-40", "40", INF), ("0", "40", INF),
                       ("-1/2", "-1/40", ZERO), ("1/%d" % n, "-1/%d" % n, ZERO), ("-%d" % n, str(n), INF)):
         path = minimal_path(parse_slope(a), parse_slope(b))
         assert {make_slope(pn, pd) for (pd, pn), _, _ in path.block_vectors} == {fan}, (a, b)
         want = path_texts_oracle(path.vertices)
-        for fmt, emit in (("text", cli._path_text), ("json", cli._path_json), ("dot", cli.emit_dot_path)):
-            pieces = list(emit(path))
+        for fmt in ("text", "json", "dot"):
+            pieces = list(_output.path_text(path, fmt))
             assert (0, "".join(pieces) + "\n", "") == want[fmt], (a, b, fmt)
-            # start, a piece per write of the block's members, end
-            assert len(pieces) > 3 or len(path) < _VERTICES_PER_WRITE, (a, b, fmt)
+            # a block of n members is cut into several writes
+            assert len(path) < n or 2 * max(map(len, pieces)) < len(want[fmt][1]), (a, b, fmt)
 
 
 def test_enumerate_tsv_rows_match_the_classes(monkeypatch):
     # the rows of `enumerate r s --format tsv` glue the minus counts and
-    # the decorated path of each class, written a few rows at a time so
-    # that writes cut the groups of ClassTexts; on paths with no signed
-    # block, one, and several, which ClassTexts splits into two factors
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+    # the decorated path of each class, written 3 rows at a time, the
+    # byte bound patched to 3 units, so that writes cut the groups of
+    # ClassTexts; on paths with no signed block, one, and several, which
+    # ClassTexts splits into two factors
     for r, s in (("1/3", "1/2"), ("-1/3", "inf"), ("9/25", "1/2"), ("41/187", "1/4"), ("29/81", "1/2")):
         rows = ["%s\t%s\t%s\t%s\n" % (r, s, ",".join(map(str, c.iso_class.minus_counts)), c.iso_class)
                 for c in enumerate_tight(parse_slope(r), parse_slope(s))]
+        argv = ["enumerate", r, s, "--format", "tsv"]
         sink = RecordingSink()
-        with contextlib.redirect_stdout(sink):
-            assert main(["enumerate", r, s, "--format", "tsv"]) == 0
+        with monkeypatch.context() as patch, contextlib.redirect_stdout(sink):
+            patch.setattr(_output, "_BYTES_PER_WRITE", 3 * _unit_bytes(argv, patch))
+            assert main(argv) == 0
         assert sink.writes[1:] == ["".join(rows[a : a + 3]) for a in range(0, len(rows), 3)], (r, s)
         assert sink.writes[0] == "r\ts\tminus\tP\n"
 
@@ -747,13 +751,14 @@ def test_path_streams_in_bounded_memory():
 
 def test_path_matches_oracle():
     # every ordered pair with |num|, den <= 3, and geodesics of more
-    # vertices and edges than one write holds: in one block with
-    # positive denominators, in one block from inf with negative ones
-    # in its lift, and through the integers, whose texts are made one by
-    # one; against the text made in one piece from the greedy vertices
+    # vertices and edges than one write holds (no vertex or edge index
+    # takes fewer than 4 bytes): in one block with positive
+    # denominators, in one block from inf with negative ones in its
+    # lift, and through the integers, whose texts are made one by one;
+    # against the text made in one piece from the greedy vertices
     box = all_slopes_in_box(3)
     pairs = [(a, b) for a in box for b in box]
-    n = _VERTICES_PER_WRITE
+    n = _BYTES_PER_WRITE // 4
     pairs += [(parse_slope(a), parse_slope(b)) for a, b in (
         ("1/%d" % (n + 5), "1/2"), ("inf", "-%d/%d" % (3 * n + 16, n + 5)), ("0", str(n + 3)))]
     for a, b in pairs:
@@ -766,14 +771,14 @@ def test_path_matches_oracle():
 def test_path_writes_are_bounded_in_bytes():
     # `path 0 5000/N`, N = 1 + 5000*10**1000, is one block of 5,000
     # edges whose inner vertices k/(1 + k*10**1000) have about 1,000
-    # digits each: _VERTICES_PER_WRITE of them are about 4 MB of text,
-    # and 8 MB of DOT, so the byte bound cuts the block's writes
+    # digits each, about 5 MB of text and 10 MB of DOT, so the byte bound
+    # cuts the block's writes
     b = parse_slope("5000/%d" % (1 + 5000 * 10**1000))
     path = minimal_path(ZERO, b)
     assert [m for _, _, m in path.block_vectors] == [5000]
     want = path_texts_oracle(path.vertices)
     longest = max(len(str(v)) for v in path.vertices)
-    assert _VERTICES_PER_WRITE * longest > 3 * _BYTES_PER_WRITE
+    assert len(path) * longest > 3 * _BYTES_PER_WRITE
     for fmt in ("text", "json", "dot"):
         sink = RecordingSink()
         with contextlib.redirect_stdout(sink):
@@ -811,40 +816,45 @@ def _rows_in_first_write(argv) -> int:
     return sink.writes["tsv" in argv].count("\n")  # after the TSV header
 
 
-def _assert_listings_match_oracle_at_the_row_bound(r, monkeypatch):
-    """listing_commands(r) against the oracle, and where each write holds
-    _ROWS_PER_WRITE rows.  Where the byte bound holds a write to fewer
-    rows (JSON, and `enumerate r` in text and TSV, whose rows hold a
-    path), _BYTES_PER_WRITE is raised for that listing, so that the row
-    bound is the one in force, and the listing is compared again."""
+def _unit_bytes(argv, patch) -> int:
+    """The _size of the unit, a row as long as the longest, by which the
+    listing of argv sizes its writes (the argument of its one per_write
+    call): with _BYTES_PER_WRITE at m times that, a write holds m rows."""
+    units, per_write = [], _output.per_write
+    with patch.context() as spy, contextlib.redirect_stdout(NullSink()):
+        spy.setattr(_output, "per_write", lambda unit: units.append(unit) or per_write(unit))
+        assert main(argv) in (0, 4), argv
+    assert len(units) == 1, argv
+    return _output._size(units[0])
+
+
+def _assert_listings_match_oracle_at_the_row_bound(r, monkeypatch, rows=512):
+    """listing_commands(r) against the oracle, at the default byte bound
+    and with the byte bound patched to rows units, where a write holds
+    that many rows."""
     for argv in listing_commands(r):
         want = listing_oracle(argv)
         assert run_captured(argv) == want, argv
-        if _rows_in_first_write(argv) != _ROWS_PER_WRITE:
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "_BYTES_PER_WRITE", 1 << 20)
-                assert _rows_in_first_write(argv) == _ROWS_PER_WRITE, argv
-                assert run_captured(argv) == want, argv
+        with monkeypatch.context() as patch:
+            patch.setattr(_output, "_BYTES_PER_WRITE", rows * _unit_bytes(argv, patch))
+            assert _rows_in_first_write(argv) == rows, argv
+            assert run_captured(argv) == want, argv
 
 
 def test_listings_match_oracle_at_write_slices(monkeypatch):
     # cells of as many rows as one write holds (1/r = [3,9,9,9]), one
     # more, so that the second slice holds a single row ([3,4,4,4,20]),
-    # and exactly two full slices ([3,9,9,17])
-    for r, rows in (
-        ("711/2053", _ROWS_PER_WRITE),
-        ("1105/3019", _ROWS_PER_WRITE + 1),
-        ("1351/3901", 2 * _ROWS_PER_WRITE),
-    ):
+    # and exactly two full slices ([3,9,9,17]), 512 rows to a write
+    for r, rows in (("711/2053", 512), ("1105/3019", 513), ("1351/3901", 1024)):
         assert phi(parse_slope(r)) == rows
         _assert_listings_match_oracle_at_the_row_bound(r, monkeypatch)
 
 
 def test_listings_match_oracle_where_a_write_cuts_a_small_cell(monkeypatch):
-    # 1/r = [21,4]: n = 20 and phi = 3, so 210 cells of 3 rows; the first
-    # write ends after 170 cells and two rows of the next
-    assert phi(parse_slope("4/83")) == 3 and 210 * 3 > _ROWS_PER_WRITE
-    assert _ROWS_PER_WRITE % 3
+    # 1/r = [21,4]: n = 20 and phi = 3, so 210 cells of 3 rows; at 512
+    # rows to a write, the first write ends after 170 cells and two rows
+    # of the next
+    assert phi(parse_slope("4/83")) == 3 and 512 % 3 and 210 * 3 > 512
     _assert_listings_match_oracle_at_the_row_bound("4/83", monkeypatch)
 
 
@@ -858,18 +868,20 @@ def test_listings_match_oracle_where_bytes_bound_a_write():
         want = listing_oracle(argv)
         assert run_captured(argv) == want, argv
         if argv[0] == "enumerate":
-            assert len(want[1]) // 1794 > _BYTES_PER_WRITE // _ROWS_PER_WRITE, argv
+            rows = _rows_in_first_write(argv)
+            assert 0 < rows < 1794 and rows % 299, argv
 
 
 def test_listings_match_oracle_where_writes_cut_runs_of_cells(monkeypatch):
-    # a write of 7 rows cuts the runs of one-row cells of 1/40 (n = 39,
-    # runs of up to 39 cells) and the cells of 4/83 (three rows) and
-    # 9/25 (n = 2) inside and between them; at 512 rows no run of
-    # one-row cells below n = 40 is ever cut
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)
+    # a write of 7 rows, the byte bound patched to 7 units, cuts the runs
+    # of one-row cells of 1/40 (n = 39, runs of up to 39 cells) and the
+    # cells of 4/83 (three rows) and 9/25 (n = 2) inside and between them
     for r in ("1/40", "4/83", "9/25"):
         for argv in listing_commands(r):
-            assert run_captured(argv) == listing_oracle(argv), argv
+            with monkeypatch.context() as patch:
+                patch.setattr(_output, "_BYTES_PER_WRITE", 7 * _unit_bytes(argv, patch))
+                assert _rows_in_first_write(argv) == 7, argv
+                assert run_captured(argv) == listing_oracle(argv), argv
 
 
 class RecordingSink(io.TextIOBase):
@@ -889,13 +901,21 @@ def test_listing_writes_stay_below_the_mmap_threshold():
     # copy reaches that.  classify 7960/23481 --format json made writes
     # of 437 KB, and enumerate 1/300 of 2.1 MB (2 bytes a character in
     # CPython, as its text holds the arrow →), when a write held 1 MiB
-    # of characters.
-    for r in ("7960/23481", "3905/19029", "1/300"):
-        for argv in listing_commands(r):
-            sink = DigestSink()
-            with contextlib.redirect_stdout(sink):
-                assert main(argv) in (0, 4), argv
-            assert sink.largest_bytes < 1 << 17, (argv, sink.largest_bytes)
+    # of characters.  The same holds for the rest of the output text:
+    # paths of many short vertices, of a few on the fan of inf, and of
+    # 1,000-digit vertices, in every format; a DOT triangle; and the
+    # 3,000 rows of about 43 KB of one long signed block.
+    argvs = [argv for r in ("7960/23481", "3905/19029", "1/300") for argv in listing_commands(r)]
+    far = "5000/%d" % (1 + 5000 * 10**1000)
+    argvs += [["path", a, b, "--format", fmt] for a, b in (("1/200000", "1/2"), ("0", far), ("0", "200000"))
+              for fmt in ("text", "json", "dot")]
+    argvs += [["dot", "path", "1/200000", "1/2"], ["dot", "triangle", "1/1000"]]
+    argvs += [["enumerate", "3001/9002", "1/2", "--format", fmt] for fmt in ("text", "json", "tsv")]
+    for argv in argvs:
+        sink = DigestSink()
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) in (0, 4), argv
+        assert sink.largest_bytes < 1 << 17, (argv, sink.largest_bytes)
 
 
 def test_dot_triangle_writes_are_bounded():
@@ -947,9 +967,8 @@ def test_classify_writes_are_bounded_at_large_n(fmt):
     # classify 1/700: n = 699, 244,650 one-row cells in runs of up to
     # 699 cells.  Every write but the last holds as many rows as
     # _BYTES_PER_WRITE holds at the length of the longest, with its
-    # separator, or _ROWS_PER_WRITE where that is fewer: 428 rows of up
-    # to 153 characters in JSON, 512 in TSV.  None holds more than
-    # _BYTES_PER_WRITE and one row.
+    # separator: 428 rows of up to 153 characters in JSON, 1,394 of up
+    # to 47 in TSV.  None holds more than _BYTES_PER_WRITE and one row.
     rows = _classify_rows_oracle("1/700", fmt)
     sink = RecordingSink()
     with contextlib.redirect_stdout(sink):
@@ -963,7 +982,7 @@ def test_classify_writes_are_bounded_at_large_n(fmt):
         counts = [w.count("\n") for w in sink.writes[1:]]
     assert sum(counts) == len(rows) == 699 * 700 // 2
     sep = "," if fmt == "json" else ""
-    per_write = min(_ROWS_PER_WRITE, _BYTES_PER_WRITE // max(len(sep + row) for row in rows))
+    per_write = _BYTES_PER_WRITE // max(len(sep + row) for row in rows)
     assert set(counts[:-1]) == {per_write} and 0 < counts[-1] <= per_write
     longest = max(map(len, rows)) + 1
     assert max(map(len, sink.writes)) <= _BYTES_PER_WRITE + longest

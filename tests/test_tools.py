@@ -121,6 +121,26 @@ def test_import_loads_no_heavy_stdlib_module():
     assert not loaded & heavy, sorted(loaded & heavy)
 
 
+def test_library_import_loads_no_output_code():
+    # the text of listings, paths and DOT is the CLI's: importing the
+    # library alone compiles none of it
+    code = "import sys, fareytight\nprint(sorted(m for m in sys.modules if m.startswith('fareytight')))\n"
+    res = run_script("-c", code)
+    assert res.returncode == 0, res.stderr
+    assert "fareytight" in res.stdout
+    assert "fareytight._output" not in res.stdout and "fareytight.cli" not in res.stdout
+
+
+def test_code_lines_script():
+    res = run_script("scripts/code_lines.py")
+    assert res.returncode == 0, res.stdout + res.stderr
+    rows = [line.split("\t") for line in res.stdout.splitlines()]
+    *modules, (total_name, total) = rows
+    assert total_name == "total"
+    assert {"__init__", "cli", "paths", "tori"} <= {name for name, _ in modules}
+    assert sum(int(lines) for _, lines in modules) == int(total) > 0
+
+
 def test_listing_into_closed_pipe():
     # `fareytight ... | head -1`: the reader goes away after one line of a
     # listing far longer than a pipe's buffer

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, det, farey_sum, is_edge, make_slope, parse_slope
 from fareytight.slopes import ContinuedFraction, cf_minus, cf_value
-from fareytight import tori
+from fareytight import _output
+from fareytight._output import ClassTexts, decorated_texts, minus_texts
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import (
-    ClassTexts,
     DecoratedPath,
     ShuffleClass,
     SolidTorusStructure,
@@ -21,13 +21,11 @@ from fareytight.tori import (
     consistently_shorten,
     count_tight,
     count_tight_upper,
-    decorated_texts,
     enumerate_tight,
     feature_column,
     feature_counts,
     is_tight,
     lengthen_decorated,
-    minus_texts,
     phi,
     shuffle_canonical,
     signed_blocks,
@@ -219,6 +217,12 @@ def test_block_sizes_follow_large_continued_fractions(a0, pieces):
     assert count_tight(r, s) == phi(r) == phi_oracle(r) == math.prod(a - 1 for a in entries[1:])
 
 
+def _texts(texts, a=0, b=None):
+    """Texts a..b-1 of a ClassTexts, read through its groups."""
+    b = len(texts) if b is None else b
+    return [head + t for head, ts in texts.groups(a, b) for t in ts] if a < b else []
+
+
 def _assert_class_columns(path, texts=True):
     """The closed forms of tori against one ShuffleClass per class."""
     classes = [ShuffleClass(path, counts) for counts in all_minus_counts(path)]
@@ -227,8 +231,8 @@ def _assert_class_columns(path, texts=True):
     assert Counter(column) == feature_counts(path)
     if texts:
         minus = minus_texts(path, "]}")
-        assert list(minus) == [_json_tail(P) for P in classes]
-        assert list(decorated_texts(path, "\n")) == [str(P) + "\n" for P in classes]
+        assert _texts(minus) == [_json_tail(P) for P in classes]
+        assert _texts(decorated_texts(path, "\n")) == [str(P) + "\n" for P in classes]
         assert len(minus) == len(classes)
 
 
@@ -266,25 +270,26 @@ def test_class_columns_match_classes_on_large_blocks(a0, large, small, at):
 
 
 def test_class_texts_slices():
-    # slices of the product of heads and last texts, against the list
+    # slices of the product of heads and last texts, read through the
+    # groups, against the list
     texts = ClassTexts(["a", "b", "c"], ["0", "1"])
-    full = list(texts)
+    full = _texts(texts)
     assert full == ["a0", "a1", "b0", "b1", "c0", "c1"] and len(texts) == 6
-    for lo in range(8):
-        for hi in range(8):
-            assert texts[lo:hi] == full[lo:hi], (lo, hi)
+    for lo in range(7):
+        for hi in range(lo, 7):
+            assert _texts(texts, lo, hi) == full[lo:hi], (lo, hi)
     path = minimal_path(S("1/3"), S("1/2"))  # one edge, no signed block
-    assert list(minus_texts(path, "]}")) == ["]}"]
-    assert list(decorated_texts(path)) == ["1/3 → 1/2"]
+    assert _texts(minus_texts(path, "]}")) == ["]}"]
+    assert _texts(decorated_texts(path)) == ["1/3 → 1/2"]
     path = minimal_path(S("-1/3"), S("inf"))  # across 0 and into inf
-    assert list(decorated_texts(path)) == [str(P) for P in
+    assert _texts(decorated_texts(path)) == [str(P) for P in
                                           (ShuffleClass(path, c) for c in all_minus_counts(path))]
 
 
 def test_class_texts_groups():
     # groups(a, b) gives classes a..b-1 as one (head, last slice) per head
     texts = ClassTexts(["a", "b", "c"], ["0", "1", "2"])
-    full = list(texts)
+    full = [h + t for h in "abc" for t in "012"]
     for lo in range(9):
         for hi in range(lo + 1, 10):  # a < b, as the listings ask
             groups = list(texts.groups(lo, hi))
@@ -323,19 +328,19 @@ def test_decorated_texts_made_when_read_match_kept_texts(monkeypatch):
         paths.append(minimal_path(make_slope(x.den, x.num), make_slope(1, entries[0] - 1)))
     paths.append(minimal_path(S("-1/3"), S("inf")))  # across 0 and into inf
     kept = [decorated_texts(path, "\n") for path in paths]
-    monkeypatch.setattr(tori, "_KEPT_CHARS", 0)
+    monkeypatch.setattr(_output, "_KEPT_CHARS", 0)
     for path, want in zip(paths, kept):
         texts = decorated_texts(path, "\n")
         classes = [ShuffleClass(path, c) for c in all_minus_counts(path)]
-        assert list(texts) == list(want) == [str(P) + "\n" for P in classes]
-        assert texts.longest == want.longest == want[-1:][0]
-        assert len(want.longest) == max(map(len, want))
+        assert _texts(texts) == _texts(want) == [str(P) + "\n" for P in classes]
+        assert texts.longest == want.longest == _texts(want)[-1]
+        assert len(want.longest) == max(map(len, _texts(want)))
         minus = minus_texts(path, "]}")
-        assert minus.longest == list(minus)[-1] and len(minus.longest) == max(map(len, minus))
+        assert minus.longest == _texts(minus)[-1] and len(minus.longest) == max(map(len, _texts(minus)))
         n = len(texts)
         for a in range(n):
             for b in range(a + 1, n + 1):
-                assert texts[a:b] == want[a:b], (a, b)
+                assert _texts(texts, a, b) == _texts(want, a, b), (a, b)
                 assert list(texts.groups(a, b)) == list(want.groups(a, b)), (a, b)
     assert any(not isinstance(t.last, list) for t in map(decorated_texts, paths))
 
