@@ -590,9 +590,9 @@ def test_enumerate_tsv_rows_match_the_classes(monkeypatch):
         rows = ["%s\t%s\t%s\t%s\n" % (r, s, ",".join(map(str, c.iso_class.minus_counts)), c.iso_class)
                 for c in enumerate_tight(parse_slope(r), parse_slope(s))]
         argv = ["enumerate", r, s, "--format", "tsv"]
-        sink = RecordingSink()
+        unit, sink = _unit_bytes(argv), RecordingSink()
         with monkeypatch.context() as patch, contextlib.redirect_stdout(sink):
-            patch.setattr(_output, "_BYTES_PER_WRITE", 3 * _unit_bytes(argv, patch))
+            patch.setattr(_output, "_BYTES_PER_WRITE", 3 * unit)
             assert main(argv) == 0
         assert sink.writes[1:] == ["".join(rows[a : a + 3]) for a in range(0, len(rows), 3)], (r, s)
         assert sink.writes[0] == "r\ts\tminus\tP\n"
@@ -816,28 +816,28 @@ def _rows_in_first_write(argv) -> int:
     return sink.writes["tsv" in argv].count("\n")  # after the TSV header
 
 
-def _unit_bytes(argv, patch) -> int:
+def _unit_bytes(argv) -> int:
     """The _size of the unit, a row as long as the longest, by which the
     listing of argv sizes its writes (the argument of its one per_write
     call): with _BYTES_PER_WRITE at m times that, a write holds m rows."""
     units, per_write = [], _output.per_write
-    with patch.context() as spy, contextlib.redirect_stdout(NullSink()):
+    with pytest.MonkeyPatch.context() as spy, contextlib.redirect_stdout(NullSink()):
         spy.setattr(_output, "per_write", lambda unit: units.append(unit) or per_write(unit))
         assert main(argv) in (0, 4), argv
     assert len(units) == 1, argv
     return _output._size(units[0])
 
 
-def _assert_listings_match_oracle_at_the_row_bound(r, monkeypatch, rows=512):
+def _assert_listings_match_oracle_at_the_row_bound(r, monkeypatch):
     """listing_commands(r) against the oracle, at the default byte bound
-    and with the byte bound patched to rows units, where a write holds
-    that many rows."""
+    and with the byte bound patched to 512 units, where a write holds 512
+    rows."""
     for argv in listing_commands(r):
         want = listing_oracle(argv)
         assert run_captured(argv) == want, argv
         with monkeypatch.context() as patch:
-            patch.setattr(_output, "_BYTES_PER_WRITE", rows * _unit_bytes(argv, patch))
-            assert _rows_in_first_write(argv) == rows, argv
+            patch.setattr(_output, "_BYTES_PER_WRITE", 512 * _unit_bytes(argv))
+            assert _rows_in_first_write(argv) == 512, argv
             assert run_captured(argv) == want, argv
 
 
@@ -879,7 +879,7 @@ def test_listings_match_oracle_where_writes_cut_runs_of_cells(monkeypatch):
     for r in ("1/40", "4/83", "9/25"):
         for argv in listing_commands(r):
             with monkeypatch.context() as patch:
-                patch.setattr(_output, "_BYTES_PER_WRITE", 7 * _unit_bytes(argv, patch))
+                patch.setattr(_output, "_BYTES_PER_WRITE", 7 * _unit_bytes(argv))
                 assert _rows_in_first_write(argv) == 7, argv
                 assert run_captured(argv) == listing_oracle(argv), argv
 
