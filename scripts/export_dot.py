@@ -10,7 +10,7 @@ import pathlib
 
 from fareytight.slopes import parse_slope
 from fareytight.paths import minimal_path
-from fareytight._output import emit_dot_path, emit_dot_triangle
+from fareytight._output import emit_dot_triangle, path_text
 
 PATHS = [("9/25", "1/2"), ("13/49", "1/3")]
 TRIANGLES = ["1/7", "9/25", "13/49", "7/32"]
@@ -25,7 +25,7 @@ def main() -> int:
     for a, b in PATHS:
         name = "path_%s_to_%s.dot" % (a.replace("/", "_"), b.replace("/", "_"))
         out = args.out_dir / name
-        out.write_text("".join(emit_dot_path(minimal_path(parse_slope(a), parse_slope(b)))))
+        out.write_text("".join(path_text(minimal_path(parse_slope(a), parse_slope(b)), "dot")))
         print(out)
     for r in TRIANGLES:
         out = args.out_dir / ("triangle_%s.dot" % r.replace("/", "_"))

@@ -3,12 +3,14 @@
 One rule sizes every piece: it holds as many units, rows of a listing,
 vertices or edge indices of a path, cells of a DOT triangle, as
 _BYTES_PER_WRITE holds at the _size of the largest unit, and one at
-least (per_write).  So no write keeps more than _BYTES_PER_WRITE bytes in
-its string, besides one unit: half of glibc's default mmap threshold
-(128 KiB), so that the string and its UTF-8 copy are not mapped afresh
-for every write.  No text is made per row where rows share their parts.
-The library does not import this module; the CLI and the DOT export
-script do.
+least (per_write); where units are made one at a time, the rows of
+`sweep` and the invisible edges of a DOT triangle, a piece holds those
+that start within one stretch of _BYTES_PER_WRITE (_joined).  So no
+write keeps more than _BYTES_PER_WRITE bytes in its string, besides one
+unit: half of glibc's default mmap threshold (128 KiB), so that the
+string and its UTF-8 copy are not mapped afresh for every write.  No
+text is made per row where rows share their parts.  The library does
+not import this module; the CLI and the DOT export script do.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache, partial
 from .slopes import Slope, _text, make_slope
 from .paths import blocks
 from .tori import ShuffleClass, feature_column
-from .atlas import TrianglePosition, cell_tallies, n_of
+from .atlas import Fillability, TrianglePosition, cell_tallies, n_of
 
 _BYTES_PER_WRITE = 1 << 16
 
@@ -40,8 +42,8 @@ _DOT_COLORS = {
 }
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# one encoder for every call: json.dumps with separators builds a new one each time
+_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _size(text: str) -> int:
@@ -158,11 +160,6 @@ def path_text(path, fmt: str) -> Iterator[str]:
         yield "]]}"
 
 
-def emit_dot_path(path) -> Iterator[str]:
-    """DOT text of the path in pieces, with no newline at the end."""
-    return path_text(path, "dot")
-
-
 def emit_dot_triangle(r: Slope) -> Iterator[str]:
     """DOT text of r's verdict triangle in pieces, one % operation for
     each piece of a run of cells in one position (_numbered), and no
@@ -182,11 +179,33 @@ def emit_dot_triangle(r: Slope) -> Iterator[str]:
         yield "\n  { rank=same;"
         yield from _numbered(' "k%d_l%%s";' % k, 0, n - k + 1)
         yield " }"
-    edge = '\n  "k%d_l0" -> "k%d_l0" [style=invis];'
-    step = per_write(edge % (n, n))
-    for lo in range(1, n, step):
-        yield "".join(edge % (k, k + 1) for k in range(lo, min(lo + step, n)))
+    yield from _joined('\n  "k%d_l0" -> "k%d_l0" [style=invis];' % (k, k + 1) for k in range(1, n))
     yield "\n}"
+
+
+_SWEEP_COLUMNS = ["total"] + [status.json_key for status in Fillability]
+
+
+def sweep_text(fmt: str, tallies) -> Iterator[str]:
+    """The text of `sweep` from its pairs (r, tallies of r by the keys of
+    _SWEEP_COLUMNS), read as they come: a JSON array of objects, or TSV
+    rows under a header."""
+    if fmt == "json":
+        rows = (("," if i else "") + _json({"r": str(r), **obj}) for i, (r, obj) in enumerate(tallies))
+        return _joined(itertools.chain(["["], rows, ["]\n"]))
+    rows = ("\t".join([str(r)] + [str(obj.get(c, 0)) for c in _SWEEP_COLUMNS]) + "\n" for r, obj in tallies)
+    return _joined(itertools.chain(["r\t%s\n" % "\t".join(_SWEEP_COLUMNS)], rows))
+
+
+def _joined(texts) -> Iterator[str]:
+    """texts joined as they come, for rows whose length is not known
+    before they are made: a piece holds the texts that start, counted in
+    bytes of _size, in one stretch of _BYTES_PER_WRITE, so it is no
+    larger than that and its last text."""
+    texts, sized = itertools.tee(texts)
+    starts = itertools.accumulate(map(_size, sized), initial=0)
+    for _, piece in itertools.groupby(zip(starts, texts), key=lambda st: st[0] // _BYTES_PER_WRITE):
+        yield "".join(text for _, text in piece)
 
 
 class ClassTexts:

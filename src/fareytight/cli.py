@@ -23,7 +23,7 @@ from .paths import minimal_path
 from .tori import count_tight, phi
 from .cables import cable_surgery_slope, reglue_map
 from .atlas import Fillability, MixedTorus, exceptional_slopes, structure_cells, verdict_summary
-from ._output import _json, class_listing, classify_listing, emit_dot_path, emit_dot_triangle, path_text
+from ._output import _json, class_listing, classify_listing, emit_dot_triangle, path_text, sweep_text
 
 
 def _line(args, obj, text: str) -> str:
@@ -92,10 +92,7 @@ def _cmd_classify(args) -> Iterator[str]:
 
 def _summary_obj(r: Slope) -> dict:
     counts = verdict_summary(r)
-    obj = {"total": sum(counts.values())}
-    for status, cnt in counts.items():
-        obj[status.json_key] = cnt
-    return obj
+    return {"total": sum(counts.values()), **{status.json_key: cnt for status, cnt in counts.items()}}
 
 
 def _cmd_summary(args) -> Iterator[str]:
@@ -105,31 +102,25 @@ def _cmd_summary(args) -> Iterator[str]:
         return 4
 
 
-_SWEEP_COLUMNS = ["total"] + [status.json_key for status in Fillability]
-
-
 def _cmd_sweep(args) -> Iterator[str]:
     a, b = args.interval
     terms = _farey_walk(a, b, args.bound)  # raises on a bad interval or bound before any output
-    as_json, uncovered = args.format == "json", False
-    yield "[" if as_json else "r\t%s\n" % "\t".join(_SWEEP_COLUMNS)
-    for i, r in enumerate(terms):
-        obj = _summary_obj(r)
-        uncovered = uncovered or bool(obj.get(Fillability.NOT_COVERED.json_key))
-        if as_json:
-            yield ("," if i else "") + _json({"r": str(r), **obj})
-        else:
-            yield "\t".join([str(r)] + [str(obj.get(c, 0)) for c in _SWEEP_COLUMNS]) + "\n"
-    if as_json:
-        yield "]\n"
-    if args.strict and uncovered:
+    met = set()  # the keys of the tallies read so far
+
+    def tallies():  # read as the text is made
+        for r in terms:
+            obj = _summary_obj(r)
+            met.update(obj)
+            yield r, obj
+
+    yield from sweep_text(args.format, tallies())
+    if args.strict and Fillability.NOT_COVERED.json_key in met:
         return 4
 
 
 def _cmd_exceptional(args) -> Iterator[str]:
     torus = MixedTorus(args.s0, args.s1, args.s_neg1)
-    found = sorted(exceptional_slopes(torus, args.paper_mode), key=slope_sort_key)
-    found = [str(s) for s in found]
+    found = [str(s) for s in sorted(exceptional_slopes(torus, args.paper_mode), key=slope_sort_key)]
     obj = {"s0": str(args.s0), "s1": str(args.s1), "s_neg1": str(args.s_neg1),
            "paper_mode": args.paper_mode, "exceptional": found}
     yield _line(args, obj, " ".join(found))
@@ -140,8 +131,59 @@ def _cmd_dot(args) -> Iterator[str]:
     if len(args.slopes) != (2 if path else 1):
         raise ParseError("dot %s expects %s" % (args.mode, "two slopes" if path else "one slope"))
     slopes = map(parse_slope, args.slopes)
-    yield from emit_dot_path(minimal_path(*slopes)) if path else emit_dot_triangle(*slopes)
+    yield from path_text(minimal_path(*slopes), "dot") if path else emit_dot_triangle(*slopes)
     yield "\n"
+
+
+# a negative number, -1/2 as -1 and -0.5, is an argument, not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+_SIGN = ("--sign", {"type": int, "choices": [1, -1], "default": -1})
+_STRICT = ("--strict", {"action": "store_true"})
+
+def _row(func, help: str, formats: str, args: list) -> tuple:
+    """A command's function, help and arguments as (name, keywords of
+    add_argument), a bare name a slope and --format last, then what
+    _parse reads off them: the options by name, each with its dest and
+    keywords, the positionals, and the default of each dest."""
+    args = [(arg, {"type": _slope}) if isinstance(arg, str) else arg for arg in args]
+    args += [("--format", {"choices": formats.split(), "default": formats.split()[0]})] if formats else []
+    options = {name: (name[2:].replace("-", "_"), kw) for name, kw in args if name[0] == "-"}
+    defaults = {dest: kw.get("default", False if "action" in kw else None) for dest, kw in options.values()}
+    return func, help, args, options, [(name, kw) for name, kw in args if name[0] != "-"], defaults
+
+
+# each command by name, from a row of its name, function, help, the
+# choices of --format, the first the default (none for dot), and its
+# arguments in order, a bare name a slope, else names and the keywords
+# of add_argument; only a command's last positional may be optional
+# ("?") or repeated ("+")
+_COMMANDS = {
+    name: _row(*rest) for name, *rest in [
+        ("phi", _cmd_phi, "solid-torus count phi(r) for r in (0,1)", "text json", ["r"]),
+        ("cf", _cmd_cf, "minus continued fraction of a rational > 1", "text json", ["x"]),
+        ("path", _cmd_path, "minimal clockwise Farey path", "text json dot", ["a", "b"]),
+        ("cable-slope", _cmd_cable_slope, "surgery coefficient (pq+sign)/p^2", "text json",
+         [("p", {"type": int}), ("q", {"type": int}), _SIGN]),
+        ("cable-map", _cmd_cable_map, "re-gluing matrix of a cable surgery", "text json",
+         [("p", {"type": int}), ("q", {"type": int}), _SIGN,
+          ("--power", {"type": int, "default": 1, "help": "exponent k of M**k, any integer"}),
+          ("--apply", {"type": _slope, "default": None, "help": "slope to map"})]),
+        ("count", _cmd_count, "number of tight structures on the solid torus", "text json", ["r", "s"]),
+        ("enumerate", _cmd_enumerate, "structures on the r-surgery, or on the solid torus when s is given",
+         "text json tsv", ["r", ("s", {"type": _slope, "nargs": "?", "default": None})]),
+        ("classify", _cmd_classify, "verdict for every structure on the r-surgery", "text json tsv",
+         ["r", _STRICT]),
+        ("summary", _cmd_summary, "verdict tallies for the r-surgery", "text json", ["r", _STRICT]),
+        ("sweep", _cmd_sweep, "verdict tallies over an interval of coefficients", "tsv json",
+         [("--interval", {"type": _slope, "nargs": 2, "metavar": ("A", "B"), "required": True}),
+          ("--bound", {"type": int, "default": 50, "help": "max denominator"}), _STRICT]),
+        ("exceptional", _cmd_exceptional, "exceptional slopes of a mixed torus", "text json",
+         ["s0", "s1", "s_neg1", ("--paper-mode", {"action": "store_true"})]),
+        ("dot", _cmd_dot, "DOT export: 'dot path A B' or 'dot triangle R'", "",
+         [("mode", {"choices": ["path", "triangle"]}), ("slopes", {"nargs": "+"})]),
+    ]
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,78 +193,102 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+    return _parsers()
 
 
-@cache  # built on the first call, then shared by every later main()
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each subcommand, by name."""
+@cache  # built where help or an error is written, then shared by every later main()
+def _parsers() -> argparse.ArgumentParser:
+    """The top-level parser, with a parser for each subcommand."""
     parser = _Parser(
         prog="fareytight",
         description="Tight contact structures on trefoil surgeries, exactly.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    # each command: its name, function, help, the choices of --format,
-    # the first the default (none for dot), and its arguments in order,
-    # a bare name a slope, else names and the keywords of add_argument
-    sign = ("--sign", {"type": int, "choices": [1, -1], "default": -1})
-    strict = ("--strict", {"action": "store_true"})
-    for name, func, help, formats, args in [
-        ("phi", _cmd_phi, "solid-torus count phi(r) for r in (0,1)", "text json", ["r"]),
-        ("cf", _cmd_cf, "minus continued fraction of a rational > 1", "text json", ["x"]),
-        ("path", _cmd_path, "minimal clockwise Farey path", "text json dot", ["a", "b"]),
-        ("cable-slope", _cmd_cable_slope, "surgery coefficient (pq+sign)/p^2", "text json",
-         [("p", {"type": int}), ("q", {"type": int}), sign]),
-        ("cable-map", _cmd_cable_map, "re-gluing matrix of a cable surgery", "text json",
-         [("p", {"type": int}), ("q", {"type": int}), sign,
-          ("--power", {"type": int, "default": 1, "help": "exponent k of M**k, any integer"}),
-          ("--apply", {"type": _slope, "default": None, "help": "slope to map"})]),
-        ("count", _cmd_count, "number of tight structures on the solid torus", "text json", ["r", "s"]),
-        ("enumerate", _cmd_enumerate, "structures on the r-surgery, or on the solid torus when s is given",
-         "text json tsv", ["r", ("s", {"type": _slope, "nargs": "?", "default": None})]),
-        ("classify", _cmd_classify, "verdict for every structure on the r-surgery", "text json tsv",
-         ["r", strict]),
-        ("summary", _cmd_summary, "verdict tallies for the r-surgery", "text json", ["r", strict]),
-        ("sweep", _cmd_sweep, "verdict tallies over an interval of coefficients", "tsv json",
-         [("--interval", {"type": _slope, "nargs": 2, "metavar": ("A", "B"), "required": True}),
-          ("--bound", {"type": int, "default": 50, "help": "max denominator"}), strict]),
-        ("exceptional", _cmd_exceptional, "exceptional slopes of a mixed torus", "text json",
-         ["s0", "s1", "s_neg1", ("--paper-mode", {"action": "store_true"})]),
-        ("dot", _cmd_dot, "DOT export: 'dot path A B' or 'dot triangle R'", "",
-         [("mode", {"choices": ["path", "triangle"]}), ("slopes", {"nargs": "+"})]),
-    ]:
+    for name, (func, help, args, *_) in _COMMANDS.items():
         p = subs.add_parser(name, help=help)
-        for arg in args:
-            arg, kwargs = (arg, {"type": _slope}) if isinstance(arg, str) else arg
+        for arg, kwargs in args:
             p.add_argument(arg, **kwargs)
-        if formats:
-            p.add_argument("--format", choices=formats.split(), default=formats.split()[0])
         p.set_defaults(func=func)
+    return parser
 
-    return parser, subs.choices
+
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that the top-level parser makes of argv, read off the
+    row of the command that argv[0] names: options by exact name, each
+    with its count of values, positionals in order, and every argument
+    after "--" positional.  None where argparse writes help or an error,
+    and where it might read argv otherwise: --opt=value, an abbreviation,
+    an unknown option, a second "--", a "--" at the end, or positionals
+    split by an option where the last positional is optional or
+    repeated."""
+    # argparse takes a "--" at the end only where a positional stands next to it
+    row = _COMMANDS.get(argv[0]) if argv and argv[-1] != "--" else None
+    if row is None:
+        return None
+    func, _, _, options, positionals, defaults = row
+    parsed = argparse.Namespace()
+    values = vars(parsed)  # filled in place: Namespace(**values) sets one attribute at a time
+    values.update(defaults, command=argv[0], func=func)
+    strings, marks, rest = [], [], iter(argv[1:])  # marks: the count of strings before each option
+    try:
+        for text in rest:
+            if text == "--":
+                strings += rest  # every argument after the first "--" is positional
+            elif _is_argument(text):
+                strings.append(text)
+            elif text in options:
+                dest, kw = options[text]
+                found = [next(rest, "--") for _ in range(0 if "action" in kw else kw.get("nargs", 1))]
+                if not all(map(_is_argument, found)):  # a missing value reads as "--"
+                    return None
+                found = [_value(kw, t) for t in found]
+                values[dest] = found if "nargs" in kw else found[0] if found else True  # store_true
+                marks.append(len(strings))
+            else:
+                return None
+        if "--" in strings or any(kw.get("required") and values[dest] is None
+                                  for dest, kw in options.values()):
+            return None
+        if not positionals:
+            return None if strings else parsed
+        *head, (last, kw) = positionals
+        nargs, extra = kw.get("nargs"), len(strings) - len(head)
+        split = nargs and any(0 < k < len(strings) for k in marks)  # argparse reads such argv otherwise
+        if split or extra < (nargs != "?") or (nargs != "+" and extra > 1):
+            return None
+        values.update((name, _value(kw, t)) for (name, kw), t in zip(head, strings))
+        found = [_value(kw, t) for t in strings[len(head) :]]
+        values[last] = found if nargs == "+" else found[0] if found else kw.get("default")
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return parsed
+
+
+def _is_argument(text: str) -> bool:
+    """Whether argparse reads text as an argument, not as an option."""
+    return text[:1] != "-" or _NEGATIVE_NUMBER.match(text) is not None
+
+
+def _value(kw: dict, text: str):
+    """text converted by the type in kw and checked against its choices;
+    a ValueError where it is not one of them."""
+    value = kw.get("type", str)(text)
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(text)
+    return value
 
 
 def main(argv=None) -> int:
-    parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # a command is read off its row of the table; only where help or an
+    # error has to be written, or argparse might read argv otherwise, are
+    # the parsers built and the top-level parser run
     try:
-        # argv[1:] goes to the parser of the command that argv[0] names,
-        # into a namespace that holds the name, as the top-level parser
-        # would hand it over; the top-level parser runs only to report
-        # what it alone reports: no command, an unknown one, its own -h,
-        # and arguments that the command's parser leaves over
-        sub = commands.get(argv[0]) if argv else None
-        if sub is None:
-            args = parser.parse_args(argv)
-        else:
-            args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if rest:
-                args = parser.parse_args(argv)
+        args = _parse(argv) or _parsers().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     return _run(args)

@@ -329,7 +329,7 @@ def test_sweep_streams_in_bounded_memory():
     # coefficients here.  The traced peaks on Python 3.11 were 1.86 MB
     # (tsv) and 5.55 MB (json) when every row was made before the first
     # was written.
-    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    run_captured(["phi", "1/3"])  # what a first command makes once per process, outside the trace
     for fmt in ("tsv", "json"):
         with contextlib.redirect_stdout(NullSink()):
             tracemalloc.start()
@@ -560,6 +560,118 @@ def test_dispatch_by_name_matches_one_top_level_parse(monkeypatch):
     assert captured(main, ["phi", "3/10", "--format", "json"]) == (0, '{"r":"3/10","phi":1}\n', "")
 
 
+def _cli_digest_commands(max_den: int) -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location("cli_digests", ROOT / "scripts" / "cli_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return list(digests.commands(max_den))
+
+
+# the values each option of the CLI takes
+OPTION_ARITY = {"--format": 1, "--strict": 0, "--paper-mode": 0, "--interval": 2, "--bound": 1,
+                "--sign": 1, "--power": 1, "--apply": 1}
+
+
+def _parse_variants(argv: list[str]):
+    """argv with its options moved before, between and after its
+    positionals, and with "--" before its positionals, the options before
+    it (the same namespace) or after it (an error: they are positionals
+    there)."""
+    command, strings, groups, i = argv[0], [], [], 1
+    while i < len(argv):
+        if argv[i] in OPTION_ARITY:
+            n = OPTION_ARITY[argv[i]] + 1
+            groups.append(argv[i : i + n])
+        else:
+            n = 1
+            strings.append(argv[i])
+        i += n
+    options = [text for group in groups for text in group]
+    yield [command, *options, *strings]
+    yield [command, *options, "--", *strings]
+    yield [command, "--", *strings, *options]
+    for i in range(1, len(strings)):
+        yield [command, *strings[:i], *options, *strings[i:]]
+    if len(groups) > 1:
+        yield [command, *strings[:1], *groups[-1], *strings[1:], *options[: -len(groups[-1])]]
+
+
+# argvs with negative slopes and option values, repeated options, "--",
+# and the positionals of dot and enumerate; argparse rejects some of them
+PARSE_ARGVS = [
+    ["path", "-1/2", "1/2"], ["path", "--", "-1/2", "-1/3", "--format", "json"],
+    ["path", "--format", "json", "--", "-1/2", "-1/3"], ["count", "-1/3", "inf", "--format", "json"],
+    ["exceptional", "-1/3", "-1/2", "0", "--paper-mode", "--format", "json"],
+    ["cable-map", "5", "2", "--power", "-5"], ["cable-map", "5", "2", "--apply", "-1/2", "--sign", "1"],
+    ["cable-map", "5", "-2", "--sign", "-1", "--power", "-3", "--apply", "-1/2", "--format", "json"],
+    ["cable-map", "--sign", "1", "5", "--power", "7", "-2"], ["cable-slope", "-5", "2", "--sign", "+1"],
+    ["cable-map", "5", "2", "--power", "2", "--power", "3", "--apply", "1/3", "--apply", "-1/3"],
+    ["phi", "3/10", "--format", "json", "--format", "text"], ["summary", "1/3", "--strict", "--strict"],
+    ["sweep", "--interval", "-1/2", "1/2"], ["sweep", "--interval", "-1", "-1/3", "--bound", "-5"],
+    ["sweep", "--interval", "1/3", "1/2", "--interval", "1/4", "1/3", "--strict", "--format", "json"],
+    ["sweep", "--bound", "7", "--interval", "1/3", "1/2"], ["sweep", "--interval", "1/3"],
+    ["sweep", "--interval", "1/3", "--", "1/2"], ["sweep", "--bound", "7"], ["sweep", "1/3", "1/2"],
+    ["dot", "path", "1/2", "1/3"], ["dot", "triangle", "1/3"], ["dot", "path", "--", "-1/2", "1/2"],
+    ["dot", "--", "path", "-1/2", "1/2"], ["dot", "path", "1/2"], ["dot", "triangle", "1/3", "1/4"],
+    ["dot", "triangle", "1/3", "--", "1/4"], ["dot", "--", "path", "--", "1/2", "1/3"],
+    ["enumerate", "3/10", "--format", "json", "1/2"], ["enumerate", "--format", "json", "3/10", "1/2"],
+    ["enumerate", "3/10", "1/2", "--format", "json"], ["enumerate", "3/10", "--format", "tsv"],
+    ["enumerate", "3/10", "--", "1/2"], ["enumerate", "--", "3/10"], ["enumerate", "3/10", "1/2", "--"],
+    ["path", "1/2", "--", "--", "1/3"], ["path", "--", "--", "1/3"], ["phi", "--format", "--", "3/10"],
+    ["phi", "3/10", "--", "--format", "json"], ["summary", "1/3", "--strict", "--", "--strict"],
+    ["classify", "--format", "tsv"], ["classify", "1/3", "--format", "json", "1/4"], ["phi", ""],
+    ["cable-map", "5", "2", "--power"], ["cable-map", "5", "2", "--power", "--sign", "1"],
+    ["cable-map", "5", "2", "--power", "3.0"], ["cable-map", "5", "2", "--sign", "0"],
+]
+
+
+def _namespace(argv):
+    """vars of the top-level parse of argv, or None where it exits."""
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_parse_matches_one_top_level_parse():
+    # cli._parse reads argv off the command's row of the table and gives
+    # the namespace that argparse gives, or None, where main runs
+    # argparse: on every command of scripts/cli_digests.py up to
+    # denominator 12 (all read off the table), on those commands with
+    # their options moved and "--" put in, and on argvs with negative
+    # slopes and option values, repeated options, "--", and dot's and
+    # enumerate's positionals
+    commands = _cli_digest_commands(12)
+    assert all(cli._parse(argv) is not None for argv in commands)
+    argvs = commands + PARSE_ARGVS + [v for argv in commands + PARSE_ARGVS for v in _parse_variants(argv)]
+    read = 0
+    for argv in argvs:
+        found, want = cli._parse(argv), _namespace(argv)
+        assert found is None or vars(found) == want, argv
+        read += found is not None
+    # most variants are read off the table, and some are left to argparse
+    assert len(commands) < read < len(argvs), (read, len(argvs))
+    assert cli._parse(["enumerate", "3/10", "--format", "json", "1/2"]) is None
+    assert _namespace(["enumerate", "3/10", "--format", "json", "1/2"]) is None
+
+
+def test_parse_leaves_errors_and_help_to_argparse():
+    # of the argvs that end in an error or in help, only one is read off
+    # the table: argparse reads it too, and the library rejects it (exit 3)
+    found = [argv for argv in ERROR_AND_HELP_ARGVS if cli._parse(argv) is not None]
+    assert found == [["exceptional", "--", "-1", "0", "1"]]
+    assert _namespace(found[0]) is not None and run_captured(found[0])[0] == 3
+
+
+def test_a_command_that_parses_builds_no_parser():
+    cli._parsers.cache_clear()
+    assert run_captured(["phi", "3/10"]) == (0, "1\n", "")
+    assert cli._parsers.cache_info().currsize == 0
+    assert run_captured(["phi", "3/10", "--format=json"])[0] == 0  # left to argparse
+    assert cli._parsers.cache_info().currsize == 1
+
+
 def test_path_on_the_fans_of_0_and_inf():
     # a block on the fan of 0 holds its numerator, +-1, in the template,
     # and a block on the fan of inf is integers: each format equals the
@@ -653,7 +765,7 @@ def test_json_listings_keep_one_head_of_p():
     # about 20 KB, so a write of 1 MiB holds 52 rows; the traced peaks
     # are 2.7 MB for both listings, and were 32.9 MB when a write held
     # 512 rows whatever their length.
-    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    run_captured(["phi", "1/3"])  # what a first command makes once per process, outside the trace
     for command in ("enumerate", "classify"):
         for r in ("7960/23481", "2000/7999"):
             with contextlib.redirect_stdout(NullSink()):
@@ -673,7 +785,7 @@ def test_classify_json_keeps_no_text_per_position_and_class():
     # peaks are 0.77 MB (classify) and 0.68 MB (enumerate); classify
     # peaked at 3.5 MB when it kept one row text per position and class,
     # and enumerate at 0.87 MB when it kept one text per class.
-    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    run_captured(["phi", "1/3"])  # what a first command makes once per process, outside the trace
     peaks = {}
     for command in ("enumerate", "classify"):
         with contextlib.redirect_stdout(NullSink()):
@@ -697,7 +809,7 @@ def test_enumerate_keeps_no_text_per_class(argv):
     # class, and 30499/81297 1/2 (signed blocks of 99, 99 and 1 edges)
     # at 55 MB when the first factor held every block but the last; both
     # peak at about 5 MB now.
-    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    run_captured(["phi", "1/3"])  # what a first command makes once per process, outside the trace
     for fmt in ("text", "tsv"):
         with contextlib.redirect_stdout(NullSink()):
             tracemalloc.start()
@@ -716,7 +828,7 @@ def test_enumerate_keeps_no_text_per_count_of_a_long_block():
     # texts are now cut from the all-plus and the all-minus text per
     # write, and the peak is about 1.4 MB.  The bytes are checked against
     # the size and sha256 of the output of the commit before.
-    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    run_captured(["phi", "1/3"])  # what a first command makes once per process, outside the trace
     for fmt, size, digest in (
         ("text", 130599000, "af9eb1a864dcf5ac5b89f0b81915385609808a7c6399edaa29d5a4168ae2fab8"),
         ("tsv", 130654902, "8a67ef182fa3358df74d6798107d2dfff20bf50ded37a387b027ba36998b362f"),
@@ -737,7 +849,7 @@ def test_path_streams_in_bounded_memory():
     # `path 1/200000 1/2` (199,998 edges, 2.5 MB of text) is written a
     # slice at a time from the block integers, so no write holds the
     # whole geodesic and no Slope is made per vertex
-    run_captured(["phi", "1/3"])  # builds the cached parser outside the trace
+    run_captured(["phi", "1/3"])  # what a first command makes once per process, outside the trace
     for fmt in ("text", "json", "dot"):
         with contextlib.redirect_stdout(NullSink()):
             tracemalloc.start()
@@ -916,6 +1028,35 @@ def test_listing_writes_stay_below_the_mmap_threshold():
         with contextlib.redirect_stdout(sink):
             assert main(argv) in (0, 4), argv
         assert sink.largest_bytes < 1 << 17, (argv, sink.largest_bytes)
+
+
+# length and sha256 of the sweep below in each format, captured when
+# sweep wrote each row on its own
+SWEEP_GOLDENS = {
+    "tsv": (79541, "63bf8efb04d05e5d372a547384e50fb81e170a836086348a80ce30b7f1c286e5"),
+    "json": (232573, "81d0bf91447d3735507f834552f8a103aac908db2f7880def9383f5c77a8c1b7"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_sweep_writes_are_bounded(monkeypatch, fmt):
+    # sweep --interval 1/100000 1 --bound 120: 4,385 rows, which made as
+    # many writes (and one more) of 18 characters on average in TSV.  No
+    # write holds more than _BYTES_PER_WRITE and one row, and there are as
+    # few writes as that allows; the same with the bound patched to 2,000
+    # bytes, so that writes cut the rows many times
+    argv = ["sweep", "--interval", "1/100000", "1", "--bound", "120", "--format", fmt]
+    for bound in (_BYTES_PER_WRITE, 2000):
+        sink = RecordingSink()
+        with monkeypatch.context() as patch, contextlib.redirect_stdout(sink):
+            patch.setattr(_output, "_BYTES_PER_WRITE", bound)
+            assert main(argv) == 0
+        text = "".join(sink.writes)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == SWEEP_GOLDENS[fmt]
+        rows = re.findall(r",?\{[^}]*\}", text) if fmt == "json" else text.splitlines(True)
+        assert len(rows) == 4385 + (fmt == "tsv")
+        assert max(map(len, sink.writes)) <= bound + max(map(len, rows)) + len("]\n"), (fmt, bound)
+        assert len(sink.writes) <= len(text) // bound + 1, (fmt, bound)
 
 
 def test_dot_triangle_writes_are_bounded():
