@@ -730,6 +730,49 @@ def test_listing_goldens():
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), argv
 
 
+# exit code, UTF-8 length and sha256 of `classify r --format F`,
+# captured when each row's verdict text was glued onto it one row at a
+# time: 1/r = [3,20,20,20] (7960/23481), [5,8,8,8,8] (3905/19029) and
+# [5,4,3,6,5] (299/1413) are coefficients of the triangle workload, and
+# 1/300 a triangle of one-row cells
+CLASSIFY_PINS = {
+    "7960/23481": {
+        "text": (0, 1001414, "8bc246ea7a90e3a9eeb3c0ff614bdc8da5afe1f209b4a99c8bfaaa336c275d81"),
+        "json": (0, 17567706, "8b5dc206c649fe21bc695a2f6d85d6c9dff63f94b8a5b6bdf013a2639b80a2d3"),
+        "tsv": (0, 775099, "284e42920ad3f361e8132987f0c28237b59cceab9aa3488ed06b1b7be71cecbc"),
+        "tsv --strict": (4, 775099, "284e42920ad3f361e8132987f0c28237b59cceab9aa3488ed06b1b7be71cecbc"),
+    },
+    "3905/19029": {
+        "text": (0, 1188495, "417d7b57eb6a193b8c29451e7e628fc42ff4e0fa4ad6bc2af0f8e8862fe0a136"),
+        "json": (0, 11080617, "45cac635b733f438e900664cbb3be7da62668751cb250283d3b1df7f69aed1dc"),
+        "tsv": (0, 948427, "77e2c765516719ad1fd530ca6308dee2684cf299d6789edd30f8c3bb55fba184"),
+        "tsv --strict": (4, 948427, "77e2c765516719ad1fd530ca6308dee2684cf299d6789edd30f8c3bb55fba184"),
+    },
+    "1/300": {
+        "text": (0, 2848330, "886fd06b3cb0d7c67ce7654e603e852c95635d7ce9ef9f844e3132fce26c9e0f"),
+        "json": (0, 6799892, "65c31a6220f63db4db2066e24f10dc3bb85b67273a33deb58d3473b5a962759f"),
+        "tsv": (0, 2044632, "5bff0dd89f7f7b5e7429fa06b78f16ada580e40b59a05231a0b91eef0d10aaf1"),
+        "tsv --strict": (4, 2044632, "5bff0dd89f7f7b5e7429fa06b78f16ada580e40b59a05231a0b91eef0d10aaf1"),
+    },
+    "299/1413": {
+        "text": (0, 59400, "b8c92d202537189e50894301e6c70212db29bcbc57d330428f974638bc03e6c3"),
+        "json": (0, 323402, "c721fc349b5aec5832672f262a90096cf793d68f900408ad77750ce7fa4281a5"),
+        "tsv": (0, 45032, "32ebf874188b19ab5874c9b8bce312587b6b3c6c7272ec591675e0627e6b6f80"),
+        "tsv --strict": (4, 45032, "32ebf874188b19ab5874c9b8bce312587b6b3c6c7272ec591675e0627e6b6f80"),
+    },
+}
+
+
+def test_classify_bytes_are_pinned():
+    for r, pins in CLASSIFY_PINS.items():
+        for fmt, (code, size, digest) in pins.items():
+            argv = ["classify", r, "--format", *fmt.split()]
+            sink = DigestSink()
+            with contextlib.redirect_stdout(sink):
+                got = main(argv)
+            assert (got, sink.nbytes, sink.sha.hexdigest()) == (code, size, digest), argv
+
+
 class NullSink(io.TextIOBase):
     """A stdout that keeps nothing of what is written to it."""
 
