@@ -25,7 +25,6 @@ from .paths import (
     BlockDecomposition,
     FareyPath,
     blocks,
-    concat,
     edge_runs,
     lengthen_through,
     minimal_path,
@@ -60,8 +59,6 @@ from .atlas import (
     classify,
     enumerate_structures,
     exceptional_slopes,
-    full_path,
-    mixed_tori,
     n_of,
     structure_cells,
     structure_record,

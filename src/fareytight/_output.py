@@ -9,12 +9,16 @@ that start within one stretch of _BYTES_PER_WRITE (_joined).  So no
 write keeps more than _BYTES_PER_WRITE bytes in its string, besides one
 unit: half of glibc's default mmap threshold (128 KiB), so that the
 string and its UTF-8 copy are not mapped afresh for every write.  No
-text is made per row where rows share their parts.  The library does
+text is made per row where rows share their parts: a listing row is P's
+text and a suffix, the verdict of `classify` or the edges from 1/n on in
+the text of `enumerate r`, and each run of rows with one suffix is
+joined with the suffix in the separator (listing).  The library does
 not import this module; the CLI and the DOT export script do.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -331,44 +335,70 @@ def _product_text(first: str, pieces: list, i: int) -> str:
     return first + "".join(reversed(chosen))
 
 
-def _write_rows(runs, pre, post: str, count: int, texts, longest: str, sep: str = "",
+def _write_rows(runs, pre, post, groups, count: int, suffixes, longest: str, sep: str = "",
                 ends=None) -> Iterator[str]:
     """Yield the rows of a listing, per_write of a row as long as the
     longest to a write.  runs yields (k, lo, hi, key) for the cells (k,
     l), lo <= l < hi, that share key; the first run is the cells (1, l),
     l < n, of a triangle, or the one cell (0, 0, 1, None) of a listing
-    without k and l.  A cell holds count rows, texts(key, a, b) gives
-    rows a..b-1 as _cell groups, and no row's text is longer than
-    longest, which is ASCII exactly when they are.  A row of cell (k, l)
-    is pre % k, l (neither when pre is None), post, its text, then
-    ends(k, l) if given, no longer than ends(1, l); sep separates rows.
-    No text is made per row: a cell is one _cell, of rows kept once per
-    key where a write holds the cell whole, and sliced from them where a
-    write cuts it, or of texts' groups for the key None, whose rows are
-    not kept; a run of one-row cells with no ends is one join over the
-    numbers l."""
-    pieces, step, whole, labels = [], 0, {}, []  # labels[l] is label(l), made once
+    without k and l.  A cell holds count rows: row i is text i of P, read
+    as groups(a, b) gives texts a..b-1 (ClassTexts.groups, or the groups
+    (p, ts, q, us) of the texts p + t + q + u), or nothing where groups
+    is None; then the suffix of its run, where suffixes(key) is (starts,
+    texts) and rows starts[j]..starts[j+1]-1 end in texts[j].  No row is
+    longer than longest, which is ASCII exactly when they are.  A row of
+    cell (k, l) is pre % k, l (neither when pre is None), post, its text,
+    then ends(k, l) if given; sep separates rows.  No text is made per
+    row: in a triangle whose cells fit in a write, P's texts are joined
+    into one list once; each group of a run is one join, one repetition
+    where P is None, with the suffix in its separator; and a run of
+    one-row cells with no ends is one join over the numbers l, around the
+    one row of its key."""
     # "".format(l) is empty, as l is written only with k; the first row drops sep
     label, skip = (str if pre is not None else "".format), len(sep)
-    for k, lo, hi, key in runs:
+    runs = iter(runs)
+    first = next(runs)
+    # a row as long as the longest: no k or l is longer than n, the hi of the first run
+    step = room = per_write(sep + (pre % first[2] if pre is not None else "") + label(first[2] - 1) + post + longest)
+    if groups is not None and pre is not None and count <= step:
+        flat = [p + t for p, ts in groups(0, count) for t in ts]
+        groups = lambda a, b: [("", flat[a:b])]
+
+    def cell(h: str, e: str, key, a: int, b: int) -> list[str]:
+        """h + row + e for rows a..b-1 of a cell of key, in pieces."""
+        (starts, vs), pieces = suffixes(key), []
+        j = bisect.bisect_right(starts, a) - 1
+        while a < b:
+            c, a, v = a, min(b, starts[j + 1]), vs[j] + e  # rows c..a-1 end in v
+            j += 1
+            if groups is None:
+                pieces.append((h + v) * (a - c))
+                continue
+            for group in groups(c, a):
+                p, ts = group[0], group[1]
+                if len(group) == 2:
+                    pieces += (h, p, (v + h + p).join(ts), v)
+                    continue
+                rows = [None, group[2], None, v + h + p] * len(ts)
+                rows[::4], rows[2::4], rows[-1] = ts, group[3], v
+                pieces += (h, p, *rows)
+        return pieces
+
+    pieces, labels, single = [], [], {}  # labels[l] is label(l), made once; single[key] the row of a one-row cell
+    for k, lo, hi, key in itertools.chain([first], runs):
         start = sep + (pre % k if pre is not None else "")
-        if not step:
-            # a row as long as the longest: no k or l is longer than n = hi
-            row = sep + (pre % hi if pre is not None else "") + label(hi - 1) + post + longest
-            step = room = per_write(row + (ends(k, lo) if ends else ""))
-        full = whole.get(key)
-        if full is None and count <= step and key is not None:
-            full = whole[key] = [p + t for p, ts in texts(key, 0, count) for t in ts]
+        if count == 1 and ends is None and key not in single:
+            single[key] = post + "".join(cell("", "", key, 0, 1))
         l, a = lo, 0  # the next row is row a of cell (k, l)
         while l < hi:
-            if full and count == 1 and ends is None:
-                stop, row = min(hi, l + room), post + full[0]
+            if count == 1 and ends is None:
+                stop, row = min(hi, l + room), single[key]
                 labels += map(label, range(len(labels), stop))
                 pieces += (start, (row + start).join(labels[l:stop]), row)
                 l, room = stop, room - (stop - l)
             else:
-                h, e, b = start + label(l) + post, ends(k, l) if ends else "", min(count, a + room)
-                pieces += _cell(h, e, [("", full[a:b])] if full else texts(key, a, b))
+                b = min(count, a + room)
+                pieces += cell(start + label(l) + post, ends(k, l) if ends else "", key, a, b)
                 room -= b - a
                 l, a = (l + 1, 0) if b == count else (l, b)
             if skip:
@@ -378,23 +408,6 @@ def _write_rows(runs, pre, post: str, count: int, texts, longest: str, sep: str 
                 pieces.clear()
                 room = step
     yield "".join(pieces)
-
-
-def _cell(h: str, e: str, groups) -> list[str]:
-    """h + (e + h).join(rows) + e in pieces.  A group (p, ts) holds the
-    rows p + t, one join per group; a group (p, ts, q, us) the rows p +
-    t + q + u, t and u taken in turn."""
-    pieces = [h]
-    for p, ts, *more in groups:
-        if more:
-            q, us = more
-            rows = [p, None, q, None, e, h] * len(ts)
-            rows[1::6], rows[3::6] = ts, us
-            pieces += rows
-        else:
-            pieces += (p, (e + h + p).join(ts), e, h)
-    pieces.pop()
-    return pieces
 
 
 def _p_head(path) -> str:
@@ -407,58 +420,60 @@ def _p_head(path) -> str:
 
 def _reciprocal_tails(n: int):
     """ends(k, l) for the text of `enumerate r`: the edges 1/n -> ... -> 1/k
-    that full_path appends to P, with l minus signs at the clockwise end,
-    then the newline."""
+    that the decorated path of (k, l, P) appends to P, with l minus signs
+    at the clockwise end, then the newline."""
     # the edges into 1/(n-1), ..., 1/1: the first n - j end at 1/j
     plus, minus, cuts = _signed_run([str(make_slope(1, j)) for j in range(n - 1, 0, -1)])
     return lambda k, l: plus[: cuts[n - k - l]] + minus[cuts[n - k - l] : cuts[n - k]] + "\n"
 
 
-def _write_listing(fmt: str, r: Slope, path, runs, texts, count: int, longest: str,
-                   columns: str, s: Slope | None = None, ends=None) -> Iterator[str]:
-    """Yield a listing through _write_rows, the rows of each cell made
-    of texts(key, a, b), none longer than longest: `classify r` or
-    `enumerate r` over the cells of runs, each row headed by its k and
-    l, or, where s is given, `enumerate r s`, one cell of rows with
-    neither.  A JSON array, whose row head holds the text that P's JSON
-    shares on every class; TSV under a header ending in columns; or text
-    rows, headed "k=K l=L " where ends gives their tails."""
-    triangle = s is None
+def listing(fmt: str, r: Slope, path, runs, s: Slope | None = None, verdicts=None) -> Iterator[str]:
+    """The listing of `classify r` where verdicts is given, from
+    structure_cells(r), else of `enumerate r` over the cells of runs,
+    path running from r to 1/n, or of `enumerate r s` where s is given,
+    one cell whose rows hold neither k nor l.  A row is P's text, then a
+    suffix: in `classify`, P's minus counts in JSON and nothing of P
+    otherwise, then the verdict, one suffix to a run of rows
+    (_verdict_runs); in `enumerate`, P as JSON or its decorated path, the
+    minus counts of P before it in the TSV of `enumerate r s`, and in the
+    text of `enumerate r` the edges from 1/n on (ends).  A JSON array,
+    whose row head holds the text that P's JSON shares on every class;
+    TSV under a header; or text rows."""
+    triangle, ends = s is None, None
+    if verdicts is not None:
+        P = minus_texts(path, "]}") if fmt == "json" else None
+        count = sum(classes for _, classes in next(iter(verdicts.values())).values())  # phi
+        found = _verdict_runs(fmt, path, verdicts, count)
+        suffixes = found.__getitem__
+        longest = (P.longest if P else "") + max((t for _, vs in found.values() for t in vs), key=len)
+        columns = "position\tstatus\tcite\tnote"
+    else:
+        if fmt == "text" and triangle:
+            ends = _reciprocal_tails(n_of(r))
+        P = minus_texts(path, "]}}" if triangle else "]}") if fmt == "json" else decorated_texts(
+            path, "" if ends else "\n")
+        count, longest = len(P), P.longest + (ends(1, 0) if ends else "")
+        suffixes, columns = lambda _: ((0, count), ("",)), "P" if triangle else "minus\tP"
+    groups = P.groups if P else None
+    if fmt == "tsv" and not triangle:
+        minus = minus_texts(path, "\t", "")
+        groups = lambda a, b: (m + d for m, d in zip(minus.groups(a, b), P.groups(a, b), strict=True))
+        longest = minus.longest + longest
     if not triangle:
         runs = [(0, 0, 1, None)]
     if fmt == "json":
         yield "["
         pre = '{"r":%s,"k":%%d,"l":' % _json(str(r)) if triangle else None
         post = (',"P":' if triangle else "") + _p_head(path)
-        yield from _write_rows(runs, pre, post, count, texts, longest, ",")
+        yield from _write_rows(runs, pre, post, groups, count, suffixes, longest, ",")
         yield "]\n"
     elif fmt == "tsv":
         yield "r\t%s\t%s\n" % ("k\tl" if triangle else "s", columns)
         pre, post = ("%s\t%%d\t" % r, "\t") if triangle else (None, "%s\t%s\t" % (r, s))
-        yield from _write_rows(runs, pre, post, count, texts, longest)
+        yield from _write_rows(runs, pre, post, groups, count, suffixes, longest)
     else:
         pre = "k=%d l=" if triangle else None
-        yield from _write_rows(runs, pre, " " if ends else "", count, texts, longest, ends=ends)
-
-
-def class_listing(fmt: str, r: Slope, path, runs, s: Slope | None = None) -> Iterator[str]:
-    """The listing of `enumerate r` over the cells of runs, path running
-    from r to 1/n, or of `enumerate r s` where s is given: P as JSON,
-    or the decorated path of P, and in the text of `enumerate r` the
-    edges from 1/n on; `enumerate r s --format tsv` writes the minus
-    counts of P before it."""
-    ends = _reciprocal_tails(n_of(r)) if fmt == "text" and s is None else None
-    if fmt == "json":
-        rows = minus_texts(path, "]}}" if s is None else "]}")
-    else:
-        rows = decorated_texts(path, "" if ends else "\n")
-    texts, longest = (lambda _, a, b: rows.groups(a, b)), rows.longest
-    if fmt == "tsv" and s is not None:
-        minus = minus_texts(path, "\t", "")
-        texts = lambda _, a, b: (m + d for m, d in zip(minus.groups(a, b), rows.groups(a, b), strict=True))
-        longest = minus.longest + longest
-    columns = "P" if s is None else "minus\tP"
-    return _write_listing(fmt, r, path, runs, texts, len(rows), longest, columns, s, ends)
+        yield from _write_rows(runs, pre, " " if ends else "", groups, count, suffixes, longest, ends=ends)
 
 
 @lru_cache(maxsize=256)  # about 15 to a listing; a note names n, so the cache is bounded
@@ -474,23 +489,22 @@ def _verdict_text(fmt: str, position, verdict) -> str:
     return " position=%s status=%s%s\n" % (tag, status, " cite=%s" % cite if cite else "")
 
 
-def classify_listing(fmt: str, r: Slope, path, verdicts, runs) -> Iterator[str]:
-    """The listing of `classify r` from structure_cells(r): a row per
-    structure, P's minus counts in JSON, and its verdict."""
-    column = feature_column(path)
-    # a verdict reads only P's features: one text per position and value
-    found = {position: {f: _verdict_text(fmt, position, verdict) for f, (verdict, _) in vs.items()}
-             for position, vs in verdicts.items()}
-    # a JSON row glues its verdict text onto a text of ClassTexts.last, one head at a time
-    minus = minus_texts(path, "]}") if fmt == "json" else None
-    longest = max((text for vs in found.values() for text in vs.values()), key=len)
-    longest = (minus.longest if minus is not None else "") + longest
-
-    def texts(position, a, b):
-        rows = map(found[position].__getitem__, column[a:b])  # read in order across the groups
-        if minus is None:
-            return [("", rows)]
-        return [(h, map(operator.add, ts, rows)) for h, ts in minus.groups(a, b)]
-
-    return _write_listing(fmt, r, path, runs, texts, len(column), longest,
-                          "position\tstatus\tcite\tnote")
+def _verdict_runs(fmt: str, path, verdicts, phi: int) -> dict:
+    """{position: (starts, texts)} for the phi rows of a cell of `classify
+    r`: rows starts[i]..starts[i+1]-1 end in the verdict text texts[i],
+    and starts ends at phi.  A verdict reads only P's features, so a position
+    whose verdict does not vary with them is one run; else its runs are
+    those of equal texts along feature_column, whose first and last
+    classes are the uniform ones and which repeats [plus] + [mixed]*(L-1)
+    + [minus] between them, so at most three runs to a repetition."""
+    column, out = None, {}
+    for position, vs in verdicts.items():
+        found = {f: _verdict_text(fmt, position, verdict) for f, (verdict, _) in vs.items()}
+        if len(set(found.values())) == 1:
+            out[position] = (0, phi), tuple(found.values())[:1]
+            continue
+        column = column or feature_column(path)
+        texts = list(map(found.__getitem__, column))
+        starts = [0, *itertools.compress(range(1, len(texts)), map(operator.ne, texts[1:], texts)), len(texts)]
+        out[position] = starts, list(map(texts.__getitem__, starts[:-1]))
+    return out

@@ -26,9 +26,8 @@ from .slopes import (
     make_slope,
     neighbors_in_interval,
 )
-from .paths import FareyPath, concat, minimal_path
-from .tori import DecoratedPath, ShuffleClass, all_minus_counts, feature_counts
-from .tori import shuffle_canonical, signed_blocks
+from .paths import FareyPath, minimal_path
+from .tori import ShuffleClass, all_minus_counts, feature_counts
 
 
 class Fillability(str, Enum):
@@ -201,41 +200,6 @@ def enumerate_structures(r: Slope) -> list[TightStructureId]:
 
 def triangle_position(sid: TightStructureId) -> TrianglePosition:
     return TrianglePosition.of(n_of(sid.r), sid.k, sid.l)
-
-
-def full_path(sid: TightStructureId) -> DecoratedPath:
-    """Decorated path of the structure: a representative of P followed
-    by the integer-reciprocal block 1/n, ..., 1/k with l minus signs at
-    its clockwise end."""
-    n = n_of(sid.r)
-    d = sid.P.canonical_decorated()
-    if sid.k == n:
-        return d
-    tail = FareyPath(tuple(make_slope(1, j) for j in range(n, sid.k - 1, -1)))
-    tail_signs = (1,) * (n - sid.k - sid.l) + (-1,) * sid.l
-    return DecoratedPath(concat(d.path, tail), d.signs + tail_signs)
-
-
-def mixed_tori(sid: TightStructureId) -> list[MixedTorus]:
-    """All interior vertices of the structure's path where some shuffle
-    representative has opposite signs on the two adjacent edges."""
-    full = full_path(sid)
-    vs = full.path.vertices
-    runs = signed_blocks(full.path).runs
-    counts = shuffle_canonical(full).minus_counts
-    spots = set()
-    for run, cnt in zip(runs, counts):
-        if 0 < cnt < len(run):
-            # both signs inside one block: every interior vertex works
-            for e in run[:-1]:
-                spots.add(e + 1)
-    for (run_a, cnt_a), (run_b, cnt_b) in zip(
-        zip(runs, counts), zip(runs[1:], counts[1:])
-    ):
-        can_flip = (cnt_a < len(run_a) and cnt_b > 0) or (cnt_a > 0 and cnt_b < len(run_b))
-        if can_flip:
-            spots.add(run_b[0])
-    return [MixedTorus(vs[i], vs[i - 1], vs[i + 1]) for i in sorted(spots)]
 
 
 def exceptional_slopes(t: MixedTorus, paper_mode: bool = False) -> frozenset[Slope]:

@@ -23,7 +23,7 @@ from .paths import minimal_path
 from .tori import count_tight, phi
 from .cables import cable_surgery_slope, reglue_map
 from .atlas import Fillability, MixedTorus, exceptional_slopes, structure_cells, verdict_summary
-from ._output import _json, class_listing, classify_listing, emit_dot_triangle, path_text, sweep_text
+from ._output import _json, emit_dot_triangle, listing, path_text, sweep_text
 
 
 def _line(args, obj, text: str) -> str:
@@ -79,12 +79,12 @@ def _cmd_enumerate(args) -> Iterator[str]:
         path, _, runs = structure_cells(args.r)  # raises on a bad r before any output
     else:
         path, runs = minimal_path(args.r, args.s), None  # raises on a bad pair before any output
-    yield from class_listing(args.format, args.r, path, runs, args.s)
+    yield from listing(args.format, args.r, path, runs, args.s)
 
 
 def _cmd_classify(args) -> Iterator[str]:
     path, verdicts, runs = structure_cells(args.r)  # raises on a bad r before any output
-    yield from classify_listing(args.format, args.r, path, verdicts, runs)
+    yield from listing(args.format, args.r, path, runs, verdicts=verdicts)
     statuses = {verdict.status for vs in verdicts.values() for verdict, _ in vs.values()}
     if args.strict and Fillability.NOT_COVERED in statuses:
         return 4

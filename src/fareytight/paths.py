@@ -305,13 +305,6 @@ def blocks(path: FareyPath) -> BlockDecomposition:
     return BlockDecomposition(tuple(m for _, _, m in path.block_vectors))
 
 
-def concat(first: FareyPath, second: FareyPath) -> FareyPath:
-    """Join two paths sharing first.end == second.start."""
-    if first.end != second.start:
-        raise DomainError("paths do not share an endpoint")
-    return FareyPath(first.vertices + second.vertices[1:])
-
-
 def lengthen_through(path: FareyPath, t: Slope) -> FareyPath:
     """Refine the unique edge of the path that t lies strictly inside,
     replacing it by the two geodesics through t.

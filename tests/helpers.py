@@ -25,9 +25,11 @@ legendrian_cable_surgery that the loops on lifted vectors replace (the
 oracle lengthens on Slopes, with its own copy of the sign rule);
 listing_oracle, the
 per-structure `classify` and `enumerate r` listings that the CLI's
-batched writes of rows made from block texts replace; and main_oracle,
-the one top-level parse of argv that cli.main's dispatch by command
-name replaces.
+batched writes of rows made from block texts replace, with their
+full_path of a structure (its P and the block 1/n, ..., 1/k, joined by
+concat) and mixed_tori along it, which no command reaches; and
+main_oracle, the one top-level parse of argv that cli.main's dispatch
+by command name replaces.
 """
 
 import contextlib
@@ -60,10 +62,10 @@ from fareytight.atlas import (
     CITE_WIDE_INTERVAL,
     Fillability,
     FillabilityVerdict,
+    MixedTorus,
     TightStructureId,
     classify,
     enumerate_structures,
-    full_path,
     n_of,
     structure_record,
     triangle_position,
@@ -71,7 +73,7 @@ from fareytight.atlas import (
 from fareytight.cables import reglue_map
 from fareytight.cli import _build_parser, _run
 from fareytight.paths import FareyPath, minimal_path
-from fareytight.tori import DecoratedPath, ShuffleClass, SolidTorusStructure, shuffle_canonical
+from fareytight.tori import DecoratedPath, ShuffleClass, SolidTorusStructure, shuffle_canonical, signed_blocks
 
 
 def circle_pos(s: Slope) -> Fraction:
@@ -552,6 +554,48 @@ def cable_surgery_oracle(x: SolidTorusStructure, p: int, q: int, count: int) -> 
     if short is None:
         raise DomainError("surgered path did not shorten to a tight structure")
     return SolidTorusStructure(new_verts[0], x.dividing, shuffle_canonical(short))
+
+
+def concat(first: FareyPath, second: FareyPath) -> FareyPath:
+    """Join two paths sharing first.end == second.start."""
+    if first.end != second.start:
+        raise DomainError("paths do not share an endpoint")
+    return FareyPath(first.vertices + second.vertices[1:])
+
+
+def full_path(sid: TightStructureId) -> DecoratedPath:
+    """Decorated path of the structure: a representative of P followed
+    by the integer-reciprocal block 1/n, ..., 1/k with l minus signs at
+    its clockwise end."""
+    n = n_of(sid.r)
+    d = sid.P.canonical_decorated()
+    if sid.k == n:
+        return d
+    tail = FareyPath(tuple(make_slope(1, j) for j in range(n, sid.k - 1, -1)))
+    tail_signs = (1,) * (n - sid.k - sid.l) + (-1,) * sid.l
+    return DecoratedPath(concat(d.path, tail), d.signs + tail_signs)
+
+
+def mixed_tori(sid: TightStructureId) -> list[MixedTorus]:
+    """All interior vertices of the structure's path where some shuffle
+    representative has opposite signs on the two adjacent edges."""
+    full = full_path(sid)
+    vs = full.path.vertices
+    runs = signed_blocks(full.path).runs
+    counts = shuffle_canonical(full).minus_counts
+    spots = set()
+    for run, cnt in zip(runs, counts):
+        if 0 < cnt < len(run):
+            # both signs inside one block: every interior vertex works
+            for e in run[:-1]:
+                spots.add(e + 1)
+    for (run_a, cnt_a), (run_b, cnt_b) in zip(
+        zip(runs, counts), zip(runs[1:], counts[1:])
+    ):
+        can_flip = (cnt_a < len(run_a) and cnt_b > 0) or (cnt_a > 0 and cnt_b < len(run_b))
+        if can_flip:
+            spots.add(run_b[0])
+    return [MixedTorus(vs[i], vs[i - 1], vs[i + 1]) for i in sorted(spots)]
 
 
 def _json(obj) -> str:

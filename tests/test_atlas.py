@@ -26,8 +26,6 @@ from fareytight.atlas import (
     classify,
     enumerate_structures,
     exceptional_slopes,
-    full_path,
-    mixed_tori,
     n_of,
     structure_cells,
     structure_record,
@@ -42,7 +40,7 @@ from fareytight.atlas import (
     _window,
 )
 
-from helpers import classify_oracle, enumerated_tally, random_unit_rational, window_oracle
+from helpers import classify_oracle, enumerated_tally, full_path, mixed_tori, random_unit_rational, window_oracle
 
 
 def S(text):
@@ -563,3 +561,25 @@ def test_rule_commutes_with_conjugation():
                 counts = feature_counts(minimal_path(r, make_slope(1, n_of(r))))
                 for u, a, b in itertools.product((False, True), repeat=3):
                     assert counts.get((u, a, b), 0) == counts.get((u, b, a), 0), (r, u, a, b)
+
+
+def test_classify_commutes_with_conjugation_on_every_structure():
+    # (W, -J) fills -xi where (W, J) fills xi, and conjugation flips the
+    # sign of every basic slice: (k, l, P) goes to (k, n-k-l, P-bar),
+    # P-bar with minus count size - c on each signed block of size size
+    # where P has c.  classify gives both the same status, cite and note,
+    # on every structure of every reduced p/q with q <= 40
+    structures = 0
+    for q in range(2, 41):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            r = make_slope(p, q)
+            n = n_of(r)
+            for sid in enumerate_structures(r):
+                sizes = signed_blocks(sid.P.path).sizes
+                bar = ShuffleClass(sid.P.path, tuple(size - c for size, c in zip(sizes, sid.P.minus_counts)))
+                v, w = classify(sid), classify(TightStructureId(r, sid.k, n - sid.k - sid.l, bar))
+                assert (v.status, v.cite, v.note) == (w.status, w.cite, w.note), sid
+                structures += 1
+    assert structures == 17686  # the sum of n(n+1)/2 * phi(r) over these r

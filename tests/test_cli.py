@@ -1039,6 +1039,33 @@ def test_listings_match_oracle_where_writes_cut_runs_of_cells(monkeypatch):
                 assert run_captured(argv) == listing_oracle(argv), argv
 
 
+def _cuts(r: str, m: int) -> set[str]:
+    """Where writes of m rows cut the cells of `classify r`: "inside" a
+    run of rows of one verdict, or "between" two runs of one cell."""
+    _, out, _ = listing_oracle(["classify", r, "--format", "tsv"])
+    rows = [line.split("\t")[1:] for line in out.splitlines()[1:]]  # k, l, then the verdict
+    return {"inside" if a[2:] == b[2:] else "between"
+            for a, b in (rows[g - 1 : g + 1] for g in range(m, len(rows), m)) if a[:2] == b[:2]}
+
+
+def test_listings_match_oracle_where_writes_cut_verdicts_that_vary_with_p(monkeypatch):
+    # phi = 40, and the verdicts of some cells vary with P: those of Top
+    # by Thm 1.4 (94/261, n = 2) and Thm 1.5 (134/505, n = 3), whose
+    # runs of one verdict are 1, 38 and 1 rows, and those of both Sides
+    # by Thm 1.3 (142/649, n = 4), whose last signed block is one edge,
+    # so that their runs are one row each.  Writes of 3 and 7 rows cut
+    # inside runs and between them
+    for r in ("94/261", "134/505", "142/649"):
+        assert phi(parse_slope(r)) == 40
+        assert set().union(*(_cuts(r, m) for m in (3, 7))) == {"inside", "between"}, r
+        for m in (3, 7):
+            for argv in listing_commands(r):
+                with monkeypatch.context() as patch:
+                    patch.setattr(_output, "_BYTES_PER_WRITE", m * _unit_bytes(argv))
+                    assert _rows_in_first_write(argv) == m, argv
+                    assert run_captured(argv) == listing_oracle(argv), argv
+
+
 class RecordingSink(io.TextIOBase):
     """A stdout that keeps every write apart."""
 

@@ -10,7 +10,6 @@ from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slo
 from fareytight.paths import (
     FareyPath,
     blocks,
-    concat,
     edge_runs,
     lengthen_through,
     minimal_path,
@@ -19,6 +18,7 @@ from fareytight.paths import (
 from helpers import (
     all_slopes_in_box,
     block_vectors_oracle,
+    concat,
     decrement_path,
     edge_runs_oracle,
     geodesic_length_oracle,
