@@ -465,15 +465,14 @@ def listing(fmt: str, r: Slope, path, runs, s: Slope | None = None, verdicts=Non
         yield "["
         pre = '{"r":%s,"k":%%d,"l":' % _json(str(r)) if triangle else None
         post = (',"P":' if triangle else "") + _p_head(path)
-        yield from _write_rows(runs, pre, post, groups, count, suffixes, longest, ",")
-        yield "]\n"
     elif fmt == "tsv":
         yield "r\t%s\t%s\n" % ("k\tl" if triangle else "s", columns)
         pre, post = ("%s\t%%d\t" % r, "\t") if triangle else (None, "%s\t%s\t" % (r, s))
-        yield from _write_rows(runs, pre, post, groups, count, suffixes, longest)
     else:
-        pre = "k=%d l=" if triangle else None
-        yield from _write_rows(runs, pre, " " if ends else "", groups, count, suffixes, longest, ends=ends)
+        pre, post = "k=%d l=" if triangle else None, " " if ends else ""
+    yield from _write_rows(runs, pre, post, groups, count, suffixes, longest, "," if fmt == "json" else "", ends)
+    if fmt == "json":
+        yield "]\n"
 
 
 @lru_cache(maxsize=256)  # about 15 to a listing; a note names n, so the cache is bounded
