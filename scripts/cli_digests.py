@@ -22,9 +22,12 @@ json, tsv); `path` (text, json, dot) on the fans of 0 and inf from
 every slope s0 and every ordered pair of its Farey neighbours s1, s_neg1
 in the box, `exceptional s0 s1 s_neg1` in text, and in json with
 --paper-mode; and `exceptional 1/n 2/(2n+1) 1/(n-1) --paper-mode` for
-n = 2..6, the pattern that --paper-mode changes.  Pairs and slopes
-outside a command's domain are run too: their digests cover the error
-text.
+n = 2..6, the pattern that --paper-mode changes.  Last the cable
+commands, for every p in 1..5, q in -3..3 and --sign 1 and -1:
+`cable-slope` (text, json) and `cable-map` in five forms (_CABLE_MAPS),
+which take --power negative, 0 and positive, and --apply absent, inf and
+a negative slope, in text and json.  Pairs, slopes and cables outside a
+command's domain are run too: their digests cover the error text.
 """
 
 import argparse
@@ -61,6 +64,16 @@ def _box() -> dict[str, tuple[int, int]]:
         box.update((str(num) if den == 1 else "%d/%d" % (num, den), (num, den))
                    for num in range(-4, 5) if math.gcd(num, den) == 1)
     return box
+
+
+# the options of each cable-map command after p, q and --sign
+_CABLE_MAPS = [
+    ["--format", "text"],
+    ["--format", "json"],
+    ["--power", "-2", "--apply", "inf", "--format", "json"],
+    ["--power", "0", "--apply", "-1/2"],
+    ["--power", "3", "--apply", "-1/2", "--format", "json"],
+]
 
 
 def commands(max_den: int):
@@ -105,6 +118,14 @@ def commands(max_den: int):
                 yield ["exceptional", s0, s1, s_neg1, "--format", "json", "--paper-mode"]
     for n in range(2, 7):
         yield ["exceptional", "1/%d" % n, "2/%d" % (2 * n + 1), "1/%d" % (n - 1), "--paper-mode"]
+    for p in range(1, 6):
+        for q in range(-3, 4):
+            for sign in ("1", "-1"):
+                cable = [str(p), str(q), "--sign", sign]
+                for fmt in ("text", "json"):
+                    yield ["cable-slope", *cable, "--format", fmt]
+                for options in _CABLE_MAPS:
+                    yield ["cable-map", *cable, *options]
 
 
 def digest_line(argv: list[str]) -> str:

@@ -45,8 +45,9 @@ def test_cli_digests_script():
     # on the box of 20 slopes, 8 commands per ordered pair, 3 formats of
     # `path` on 4 pairs on the fans of 0 and inf, 4 commands per slope, 2
     # per triple s0, s1, s_neg1 with s1 and s_neg1 Farey neighbours of s0
-    # (360 triples), and the 5 --paper-mode patterns
-    assert len(lines) == 11 * 14 + 2 + 20 * 20 * 8 + 4 * 3 + 20 * 4 + 2 * 360 + 5
+    # (360 triples), and the 5 --paper-mode patterns; then 7 commands per
+    # cable p, q, sign: 5 p, 7 q and 2 signs
+    assert len(lines) == 11 * 14 + 2 + 20 * 20 * 8 + 4 * 3 + 20 * 4 + 2 * 360 + 5 + 5 * 7 * 2 * 7
     # 1/2 is the n = 1 surgery: one structure, in the Stein base row
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
     line = "0 %s %s summary 1/2 --format json" % (sha('{"total":1,"stein":1}\n'), sha(""))
@@ -59,12 +60,12 @@ def test_cli_digests_script():
 
 # sha256 of the whole output of each digest script, and its line count:
 # a change that alters any output byte on purpose updates these and says
-# why.  cli_digests.py --max-den 6 exits 0 on 3,776 lines, 3 on 372 and 4
+# why.  cli_digests.py --max-den 6 exits 0 on 4,028 lines, 3 on 610 and 4
 # on 25, and never 2, so no argparse text, which differs between Python
 # versions, is in it.
 DIGEST_GOLDENS = [
-    (["scripts/cli_digests.py", "--max-den", "6"], 4173,
-     "d2c95b0a887aacc1aeeac8e0465a5664ca8e4ea85e5e8e76203c279393824fd6"),
+    (["scripts/cli_digests.py", "--max-den", "6"], 4663,
+     "35aeef1d1b021d2ad9cf4cf49d0db711ebfa8f0adf1352ca7b9c8c52a0fc3eb9"),
     (["scripts/surgery_digests.py"], 51480,
      "80bdb2181b3310c16887ecdc32cd1f2f22a02b7acf9b2d2cac5b026a9fa3bc47"),
 ]
