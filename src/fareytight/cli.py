@@ -196,10 +196,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()
-
-
 @cache  # built where help or an error is written, then shared by every later main()
 def _parsers() -> argparse.ArgumentParser:
     """The top-level parser, with a parser for each subcommand."""
@@ -217,23 +213,20 @@ def _parsers() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace that the top-level parser makes of argv, read off the
-    row of the command that argv[0] names: options by exact name, each
-    with its count of values, positionals in order, and every argument
+    """The namespace of argv read off the row of the command that argv[0]
+    names: options by exact name, each with its count of values, anywhere
+    among the positionals, the positionals in order, and every argument
     after "--" positional.  None where argparse writes help or an error,
     and where it might read argv otherwise: --opt=value, an abbreviation,
-    an unknown option, a second "--", a "--" at the end, or positionals
-    split by an option where the last positional is optional or
-    repeated."""
-    # argparse takes a "--" at the end only where a positional stands next to it
-    row = _COMMANDS.get(argv[0]) if argv and argv[-1] != "--" else None
+    an unknown option or a second "--"."""
+    row = _COMMANDS.get(argv[0]) if argv else None
     if row is None:
         return None
     func, _, _, options, positionals, defaults = row
     parsed = argparse.Namespace()
     values = vars(parsed)  # filled in place: Namespace(**values) sets one attribute at a time
     values.update(defaults, command=argv[0], func=func)
-    strings, marks, rest = [], [], iter(argv[1:])  # marks: the count of strings before each option
+    strings, rest = [], iter(argv[1:])
     try:
         for text in rest:
             if text == "--":
@@ -247,7 +240,6 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
                     return None
                 found = [_value(kw, t) for t in found]
                 values[dest] = found if "nargs" in kw else found[0] if found else True  # store_true
-                marks.append(len(strings))
             else:
                 return None
         if "--" in strings or any(kw.get("required") and values[dest] is None
@@ -257,8 +249,7 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
             return None if strings else parsed
         *head, (last, kw) = positionals
         nargs, extra = kw.get("nargs"), len(strings) - len(head)
-        split = nargs and any(0 < k < len(strings) for k in marks)  # argparse reads such argv otherwise
-        if split or extra < (nargs != "?") or (nargs != "+" and extra > 1):
+        if extra < (nargs != "?") or (nargs != "+" and extra > 1):
             return None
         values.update((name, _value(kw, t)) for (name, kw), t in zip(head, strings))
         found = [_value(kw, t) for t in strings[len(head) :]]

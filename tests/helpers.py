@@ -71,7 +71,7 @@ from fareytight.atlas import (
     triangle_position,
 )
 from fareytight.cables import reglue_map
-from fareytight.cli import _build_parser, _run
+from fareytight.cli import _parsers, _run
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import DecoratedPath, ShuffleClass, SolidTorusStructure, shuffle_canonical, signed_blocks
 
@@ -653,7 +653,7 @@ def _classify_listing(args) -> int:
     return 0
 
 
-_PARSER = _build_parser()
+_PARSER = _parsers()
 
 
 def main_oracle(argv=None) -> int:

@@ -556,7 +556,7 @@ def test_dispatch_by_name_matches_one_top_level_parse(monkeypatch):
         monkeypatch.setattr(sys, "argv", ["fareytight", *argv])
         assert captured(main) == captured(main_oracle), argv
     # a command that parses needs no top-level parse
-    monkeypatch.setattr(cli._build_parser(), "parse_args", None)
+    monkeypatch.setattr(cli._parsers(), "parse_args", None)
     assert captured(main, ["phi", "3/10", "--format", "json"]) == (0, '{"r":"3/10","phi":1}\n', "")
 
 
@@ -629,9 +629,31 @@ def _namespace(argv):
     """vars of the top-level parse of argv, or None where it exits."""
     with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
         try:
-            return vars(cli._build_parser().parse_args(argv))
+            return vars(cli._parsers().parse_args(argv))
         except SystemExit:
             return None
+
+
+def _grammar_form(argv):
+    """argv as cli._parse reads it where argparse 3.11 exits on it: the
+    "--" at its end dropped and its option groups moved after its
+    positionals.  None unless argv ends in its first "--" or puts an
+    option between enumerate's r and s."""
+    command, rest = argv[0], argv[1:]
+    cut = rest.index("--") if "--" in rest else len(rest)
+    head, strings, options, marks, i = rest[:cut], [], [], [], 0
+    while i < len(head):
+        if head[i] in OPTION_ARITY:
+            n = OPTION_ARITY[head[i]] + 1
+            options += head[i : i + n]
+            marks.append(len(strings))  # the count of positionals before the option
+        else:
+            n = 1
+            strings.append(head[i])
+        i += n
+    strings += rest[cut + 1 :]
+    split = command == "enumerate" and any(0 < k < len(strings) for k in marks)
+    return [command, *strings, *options] if split or cut == len(rest) - 1 else None
 
 
 def test_parse_matches_one_top_level_parse():
@@ -641,19 +663,45 @@ def test_parse_matches_one_top_level_parse():
     # denominator 12 (all read off the table), on those commands with
     # their options moved and "--" put in, and on argvs with negative
     # slopes and option values, repeated options, "--", and dot's and
-    # enumerate's positionals
+    # enumerate's positionals.  Where argparse exits, _parse gives None,
+    # except on the two shapes that argparse 3.11 rejects although the
+    # grammar reads them, a "--" at the end and an option between
+    # enumerate's r and s: there it gives the namespace of argv with the
+    # "--" dropped and the options moved after the positionals
     commands = _cli_digest_commands(12)
     assert all(cli._parse(argv) is not None for argv in commands)
     argvs = commands + PARSE_ARGVS + [v for argv in commands + PARSE_ARGVS for v in _parse_variants(argv)]
-    read = 0
+    read = reshaped = 0
     for argv in argvs:
         found, want = cli._parse(argv), _namespace(argv)
-        assert found is None or vars(found) == want, argv
+        if want is not None:
+            assert found is None or vars(found) == want, argv
+        else:
+            form = _grammar_form(argv)
+            assert (found and vars(found)) == (form and _namespace(form)), argv
+            reshaped += found is not None
         read += found is not None
-    # most variants are read off the table, and some are left to argparse
+    # most variants are read off the table, some are left to argparse,
+    # and some are read where argparse 3.11 exits
     assert len(commands) < read < len(argvs), (read, len(argvs))
-    assert cli._parse(["enumerate", "3/10", "--format", "json", "1/2"]) is None
+    assert reshaped > 0
+    found = cli._parse(["enumerate", "3/10", "--format", "json", "1/2"])
+    assert vars(found) == _namespace(["enumerate", "3/10", "1/2", "--format", "json"])
     assert _namespace(["enumerate", "3/10", "--format", "json", "1/2"]) is None
+
+
+def test_argvs_that_argparse_rejects_run_as_the_grammar_reads_them():
+    # an option between enumerate's r and s, and a "--" at the end where
+    # no positional stands next to it: each exits 0 with the bytes of the
+    # same argv with the options after the positionals and no "--"
+    for argv, form in (
+        (["enumerate", "3/10", "--format", "json", "1/2"], ["enumerate", "3/10", "1/2", "--format", "json"]),
+        (["phi", "3/10", "--format", "json", "--"], ["phi", "3/10", "--format", "json"]),
+        (["sweep", "--interval", "1/3", "1/2", "--"], ["sweep", "--interval", "1/3", "1/2"]),
+    ):
+        want = run_captured(form)
+        assert want[0] == 0 and want[1] and _grammar_form(argv) == form, argv
+        assert run_captured(argv) == want, argv
 
 
 def test_parse_leaves_errors_and_help_to_argparse():
