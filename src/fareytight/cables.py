@@ -61,31 +61,27 @@ class MobiusMap(_Value):
 IDENTITY = MobiusMap(1, 0, 0, 1)
 
 
-def _check_cable(p: int, q: int) -> None:
+def _check_cable(p: int, q: int, sign: int) -> None:
     if p < 2:
         raise DomainError("cabling requires p >= 2")
     if math.gcd(p, abs(q)) != 1:
         raise DomainError("cabling requires gcd(p,q) = 1")
+    if sign not in (1, -1):
+        raise DomainError("sign must be +1 or -1")
 
 
 def cable_surgery_slope(p: int, q: int, sign: int) -> Slope:
     """Surgery coefficient on K matching the framing+-1 surgery on the
     (p,q)-cable: (pq + sign)/p**2."""
-    _check_cable(p, q)
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
+    _check_cable(p, q, sign)
     return make_slope(p * q + sign, p * p)
 
 
 def reglue_map(p: int, q: int, sign: int) -> MobiusMap:
     """The re-gluing matrix of the framing+-sign surgery on the
     (p,q)-cable; determinant 1 and fixes the slope q/p."""
-    _check_cable(p, q)
-    if sign == 1:
-        return MobiusMap(1 - p * q, p * p, -q * q, 1 + p * q)
-    if sign == -1:
-        return MobiusMap(1 + p * q, -p * p, q * q, 1 - p * q)
-    raise DomainError("sign must be +1 or -1")
+    _check_cable(p, q, sign)
+    return MobiusMap(1 - sign * p * q, sign * p * p, -sign * q * q, 1 + sign * p * q)
 
 
 def legendrian_cable_surgery(
@@ -125,7 +121,7 @@ def legendrian_cable_surgery(
     result has the image's len; only a path that is not minimal, which
     ShuffleClass accepts, can need a merge.
     """
-    _check_cable(p, q)
+    _check_cable(p, q, -1)
     if count < 1:
         raise DomainError("count must be a positive integer")
     if (x.meridian.den, x.meridian.num) == (p, q):
