@@ -29,7 +29,10 @@ batched writes of rows made from block texts replace, with their
 full_path of a structure (its P and the block 1/n, ..., 1/k, joined by
 concat) and mixed_tori along it, which no command reaches; and
 main_oracle, the one top-level parse of argv that cli.main's dispatch
-by command name replaces.
+by command name replaces.  euler_class, the relative Euler class of a
+decorated path (Honda 2000, section 4.3), is no oracle but an invariant
+from contact topology, summed edge by edge on its own lift: it shares no
+code with the enumeration whose classes it tells apart.
 """
 
 import contextlib
@@ -86,6 +89,26 @@ def circle_pos(s: Slope) -> Fraction:
         return 2 * v / (v + 1)
     w = -v
     return 4 - 2 * w / (w + 1)
+
+
+def euler_class(P) -> tuple[int, int]:
+    """The relative Euler class of P, a DecoratedPath or a ShuffleClass
+    (its canonical representative), as a (den, num) vector: the sum over
+    the signed edges i = 2..m of sign_i * (V_i - V_(i-1)), on the lift
+    V_0, ..., V_m of the path from (start.den, start.num), each vertex
+    the vector of its slope with cross +1 from the one before."""
+    d = P.canonical_decorated() if isinstance(P, ShuffleClass) else P
+    vs = d.path.vertices
+    lift = [(vs[0].den, vs[0].num)]
+    for y in vs[1:]:
+        xd, xn = lift[-1]
+        turn = xd * y.num - xn * y.den  # +1 or -1 on a Farey edge
+        lift.append((turn * y.den, turn * y.num))
+    ed = en = 0
+    for sign, (ad, an), (bd, bn) in zip(d.signs, lift[1:], lift[2:]):
+        ed += sign * (bd - ad)
+        en += sign * (bn - an)
+    return ed, en
 
 
 def sort_key_oracle(s: Slope):

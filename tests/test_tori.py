@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -31,7 +32,14 @@ from fareytight.tori import (
     signed_blocks,
 )
 
-from helpers import bfs_shorten, phi_oracle, random_unit_rational, shorten_oracle, shuffle_orbit_count
+from helpers import (
+    bfs_shorten,
+    euler_class,
+    phi_oracle,
+    random_unit_rational,
+    shorten_oracle,
+    shuffle_orbit_count,
+)
 
 
 def S(text):
@@ -606,3 +614,55 @@ def test_consistently_shorten_long_path_forced_opposite_merge():
     assert is_edge(vs[mid - 1], vs[mid + 1])
     signs = tuple(1 if e < mid else -1 for e in range(1, len(longer.path)))
     assert consistently_shorten(DecoratedPath(longer.path, signs)) is None
+
+
+@functools.cache
+def _euler_box():
+    """(path, its shuffle classes) for the minimal path of every ordered
+    pair of distinct slopes in inf and the reduced n/d with 1 <= d <= 4
+    and |n| <= 6: paths through inf, and from and to negative slopes."""
+    box = [INF] + [make_slope(n, d) for d in range(1, 5) for n in range(-6, 7) if math.gcd(n, d) == 1]
+    paths = [minimal_path(a, b) for a in box for b in box if a != b]
+    return [(path, [ShuffleClass(path, c) for c in all_minus_counts(path)]) for path in paths]
+
+
+def test_euler_class_tells_the_classes_apart():
+    # Honda: the relative Euler class tells the tight structures on a
+    # solid torus apart, so it takes count_tight(a, b) values on a path
+    box = _euler_box()
+    for path, classes in box:
+        values = {euler_class(c) for c in classes}
+        assert len(values) == len(classes) == count_tight(path.start, path.end), path
+    assert (len(box), sum(len(classes) for _, classes in box)) == (1122, 5631)
+
+
+def test_euler_class_changes_sign_under_conjugation():
+    # conjugation flips every sign, so P-bar, with minus count size - c on
+    # each signed block, has e(P-bar) = -e(P), and it maps the classes of
+    # a path onto themselves
+    for path, classes in _euler_box():
+        sizes = path.signed_blocks.sizes
+        values = Counter()
+        for c in classes:
+            ed, en = euler_class(c)
+            bar = ShuffleClass(path, tuple(size - k for size, k in zip(sizes, c.minus_counts)))
+            assert euler_class(bar) == (-ed, -en), (path, c)
+            values[ed, en] += 1
+            values[-ed, -en] -= 1
+        assert not +values and not -values, path
+
+
+def test_euler_class_is_unchanged_by_shuffles():
+    # every edge of a block steps by the block's pivot, so e depends only
+    # on the minus count per block: a random sign vector has the Euler
+    # class of its shuffle class, which is the enumerated class with it
+    rng = random.Random(2000)
+    box = [(path, {euler_class(c): c.minus_counts for c in classes}, len(classes))
+           for path, classes in _euler_box()]
+    assert all(len(by_class) == n for _, by_class, n in box)
+    for _ in range(3000):
+        path, by_class, _ = rng.choice(box)
+        d = DecoratedPath(path, tuple(rng.choice((1, -1)) for _ in range(len(path) - 1)))
+        iso = shuffle_canonical(d)
+        assert euler_class(d) == euler_class(iso), d
+        assert by_class[euler_class(d)] == iso.minus_counts, d
