@@ -572,20 +572,29 @@ OPTION_ARITY = {"--format": 1, "--strict": 0, "--paper-mode": 0, "--interval": 2
                 "--sign": 1, "--power": 1, "--apply": 1}
 
 
+def _split_options(texts: list[str]):
+    """The positionals of texts, its option groups (each option with its
+    OPTION_ARITY values), and for each group the count of positionals
+    before it."""
+    strings, groups, marks, i = [], [], [], 0
+    while i < len(texts):
+        if texts[i] in OPTION_ARITY:
+            n = OPTION_ARITY[texts[i]] + 1
+            groups.append(texts[i : i + n])
+            marks.append(len(strings))
+        else:
+            n = 1
+            strings.append(texts[i])
+        i += n
+    return strings, groups, marks
+
+
 def _parse_variants(argv: list[str]):
     """argv with its options moved before, between and after its
     positionals, and with "--" before its positionals, the options before
     it (the same namespace) or after it (an error: they are positionals
     there)."""
-    command, strings, groups, i = argv[0], [], [], 1
-    while i < len(argv):
-        if argv[i] in OPTION_ARITY:
-            n = OPTION_ARITY[argv[i]] + 1
-            groups.append(argv[i : i + n])
-        else:
-            n = 1
-            strings.append(argv[i])
-        i += n
+    command, (strings, groups, _) = argv[0], _split_options(argv[1:])
     options = [text for group in groups for text in group]
     yield [command, *options, *strings]
     yield [command, *options, "--", *strings]
@@ -641,18 +650,10 @@ def _grammar_form(argv):
     option between enumerate's r and s."""
     command, rest = argv[0], argv[1:]
     cut = rest.index("--") if "--" in rest else len(rest)
-    head, strings, options, marks, i = rest[:cut], [], [], [], 0
-    while i < len(head):
-        if head[i] in OPTION_ARITY:
-            n = OPTION_ARITY[head[i]] + 1
-            options += head[i : i + n]
-            marks.append(len(strings))  # the count of positionals before the option
-        else:
-            n = 1
-            strings.append(head[i])
-        i += n
+    strings, groups, marks = _split_options(rest[:cut])
     strings += rest[cut + 1 :]
     split = command == "enumerate" and any(0 < k < len(strings) for k in marks)
+    options = [text for group in groups for text in group]
     return [command, *strings, *options] if split or cut == len(rest) - 1 else None
 
 
