@@ -13,7 +13,7 @@ text is made per row where rows share their parts: a listing row is P's
 text and a suffix, the verdict of `classify` or the edges from 1/n on in
 the text of `enumerate r`, and each run of rows with one suffix is
 joined with the suffix in the separator (listing).  The library does
-not import this module; the CLI and the DOT export script do.
+not import this module; only the CLI does.
 """
 
 from __future__ import annotations

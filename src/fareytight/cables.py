@@ -121,7 +121,7 @@ def legendrian_cable_surgery(
     result has the image's len; only a path that is not minimal, which
     ShuffleClass accepts, can need a merge.
     """
-    _check_cable(p, q, -1)
+    m = reglue_map(p, q, -1)
     if count < 1:
         raise DomainError("count must be a positive integer")
     if (x.meridian.den, x.meridian.num) == (p, q):
@@ -135,7 +135,7 @@ def legendrian_cable_surgery(
     if idx is None:
         raise DomainError("cabling slope %d/%d is outside the interval (%s, %s)"
                           % (q, p, x.meridian, x.dividing))
-    m = reglue_map(p, q, -1) ** count
+    m = m ** count
     vecs[: idx + 1] = [(m.a * vd + m.b * vn, m.c * vd + m.d * vn) for vd, vn in vecs[: idx + 1]]
     meridian = _slope(*vecs[0])
     short = _shorten_lift(vecs, signs, meridian, x.dividing)

@@ -94,9 +94,6 @@ class Slope(_Value):
     def is_infinite(self) -> bool:
         return self.den == 0
 
-    def reciprocal(self) -> "Slope":
-        return make_slope(self.den, self.num)
-
     def __str__(self) -> str:
         return _text(self.den, self.num)
 
@@ -186,7 +183,8 @@ def farey_sum(a: Slope, b: Slope) -> Slope:
 
     inf enters the mediant as 1/0 when the other operand is >= 0 and as
     -1/0 when the other operand is negative, so that the result is the
-    Farey child on the correct side of the circle.
+    Farey child on the correct side of the circle.  inf is the one slope
+    1/0, so two distinct slopes have at most one infinite.
     """
     if a == b:
         raise DomainError("Farey sum requires distinct slopes")
@@ -196,10 +194,7 @@ def farey_sum(a: Slope, b: Slope) -> Slope:
         na = -1
     if b.is_infinite and a.num < 0:
         nb = -1
-    num, den = na + nb, da + db
-    if num == 0 and den == 0:
-        raise DomainError("mediant of opposite infinities is undefined")
-    return make_slope(num, den)
+    return make_slope(na + nb, da + db)
 
 
 def rationals_in(a: Slope, b: Slope, bound: int) -> list[Slope]:

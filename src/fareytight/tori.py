@@ -71,7 +71,7 @@ class ShuffleClass(_Value):
     __slots__ = ("path", "minus_counts")
 
     def __init__(self, path: FareyPath, minus_counts: tuple[int, ...]):
-        sizes = signed_blocks(path).sizes
+        sizes = path.signed_blocks.sizes
         if len(minus_counts) != len(sizes):
             raise DomainError("expected %d block counts, got %d" % (len(sizes), len(minus_counts)))
         for cnt, size in zip(minus_counts, sizes):
@@ -82,7 +82,7 @@ class ShuffleClass(_Value):
 
     @property
     def blocks(self) -> BlockDecomposition:
-        return signed_blocks(self.path)
+        return self.path.signed_blocks
 
     def canonical_decorated(self) -> DecoratedPath:
         """Representative with the minus signs at the clockwise end of
@@ -119,7 +119,7 @@ class ShuffleClass(_Value):
 def shuffle_canonical(d: DecoratedPath) -> ShuffleClass:
     """The shuffle class of a decorated path (on a minimal path this is
     the isotopy class of the structure it describes)."""
-    runs = signed_blocks(d.path).runs
+    runs = d.path.signed_blocks.runs
     return ShuffleClass(d.path, tuple(d.signs[run[0] - 1 : run[-1]].count(-1) for run in runs))
 
 
@@ -175,7 +175,7 @@ def count_tight_upper(x: Slope, s: Slope) -> int:
 
 def all_minus_counts(path: FareyPath) -> Iterator[tuple[int, ...]]:
     """Minus counts of every shuffle class on the path, lexicographically."""
-    return itertools.product(*[range(size + 1) for size in signed_blocks(path).sizes])
+    return itertools.product(*[range(size + 1) for size in path.signed_blocks.sizes])
 
 
 def enumerate_tight(r: Slope, s: Slope) -> list[SolidTorusStructure]:
@@ -189,7 +189,7 @@ def feature_counts(path: FareyPath) -> dict[tuple[bool, bool, bool], int]:
     ShuffleClass.features, values no class takes left out.  With signed
     block sizes s_1..s_m there are phi = prod(s_i + 1) classes, and
     rho = phi/(s_m + 1) of them share each minus count on the last block."""
-    sizes = signed_blocks(path).sizes
+    sizes = path.signed_blocks.sizes
     if not sizes:
         return {(True, True, True): 1}
     phi = math.prod(size + 1 for size in sizes)
@@ -211,7 +211,7 @@ def feature_column(path: FareyPath) -> list[tuple[bool, bool, bool]]:
     repetition of [plus] + [mixed]*(L-1) + [minus] (last block all plus,
     mixed, all minus), except that the first class is all plus and the
     last one all minus; feature_counts counts the same column."""
-    sizes = signed_blocks(path).sizes
+    sizes = path.signed_blocks.sizes
     if not sizes:
         return [(True, True, True)]
     plus, mixed, minus = (False, True, False), (False, False, False), (False, False, True)

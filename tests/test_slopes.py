@@ -429,6 +429,8 @@ def test_value_classes_behave_as_frozen_dataclasses():
             x.extra = 1
         assert x == y == pickle.loads(pickle.dumps(x)) == copy.copy(x) == copy.deepcopy(x), text
     assert ft.MobiusMap(11, -25, 4, -9) != ft.MobiusMap(11, 25, -4, -9)
+    # a path equals only a path, not its vertex tuple
+    assert path != object() and path != path.vertices and not path == path.vertices
     assert ft.BlockDecomposition((1, 2)) != ft.BlockDecomposition((1, 2), 1)
     # defaults
     assert ft.BlockDecomposition((1, 2)).first == 0
@@ -449,3 +451,8 @@ def test_value_classes_behave_as_frozen_dataclasses():
         ft.MobiusMap(a=1, b=1, c=1, d=1)
     with pytest.raises(DomainError):
         Slope(num=2, den=4)
+    # an uncovered verdict cites nothing, and a covered one cites a result
+    with pytest.raises(DomainError, match="carry no citation"):
+        ft.FillabilityVerdict(status=ft.Fillability.NOT_COVERED, cite="Lemma 4.2")
+    with pytest.raises(DomainError, match="must cite"):
+        ft.FillabilityVerdict(status=ft.Fillability.STEIN, cite=None)

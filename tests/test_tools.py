@@ -1,5 +1,5 @@
-"""The benchmark's smoke run, the DOT export, CLI digest and surgery
-digest scripts, the library's import and the CLI, each run as its own
+"""The benchmark's smoke run, the CLI digest and surgery digest
+scripts, the library's import and the CLI, each run as its own
 process."""
 
 import hashlib
@@ -28,13 +28,6 @@ def test_perfbench_smoke():
     # fails when a function the traced run looks up by name disappears
     res = run_script("perfbench/run.py", "--smoke")
     assert res.returncode == 0, res.stdout + res.stderr
-
-
-def test_export_dot_script(tmp_path):
-    res = run_script("scripts/export_dot.py", "--out-dir", str(tmp_path))
-    assert res.returncode == 0, res.stdout + res.stderr
-    written = [Path(line) for line in res.stdout.split()]
-    assert written and all(p.parent == tmp_path and p.read_text().startswith("digraph") for p in written)
 
 
 def test_cli_digests_script():

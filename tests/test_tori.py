@@ -56,6 +56,8 @@ def test_decorated_path_validation():
         DecoratedPath(path, (1, 1))  # needs 3 signs
     with pytest.raises(DomainError):
         DecoratedPath(path, (1, 0, 1))
+    with pytest.raises(DomainError, match="at least one edge"):
+        DecoratedPath(FareyPath((S("1/2"),)), ())  # one vertex, no edge
     DecoratedPath(path, (1, -1, 1))
 
 
