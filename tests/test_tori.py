@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, det, farey_sum, is_edge, make_slope, parse_slope
-from fareytight.slopes import ContinuedFraction, cf_minus, cf_value
+from fareytight.slopes import ContinuedFraction, cf_minus
 from fareytight import _output
 from fareytight._output import ClassTexts, decorated_texts, minus_texts
 from fareytight.paths import FareyPath, minimal_path
@@ -34,6 +34,7 @@ from fareytight.tori import (
 
 from helpers import (
     bfs_shorten,
+    cf_value,
     euler_class,
     phi_oracle,
     random_unit_rational,
