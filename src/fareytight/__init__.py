@@ -10,7 +10,6 @@ from .slopes import (
     Slope,
     ZERO,
     cf_minus,
-    cf_value,
     cw_interval_contains,
     det,
     farey_sum,
@@ -35,7 +34,6 @@ from .tori import (
     SolidTorusStructure,
     consistently_shorten,
     count_tight,
-    count_tight_upper,
     enumerate_tight,
     is_tight,
     lengthen_decorated,
@@ -44,7 +42,6 @@ from .tori import (
     signed_blocks,
 )
 from .cables import (
-    IDENTITY,
     MobiusMap,
     cable_surgery_slope,
     legendrian_cable_surgery,

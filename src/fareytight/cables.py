@@ -34,15 +34,6 @@ class MobiusMap(_Value):
         x, y = s.den, s.num
         return make_slope(self.c * x + self.d * y, self.a * x + self.b * y)
 
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other (matrix product self * other)."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def __pow__(self, k: int) -> "MobiusMap":
         """M**k = I + k*N for every integer k, where N = M - I.  With
         determinant 1 and trace 2, N*N = 0, so the binomial sum stops at
@@ -56,9 +47,6 @@ class MobiusMap(_Value):
 
     def __str__(self) -> str:
         return "[[%d,%d],[%d,%d]]" % (self.a, self.b, self.c, self.d)
-
-
-IDENTITY = MobiusMap(1, 0, 0, 1)
 
 
 def _check_cable(p: int, q: int, sign: int) -> None:

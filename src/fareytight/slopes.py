@@ -324,11 +324,3 @@ def cf_minus(x: Slope) -> ContinuedFraction:
             break
         p, q = q, r
     return ContinuedFraction(tuple(entries))
-
-
-def cf_value(cf: ContinuedFraction) -> Slope:
-    """Exact value of a minus continued fraction."""
-    num, den = cf.entries[-1], 1
-    for a in reversed(cf.entries[:-1]):
-        num, den = a * num - den, num
-    return make_slope(num, den)

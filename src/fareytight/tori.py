@@ -15,10 +15,8 @@ from collections.abc import Iterator
 
 from .slopes import (
     DomainError,
-    ONE,
     Slope,
     make_slope,
-    _pos_lt,
     _Value,
 )
 from .paths import (
@@ -157,20 +155,6 @@ def phi(r: Slope) -> int:
     if r.is_infinite or not 0 < r.num < r.den:
         raise DomainError("phi is defined for slopes in (0,1)")
     return count_tight(r, make_slope(1, (r.den - 1) // r.num))
-
-
-def count_tight_upper(x: Slope, s: Slope) -> int:
-    """Count for the upper-meridian solid torus: meridian x > 1,
-    dividing slope s anticlockwise of x.  Here the unsigned edge is the
-    last one (incident to x), so the block product runs over all edges
-    of minimal_path(s, x) except the last."""
-    if x.is_infinite or not _pos_lt(ONE, x):
-        raise DomainError("upper meridian must be a rational > 1")
-    if s.is_infinite or not _pos_lt(s, x):
-        raise DomainError("dividing slope must be a rational below the meridian")
-    sizes = [m for _, _, m in _greedy_blocks(s, x)]
-    sizes[-1] -= 1  # a last block of one edge adds a factor 1
-    return math.prod(size + 1 for size in sizes)
 
 
 def all_minus_counts(path: FareyPath) -> Iterator[tuple[int, ...]]:

@@ -496,7 +496,7 @@ def test_readme_library_example():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
-    assert len(comments) == 8 and out.getvalue().splitlines() == comments
+    assert len(comments) == 6 and out.getvalue().splitlines() == comments
 
 
 def test_negative_fractions_as_arguments():

@@ -21,7 +21,6 @@ from fareytight.tori import (
     all_minus_counts,
     consistently_shorten,
     count_tight,
-    count_tight_upper,
     enumerate_tight,
     feature_column,
     feature_counts,
@@ -155,21 +154,6 @@ def test_phi_domain():
         phi(ZERO)
     with pytest.raises(DomainError):
         phi(S("-1/3"))
-
-
-def test_count_tight_upper_fixtures():
-    assert count_tight_upper(S("25/9"), ONE) == 8
-    assert count_tight_upper(S("25/9"), S("2")) == 4
-    assert count_tight_upper(S("7"), S("6")) == 1
-
-
-def test_count_tight_upper_domain():
-    with pytest.raises(DomainError):
-        count_tight_upper(S("25/9"), S("25/9"))
-    with pytest.raises(DomainError):
-        count_tight_upper(INF, ONE)
-    with pytest.raises(DomainError):
-        count_tight_upper(S("2"), S("5/2"))  # s must precede x clockwise
 
 
 def test_phi_is_count_tight_at_reciprocal_floor():
