@@ -1,8 +1,9 @@
-"""The benchmark's smoke run, the CLI digest and surgery digest
+"""The benchmark's smoke run, the CLI digest, surgery digest and reach
 scripts, the library's import and the CLI, each run as its own
 process."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -133,6 +134,19 @@ def test_code_lines_script():
     assert total_name == "total"
     assert {"__init__", "cli", "paths", "tori"} <= {name for name, _ in modules}
     assert sum(int(lines) for _, lines in modules) == int(total) > 0
+
+
+def test_reach_script():
+    # every def under src/fareytight that no CLI command enters is
+    # declared in scripts/reach.py with the reason it stays, so a def that
+    # nothing calls fails here until it is deleted or declared
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    res = run_script("scripts/reach.py", "--max-den", "6")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert sorted(res.stdout.splitlines()) == sorted(reach.UNREACHED)
+    assert all(reach.UNREACHED.values())
 
 
 def test_listing_into_closed_pipe():
