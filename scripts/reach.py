@@ -29,7 +29,7 @@ import argparse
 import ast
 import contextlib
 import inspect
-import io
+import os
 import sys
 from pathlib import Path
 
@@ -91,13 +91,6 @@ UNREACHED = {
 }
 
 
-class _Sink(io.TextIOBase):
-    """A text stream that keeps nothing of what is written to it."""
-
-    def write(self, text: str) -> int:
-        return len(text)
-
-
 def _defs(code, prefix: str, out: dict) -> dict:
     """Map (file, first line, name) of each def under code to its
     qualified name, prefix first."""
@@ -138,8 +131,8 @@ def unreached(max_den: int) -> list[str]:
     try:
         import cli_digests  # puts src first on sys.path, then imports fareytight.cli
 
-        sink = _Sink()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        with open(os.devnull, "w", encoding="utf-8") as sink, \
+                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             for argv in [*cli_digests.commands(max_den), *argvs]:
                 cli_digests.main(argv)
     finally:
