@@ -69,6 +69,10 @@ UNREACHED = {
     "tori.consistently_shorten": _SURGERY,
     "tori._shorten_lift": _SURGERY,
 
+    "atlas.exceptional_slopes": "library API: the set of exceptional_members; perfbench/tracer.py wraps it by name",
+    "slopes.neighbors_in_interval": "library API: the neighbours in any arc, on the fan window of exceptional_members; "
+                                    "perfbench/tracer.py wraps it by name",
+    "slopes.cw_interval_contains": "library API: the arc predicate, which neighbors_in_interval reads",
     "paths.FareyPath.__init__": "library API: a path from its vertices, as the README and the tests build one",
     "slopes.farey_sum": "library API: perfbench/workloads.py builds the surgery inputs with it",
     "slopes.rationals_in": "library API: the list form of the coefficients that sweep reads",

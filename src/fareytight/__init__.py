@@ -18,7 +18,6 @@ from .slopes import (
     neighbors_in_interval,
     parse_slope,
     rationals_in,
-    slope_sort_key,
 )
 from .paths import (
     BlockDecomposition,

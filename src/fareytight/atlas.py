@@ -17,14 +17,14 @@ from collections.abc import Iterator
 from enum import Enum
 
 from .slopes import (
+    INF,
     DomainError,
     Slope,
-    ZERO,
     _Value,
-    cw_interval_contains,
+    _fan_param,
+    _fan_window,
     is_edge,
     make_slope,
-    neighbors_in_interval,
 )
 from .paths import FareyPath, minimal_path
 from .tori import ShuffleClass, all_minus_counts, feature_counts
@@ -204,22 +204,35 @@ def triangle_position(sid: TightStructureId) -> TrianglePosition:
 
 def exceptional_slopes(t: MixedTorus, paper_mode: bool = False) -> frozenset[Slope]:
     """Farey neighbours of s0 in the arc between the associated slopes
-    not containing s0.
+    not containing s0: the members of exceptional_members, as a set."""
+    (pd, pn), (ud, un), ranges = exceptional_members(t, paper_mode)
+    return frozenset(make_slope(un + j * pn, ud + j * pd) for r in ranges for j in r)
 
-    paper_mode drops slope 0 in the one tabulated pattern where s0 is
-    1/n with associated slopes 2/(2n+1) and 1/(n-1); the raw neighbour
-    computation is the default.
+
+def exceptional_members(t: MixedTorus, paper_mode: bool = False) -> tuple:
+    """(pivot, base, ranges): the exceptional slopes of t, the Farey
+    neighbours of s0 in the arc between the associated slopes not
+    containing s0, are the members base + j*pivot of the fan of s0
+    (slopes._fan_window), j running over each of the three ranges in
+    turn, in ascending slope order (negatives < 0 < positives < inf).
+
+    The members run clockwise as j ascends, so they ascend but where
+    they pass inf, at the j where their denominator changes sign: the
+    members after inf come first, then those before it, then inf itself
+    where it is one.  paper_mode drops slope 0 in the one tabulated
+    pattern where s0 is 1/n with associated slopes 2/(2n+1) and
+    1/(n-1), whose members are 0 and 1/(n+1), at j = 0 and 1; the raw
+    neighbour computation is the default.
     """
-    if cw_interval_contains(t.s0, t.s1, t.s_neg1):
-        a, b = t.s_neg1, t.s1
-    else:
-        a, b = t.s1, t.s_neg1
-    out = neighbors_in_interval(t.s0, a, b)
-    if paper_mode and t.s0.num == 1 and t.s0.den >= 2:
-        n = t.s0.den
-        if {t.s1, t.s_neg1} == {make_slope(2, 2 * n + 1), make_slope(1, n - 1)}:
-            out = out - {ZERO}
-    return frozenset(out)
+    if t.s1 == t.s_neg1:
+        raise DomainError("interval endpoints must be distinct")
+    pivot, base, lo, hi = _fan_window(t.s0, t.s1, t.s_neg1)
+    n = t.s0.den
+    if paper_mode and t.s0.num == 1 and n > 1 and {t.s1, t.s_neg1} == {make_slope(2, 2 * n + 1), make_slope(1, n - 1)}:
+        lo = 1
+    # inf is parallel to base + j*pivot at a j from f to c; no member of the fan of inf is inf
+    f, c = _fan_param(pivot, base, INF) if n else (lo - 1, lo)
+    return pivot, base, (range(max(f + 1, lo), hi), range(lo, min(c, hi)), range(max(c, lo), min(f + 1, hi)))
 
 
 def _window(r: Slope, n: int) -> str | None:

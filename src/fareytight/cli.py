@@ -18,11 +18,11 @@ from collections.abc import Iterator
 from functools import cache
 
 from .slopes import DomainError, ParseError, Slope, cf_minus, parse_slope
-from .slopes import _farey_walk, slope_sort_key
+from .slopes import _farey_walk, _text
 from .paths import minimal_path
 from .tori import count_tight, phi
 from .cables import cable_surgery_slope, reglue_map
-from .atlas import Fillability, MixedTorus, exceptional_slopes, structure_cells, verdict_summary
+from .atlas import Fillability, MixedTorus, exceptional_members, structure_cells, verdict_summary
 from ._output import _json, emit_dot_triangle, listing, path_text, sweep_text
 
 
@@ -120,7 +120,8 @@ def _cmd_sweep(args) -> Iterator[str]:
 
 def _cmd_exceptional(args) -> Iterator[str]:
     torus = MixedTorus(args.s0, args.s1, args.s_neg1)
-    found = [str(s) for s in sorted(exceptional_slopes(torus, args.paper_mode), key=slope_sort_key)]
+    (pd, pn), (ud, un), ranges = exceptional_members(torus, args.paper_mode)
+    found = [_text(ud + j * pd, un + j * pn) for r in ranges for j in r]  # in ascending order
     obj = {"s0": str(args.s0), "s1": str(args.s1), "s_neg1": str(args.s_neg1),
            "paper_mode": args.paper_mode, "exceptional": found}
     yield _line(args, obj, " ".join(found))

@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from functools import partial
 from itertools import accumulate, chain, count, islice, pairwise
 
-from .slopes import INF, ZERO, DomainError, Slope, _Value, _fan_basis, _text
+from .slopes import INF, ZERO, DomainError, Slope, _Value, _greedy_blocks, _text
 
 
 def _slope(d: int, n: int) -> Slope:
@@ -219,49 +219,8 @@ class FareyPath:
 
 def minimal_path(a: Slope, b: Slope) -> FareyPath:
     """Geodesic in the Farey graph from a clockwise to b: the blocks of
-    _greedy_blocks, run through from_blocks' checks."""
+    slopes._greedy_blocks, run through from_blocks' checks."""
     return FareyPath.from_blocks(a, b, _greedy_blocks(a, b))
-
-
-def _greedy_blocks(a: Slope, b: Slope) -> Iterator[tuple[tuple[int, int], tuple[int, int], int]]:
-    """The maximal blocks (pivot, base, count) of the geodesic from a
-    clockwise to b, made as they are read; a == b raises DomainError on
-    the first read.
-
-    Greedy construction: while the current vertex u is not b, step to
-    the Farey neighbour of u in the clockwise arc (u, b] that is closest
-    to b; that neighbour is unique, and it need not be adjacent to b
-    (from 1/20 towards 1/2 the step goes to 1/19).  In vectors, with the
-    lift B of b that has cross(V, B) > 0 at the vector V of u: the
-    neighbours are W + k*V for any W with cross(V, W) == 1, the ones in
-    the arc have cross(W, B) + k*cross(V, B) >= 0, and the closest to B
-    has the least such k.
-
-    The step fixes the block's pivot P = W + (k-1)*V, and the greedy
-    steps after it stay in P's fan while they can: send P to inf, so
-    that the members V + j*P go to the integers j and b to t =
-    cross(V, B) / cross(B, P) >= 1.  The neighbours of j inside (j, t)
-    are j + 1/h, so the greedy step from j goes to j + 1 while j + 1 <=
-    t, and the block has floor(t) edges.  It ends at b when t is an
-    integer; otherwise the next step has another pivot, and -(the
-    member before) serves as its W.  So the loop runs once per block,
-    with two divisions, and no vertex is built.
-    """
-    if a == b:
-        raise DomainError("minimal path endpoints must be distinct")
-    (vd, vn), (wd, wn) = _fan_basis(a)
-    bd, bn = b.den, b.num
-    if vd * bn - vn * bd < 0:
-        bd, bn = -bd, -bn
-    c = vd * bn - vn * bd
-    while c:
-        k = -((wd * bn - wn * bd) // c)  # ceil(-cross(W, B) / c)
-        pd, pn = wd + (k - 1) * vd, wn + (k - 1) * vn
-        m = c // (bd * pn - bn * pd)
-        yield (pd, pn), (vd, vn), m
-        vd, vn = vd + m * pd, vn + m * pn
-        wd, wn = pd - vd, pn - vn
-        c = vd * bn - vn * bd
 
 
 class BlockDecomposition(_Value):

@@ -26,7 +26,6 @@ import math
 import re
 import sys
 from collections.abc import Iterator
-from functools import cmp_to_key
 from operator import attrgetter
 
 # exact answers have no size limit: lift CPython's 4,300-digit int <-> str limit
@@ -157,22 +156,17 @@ def _pos_lt(a: Slope, b: Slope) -> bool:
     return det(a, b) < 0
 
 
-# sort key realising the linear position order (inf last): a sorts
-# before b exactly when det(a, b) < 0, which puts inf after every finite slope
-slope_sort_key = cmp_to_key(det)
-
-
-def cw_interval_contains(x: Slope, a: Slope, b: Slope, closed: bool = False) -> bool:
-    """Is x on the clockwise arc from a to b?
+def cw_interval_contains(x: Slope, a: Slope, b: Slope) -> bool:
+    """Is x strictly inside the clockwise arc from a to b?
 
     The arc starts at a and moves clockwise (positives increasing, then
-    inf, then negatives) until it reaches b.  Endpoints count only when
-    closed=True.  Requires a != b.
+    inf, then negatives) until it reaches b; neither endpoint counts.
+    Requires a != b.
     """
     if a == b:
         raise DomainError("interval endpoints must be distinct")
     if x == a or x == b:
-        return closed
+        return False
     if _pos_lt(a, b):
         return _pos_lt(a, x) and _pos_lt(x, b)
     return _pos_lt(a, x) or _pos_lt(x, b)
@@ -249,16 +243,12 @@ def _fan_basis(s: Slope) -> tuple[tuple[int, int], tuple[int, int]]:
     at s on both ends.  Every other choice of w0 is w0 + j*v0, which
     shifts each parameter k by -j: the members, so the set of
     neighbors_in_interval, and the pivot w0 + (k-1)*v0 of each step of
-    minimal_path do not depend on the choice.
+    _greedy_blocks do not depend on the choice.
     """
     if s.den == 0:
         return (0, 1), (-1, 0)
     wd = -pow(s.num, -1, s.den)
     return (s.den, s.num), (wd, (1 + s.num * wd) // s.den)
-
-
-def _fan_member(v0, w0, k: int) -> Slope:
-    return make_slope(w0[1] + k * v0[1], w0[0] + k * v0[0])
 
 
 def _fan_param(v0, w0, t: Slope) -> tuple[int, int]:
@@ -272,6 +262,22 @@ def _fan_param(v0, w0, t: Slope) -> tuple[int, int]:
     return num // denom, -(-num // denom)
 
 
+def _fan_window(s0: Slope, a: Slope, b: Slope) -> tuple[tuple[int, int], tuple[int, int], int, int]:
+    """(pivot, base, lo, hi): the Farey neighbours of s0 strictly inside
+    the arc between a and b that does not hold s0 (a, b != s0) are the
+    members base + j*pivot, lo <= j < hi, with pivot = -v0 and base = w0
+    of _fan_basis, so that cross(base, pivot) == 1 as on a path block.
+    cross(member j, member j+1) == 1, so the members run clockwise as j
+    ascends: the fan parametrises the circle minus s0, and the arc away
+    from s0 is the bounded window between the parameters of a and b,
+    endpoints excluded: the integers above floor(min) and below
+    ceil(max)."""
+    (vd, vn), base = _fan_basis(s0)
+    pivot = (-vd, -vn)
+    (fa, ca), (fb, cb) = _fan_param(pivot, base, a), _fan_param(pivot, base, b)
+    return pivot, base, min(fa, fb) + 1, max(ca, cb)
+
+
 def neighbors_in_interval(s0: Slope, a: Slope, b: Slope) -> frozenset[Slope]:
     """All Farey neighbours of s0 strictly inside the clockwise arc (a, b).
 
@@ -283,12 +289,50 @@ def neighbors_in_interval(s0: Slope, a: Slope, b: Slope) -> frozenset[Slope]:
         raise DomainError("interval endpoints must be distinct")
     if s0 == a or s0 == b or cw_interval_contains(s0, a, b):
         raise DomainError("neighbour set inside the interval is infinite")
-    v0, w0 = _fan_basis(s0)
-    (fa, ca), (fb, cb) = _fan_param(v0, w0, a), _fan_param(v0, w0, b)
-    # the fan parametrises the circle minus s0; the arc away from s0 is
-    # the bounded parameter window, endpoints excluded: the integers
-    # above floor(min(ka, kb)) and below ceil(max(ka, kb))
-    return frozenset(_fan_member(v0, w0, k) for k in range(min(fa, fb) + 1, max(ca, cb)))
+    (pd, pn), (ud, un), lo, hi = _fan_window(s0, a, b)
+    return frozenset(make_slope(un + j * pn, ud + j * pd) for j in range(lo, hi))
+
+
+def _greedy_blocks(a: Slope, b: Slope) -> Iterator[tuple[tuple[int, int], tuple[int, int], int]]:
+    """The maximal blocks (pivot, base, count) of the geodesic from a
+    clockwise to b, made as they are read; a == b raises DomainError on
+    the first read.  paths.minimal_path, tori.phi and tori.count_tight,
+    and cf_runs read the geodesic here.
+
+    Greedy construction: while the current vertex u is not b, step to
+    the Farey neighbour of u in the clockwise arc (u, b] that is closest
+    to b; that neighbour is unique, and it need not be adjacent to b
+    (from 1/20 towards 1/2 the step goes to 1/19).  In vectors, with the
+    lift B of b that has cross(V, B) > 0 at the vector V of u: the
+    neighbours are W + k*V for any W with cross(V, W) == 1, the ones in
+    the arc have cross(W, B) + k*cross(V, B) >= 0, and the closest to B
+    has the least such k.
+
+    The step fixes the block's pivot P = W + (k-1)*V, and the greedy
+    steps after it stay in P's fan while they can: send P to inf, so
+    that the members V + j*P go to the integers j and b to t =
+    cross(V, B) / cross(B, P) >= 1.  The neighbours of j inside (j, t)
+    are j + 1/h, so the greedy step from j goes to j + 1 while j + 1 <=
+    t, and the block has floor(t) edges.  It ends at b when t is an
+    integer; otherwise the next step has another pivot, and -(the
+    member before) serves as its W.  So the loop runs once per block,
+    with two divisions, and no vertex is built.
+    """
+    if a == b:
+        raise DomainError("minimal path endpoints must be distinct")
+    (vd, vn), (wd, wn) = _fan_basis(a)
+    bd, bn = b.den, b.num
+    if vd * bn - vn * bd < 0:
+        bd, bn = -bd, -bn
+    c = vd * bn - vn * bd
+    while c:
+        k = -((wd * bn - wn * bd) // c)  # ceil(-cross(W, B) / c)
+        pd, pn = wd + (k - 1) * vd, wn + (k - 1) * vn
+        m = c // (bd * pn - bn * pd)
+        yield (pd, pn), (vd, vn), m
+        vd, vn = vd + m * pd, vn + m * pn
+        wd, wn = pd - vd, pn - vn
+        c = vd * bn - vn * bd
 
 
 class ContinuedFraction(_Value):
@@ -311,16 +355,32 @@ class ContinuedFraction(_Value):
 
 
 def cf_minus(x: Slope) -> ContinuedFraction:
-    """Minus-convention continued fraction of a rational x > 1."""
+    """Minus-convention continued fraction of a rational x > 1: the runs
+    of cf_runs, spelled out."""
+    return ContinuedFraction(tuple(e for e, count in cf_runs(x) for _ in range(count)))
+
+
+def cf_runs(x: Slope) -> Iterator[tuple[int, int]]:
+    """The entries of cf_minus(x) as runs (entry, count), in order, made
+    as they are read; x is checked on the first read.
+
+    The entries are the turns of the geodesic from inf clockwise to 1/x
+    (Hatcher, Topology of Numbers, ch. 2): on its lift V_0, ..., V_m,
+    with cross +1 at every edge, V_i+1 = c_i*V_i - V_i-1 for c_i =
+    cross(V_i-1, V_i+1), and [c_1, ..., c_m-1] is the minus continued
+    fraction of x.  With P = V_i - V_i-1 and Q = V_i+1 - V_i, cross(P,
+    Q) = 2 - c_i.  So a block of m edges (_greedy_blocks), one pivot,
+    holds m - 1 entries 2, and two blocks with pivots P and Q meet in
+    the entry 2 - cross(P, Q), which is not 2: the runs of 2s are
+    maximal, and each other entry is a run of its own.  One block is
+    read per run, so 10**10 entries 2 cost what one does.
+    """
     if x.is_infinite or not _pos_lt(ONE, x):
         raise DomainError("continued fraction domain is rationals > 1")
-    p, q = x.num, x.den
-    entries = []
-    while True:
-        a = -((-p) // q)  # ceil(p / q)
-        entries.append(a)
-        r = a * q - p
-        if r == 0:
-            break
-        p, q = q, r
-    return ContinuedFraction(tuple(entries))
+    pivot = None
+    for q, _, m in _greedy_blocks(INF, Slope(x.den, x.num)):
+        if pivot is not None:
+            yield 2 - _cross(pivot, q), 1
+        if m > 1:
+            yield 2, m - 1
+        pivot = q

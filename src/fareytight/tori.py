@@ -18,12 +18,12 @@ from .slopes import (
     Slope,
     make_slope,
     _Value,
+    _greedy_blocks,
 )
 from .paths import (
     BlockDecomposition,
     FareyPath,
     minimal_path,
-    _greedy_blocks,
     _lengthen,
     _lift_blocks,
 )
@@ -78,15 +78,11 @@ class ShuffleClass(_Value):
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "minus_counts", minus_counts)
 
-    @property
-    def blocks(self) -> BlockDecomposition:
-        return self.path.signed_blocks
-
     def canonical_decorated(self) -> DecoratedPath:
         """Representative with the minus signs at the clockwise end of
         each block."""
         signs = []
-        for cnt, size in zip(self.minus_counts, self.blocks.sizes):
+        for cnt, size in zip(self.minus_counts, self.path.signed_blocks.sizes):
             signs += [1] * (size - cnt) + [-1] * cnt
         return DecoratedPath(self.path, tuple(signs))
 
@@ -94,7 +90,7 @@ class ShuffleClass(_Value):
     def features(self) -> tuple[bool, bool, bool]:
         """(uniform, last_all_plus, last_all_minus) of the signed edges;
         both last flags are true when there is no signed block."""
-        sizes, minus = self.blocks.sizes, self.minus_counts
+        sizes, minus = self.path.signed_blocks.sizes, self.minus_counts
         last_size, last_minus = (sizes[-1], minus[-1]) if sizes else (0, 0)
         # the signed blocks hold every edge but the first
         uniform = sum(minus) in (0, len(self.path) - 1)
@@ -103,7 +99,7 @@ class ShuffleClass(_Value):
     def to_json(self) -> dict:
         """JSON-ready form of the class."""
         # the unsigned first edge is reported as its own block with count 0
-        runs = [[e + 1 for e in run] for run in self.blocks.runs]
+        runs = [[e + 1 for e in run] for run in self.path.signed_blocks.runs]
         return {
             "path": [str(v) for v in self.path.vertices],
             "blocks": [[1]] + runs,

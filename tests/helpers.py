@@ -16,8 +16,11 @@ block_vectors_oracle, the vertex-by-vertex lift that every path's
 stored blocks replace, edge_runs_oracle, the per-vertex block rule that
 the stored blocks of a path replace, path_output_oracle, the `path`
 command's text as it was made from the vertices, sort_key_oracle, the
-Fraction key that slope_sort_key replaces, and phi_oracle, the continued fraction product
-that tori.phi replaces by a count over blocks; bfs_shorten,
+Fraction key of the ascending slope order that atlas.exceptional_members
+gives without a sort, cf_minus_oracle, the division recurrence that
+slopes.cf_runs replaces by reading the geodesic's blocks, and phi_oracle,
+the continued fraction product that tori.phi replaces by a count over
+blocks, on cf_minus_oracle; bfs_shorten,
 the breadth-first search over sign sequences that
 tori.consistently_shorten replaces; shorten_oracle and
 cable_surgery_oracle, the Slope-level consistently_shorten and
@@ -50,7 +53,6 @@ from fareytight.slopes import (
     ONE,
     ContinuedFraction,
     Slope,
-    cf_minus,
     cw_interval_contains,
     det,
     is_edge,
@@ -112,17 +114,16 @@ def euler_class(P) -> tuple[int, int]:
 
 def sort_key_oracle(s: Slope):
     """The linear position order (negatives < 0 < positives < inf) as a
-    Fraction key, the slope_sort_key that the cross-product comparison
-    replaces."""
+    Fraction key."""
     if s.is_infinite:
         return (1, Fraction(0))
     return (0, Fraction(s.num, s.den))
 
 
-def cw_contains_oracle(x: Slope, a: Slope, b: Slope, closed: bool = False) -> bool:
+def cw_contains_oracle(x: Slope, a: Slope, b: Slope) -> bool:
     pa, pb, px = circle_pos(a), circle_pos(b), circle_pos(x)
     if px == pa or px == pb:
-        return closed
+        return False
     if pa < pb:
         return pa < px < pb
     return px > pa or px < pb
@@ -268,7 +269,7 @@ def path_error_oracle(vs) -> str | None:
         if not is_edge(u, v):
             return "%s -- %s is not a Farey edge" % (u, v)
     for i in range(len(vs) - 1):
-        if not cw_interval_contains(vs[i + 1], vs[i], vs[-1], closed=True):
+        if vs[i + 1] != vs[-1] and not cw_interval_contains(vs[i + 1], vs[i], vs[-1]):
             return "path is not monotone clockwise"
     return None
 
@@ -329,11 +330,26 @@ def path_texts_oracle(vs) -> dict:
             "dot": (0, "\n".join(lines + ["}"]) + "\n", "")}
 
 
+def cf_minus_oracle(x: Slope) -> tuple[int, ...]:
+    """The entries of the minus continued fraction of a rational x > 1,
+    by the division recurrence: a = ceil(p/q), then the same on q / (a*q
+    - p) until that remainder is 0."""
+    if x.is_infinite or x.num <= x.den:
+        raise DomainError("continued fraction domain is rationals > 1")
+    p, q = x.num, x.den
+    entries = []
+    while q:
+        a = -(-p // q)
+        entries.append(a)
+        p, q = q, a * q - p
+    return tuple(entries)
+
+
 def phi_oracle(r: Slope) -> int:
-    """(a1-1)...(an-1) for 1/r = [a0,...,an], walking cf_minus entry by
-    entry."""
+    """(a1-1)...(an-1) for 1/r = [a0,...,an], walking cf_minus_oracle
+    entry by entry."""
     out = 1
-    for a in cf_minus(make_slope(r.den, r.num)).entries[1:]:
+    for a in cf_minus_oracle(make_slope(r.den, r.num))[1:]:
         out *= a - 1
     return out
 
@@ -408,7 +424,7 @@ def decrement_path(x: Slope) -> tuple[Slope, ...]:
     built from the continued fraction alone instead of the fan search.
     """
     out = [x]
-    entries = list(cf_minus(x).entries)
+    entries = list(cf_minus_oracle(x))
     while True:
         entries[-1] -= 1
         while entries and entries[-1] == 1:
@@ -422,7 +438,7 @@ def decrement_path(x: Slope) -> tuple[Slope, ...]:
 
 
 def _uniform(cls: ShuffleClass) -> bool:
-    total = sum(cls.blocks.sizes)
+    total = sum(cls.path.signed_blocks.sizes)
     minus = sum(cls.minus_counts)
     return minus == 0 or minus == total
 
@@ -462,7 +478,7 @@ def classify_oracle(sid: TightStructureId) -> FillabilityVerdict:
     if window == CITE_WIDE_INTERVAL:
         if n <= 3 or pos.tag == "Top":
             return FillabilityVerdict(Fillability.STEIN, CITE_WIDE_INTERVAL)
-        runs = sid.P.blocks.runs
+        runs = sid.P.path.signed_blocks.runs
         last_size = len(runs[-1]) if runs else 0
         last_minus = sid.P.minus_counts[-1] if runs else 0
         if (pos.side == "low" and last_minus == 0) or (

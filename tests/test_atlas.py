@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slope
+from fareytight.slopes import DomainError, INF, ONE, ZERO, is_edge, make_slope, parse_slope
 from fareytight.paths import minimal_path
 from fareytight.tori import ShuffleClass, all_minus_counts, enumerate_tight, feature_counts, phi
 from fareytight.tori import signed_blocks
@@ -25,6 +25,7 @@ from fareytight.atlas import (
     cell_tallies,
     classify,
     enumerate_structures,
+    exceptional_members,
     exceptional_slopes,
     n_of,
     structure_cells,
@@ -40,7 +41,17 @@ from fareytight.atlas import (
     _window,
 )
 
-from helpers import classify_oracle, enumerated_tally, full_path, mixed_tori, random_unit_rational, window_oracle
+from helpers import (
+    classify_oracle,
+    cw_contains_oracle,
+    enumerated_tally,
+    full_path,
+    mixed_tori,
+    neighbors_scan_oracle,
+    random_unit_rational,
+    sort_key_oracle,
+    window_oracle,
+)
 
 
 def S(text):
@@ -240,6 +251,38 @@ def test_exceptional_slopes_paper_mode_drops_zero():
     t = MixedTorus(S("1/4"), S("2/9"), S("1/3"))
     assert exceptional_slopes(t) == frozenset({ZERO, S("1/5")})
     assert exceptional_slopes(t, paper_mode=True) == frozenset({S("1/5")})
+
+
+def test_exceptional_members_ascend_as_the_sorted_scan():
+    # every s0 of the box of scripts/cli_digests.py (inf and num/den with
+    # den <= 3, |num| <= 4) and ordered pair s1 != s_neg1 of its Farey
+    # neighbours in the box (286 triples), and the --paper-mode pattern
+    # for n = 2..6 in both orders, in both modes: the members of exceptional_members, range by range,
+    # are the neighbours of s0 that a scan of a box finds in the arc
+    # away from s0, sorted by the Fraction key, with paper mode's 0
+    # dropped in the pattern.  No fan code is shared.
+    box = [INF] + [make_slope(num, den) for den in range(1, 4) for num in range(-4, 5) if gcd(num, den) == 1]
+    cases = [(s0, s1, s2) for s0 in box for s1 in box for s2 in box
+             if s1 != s2 and is_edge(s0, s1) and is_edge(s0, s2)]
+    for n in range(2, 7):
+        ends = make_slope(2, 2 * n + 1), make_slope(1, n - 1)
+        cases += [(make_slope(1, n), *ends), (make_slope(1, n), *ends[::-1])]
+    through, dropped = set(), 0
+    for s0, s1, s2 in cases:
+        a, b = (s2, s1) if cw_contains_oracle(s0, s1, s2) else (s1, s2)
+        scan = sorted(neighbors_scan_oracle(s0, a, b, 20), key=sort_key_oracle)
+        pattern = s0.num == 1 and s0.den > 1 and {s1, s2} == {
+            make_slope(2, 2 * s0.den + 1), make_slope(1, s0.den - 1)}
+        for paper_mode in (False, True):
+            (pd, pn), (ud, un), ranges = exceptional_members(MixedTorus(s0, s1, s2), paper_mode)
+            got = [make_slope(un + j * pn, ud + j * pd) for r in ranges for j in r]
+            want = [x for x in scan if not (paper_mode and pattern and x == ZERO)]
+            assert got == want, (s0, s1, s2, paper_mode)
+            assert len(ranges) <= 3 and all(max(abs(x.num), x.den) <= 10 for x in got)
+            dropped += len(scan) - len(want)
+        through |= {x for x in (ZERO, INF) if cw_contains_oracle(x, a, b)}
+    assert (len(cases), dropped) == (286 + 10, 10)
+    assert through == {ZERO, INF}
 
 
 def test_classify_base_is_stein():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fareytight import paths
+from fareytight import paths, slopes
 from fareytight.slopes import DomainError, INF, ONE, ZERO, make_slope, parse_slope
 from fareytight.paths import (
     FareyPath,
@@ -259,7 +259,7 @@ def test_minimal_path_divides_once_per_block(monkeypatch):
         calls.append(args)
         return fan_basis(*args)
 
-    fan_basis = paths._fan_basis
+    fan_basis = slopes._fan_basis
     for a, b, edges, runs in (
         ("1/9000", "1/2", 8998, 1),
         ("100000/299999", "1/2", 99999, 1),
@@ -268,7 +268,7 @@ def test_minimal_path_divides_once_per_block(monkeypatch):
         ("1/1000000000000", "1/2", 10**12 - 2, 1),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(paths, "_fan_basis", counted)
+            patch.setattr(slopes, "_fan_basis", counted)
             patch.setattr(paths, "_slope", None)  # a vertex would call it
             calls.clear()
             path = minimal_path(S(a), S(b))

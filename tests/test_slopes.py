@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,20 +22,19 @@ from fareytight.slopes import (
     make_slope,
     neighbors_in_interval,
     parse_slope,
+    cf_runs,
     rationals_in,
-    slope_sort_key,
 )
 
 from helpers import (
     all_slopes_in_box,
     cf_eval_oracle,
+    cf_minus_oracle,
     cf_value,
-    circle_pos,
     cw_contains_oracle,
     farey_edges_oracle,
     neighbors_scan_oracle,
     random_unit_rational,
-    sort_key_oracle,
 )
 
 
@@ -107,10 +107,10 @@ def test_farey_sum_of_edge_is_adjacent_to_both(p, q, k):
     if p == 0 and q == 0:
         return
     a = make_slope(p, q)
-    from fareytight.slopes import _fan_basis, _fan_member
+    from fareytight.slopes import _fan_basis
 
     v0, w0 = _fan_basis(a)
-    b = _fan_member(v0, w0, k)
+    b = make_slope(w0[1] + k * v0[1], w0[0] + k * v0[0])
     m = farey_sum(a, b)
     assert is_edge(a, m) and is_edge(m, b)
 
@@ -141,7 +141,6 @@ def test_cw_interval_fixtures():
     assert cw_interval_contains(S("3/8"), S("9/25"), S("1/2"))
     assert cw_interval_contains(ZERO, S("1/3"), S("2/9"))
     assert not cw_interval_contains(S("9/25"), S("9/25"), S("1/2"))
-    assert cw_interval_contains(S("9/25"), S("9/25"), S("1/2"), closed=True)
     with pytest.raises(DomainError):
         cw_interval_contains(ZERO, ONE, ONE)
 
@@ -153,8 +152,7 @@ _pairs = st.tuples(st.integers(-30, 30), st.integers(0, 30)).filter(lambda t: t 
 def test_cw_interval_matches_angle_oracle(tx, ta, tb):
     x, a, b = make_slope(*tx), make_slope(*ta), make_slope(*tb)
     assume(len({x, a, b}) == 3)
-    for closed in (False, True):
-        assert cw_interval_contains(x, a, b, closed) == cw_contains_oracle(x, a, b, closed)
+    assert cw_interval_contains(x, a, b) == cw_contains_oracle(x, a, b)
 
 
 @given(_pairs, _pairs, _pairs)
@@ -181,8 +179,6 @@ def test_fan_param_is_floor_and_ceil_of_the_fraction():
     # inf: t is parallel to W + k*V, with k = -cross(T, W) / cross(T, V)
     # as a Fraction, which is negative, or has a negative denominator,
     # without being an integer
-    import math
-
     from fareytight.slopes import _fan_basis, _fan_param
 
     box, signs = all_slopes_in_box(6), set()
@@ -232,7 +228,7 @@ def test_neighbors_in_interval_matches_scan():
         b = random_unit_rational(rng, 12)
         if len({s0, a, b}) < 3:
             continue
-        if cw_interval_contains(s0, a, b, closed=True):
+        if s0 in (a, b) or cw_interval_contains(s0, a, b):
             continue
         got = neighbors_in_interval(s0, a, b)
         if any(t.den > bound or abs(t.num) > bound for t in got):
@@ -254,7 +250,7 @@ def test_neighbors_in_interval_matches_scan_on_the_whole_circle():
         if done == 120:
             break
         s0, a, b = rng.sample(box, 3)
-        if cw_interval_contains(s0, a, b, closed=True):
+        if s0 in (a, b) or cw_interval_contains(s0, a, b):
             continue
         got = neighbors_in_interval(s0, a, b)
         if any(t.den > bound // 2 or abs(t.num) > bound // 2 for t in got):
@@ -300,22 +296,50 @@ def test_cf_round_trip(a, b):
     assert cf_eval_oracle(cf.entries) == Fraction(x.num, x.den)
 
 
-def test_sort_key_orders_by_position():
-    slopes = [S(t) for t in ("-3", "-1/2", "0", "1/5", "1", "7/2", "inf")]
-    assert sorted(slopes, key=slope_sort_key) == slopes
-    assert circle_pos(S("-3")) > circle_pos(INF)
+def test_cf_minus_matches_the_recurrence_exhaustive():
+    # every reduced p/q with q < 120 and q < p <= 4q + 2: entries 2 to 6
+    # at the front, and runs of 2s that end blocks of every length
+    done = 0
+    for q in range(1, 120):
+        for p in range(q + 1, 4 * q + 3):
+            if math.gcd(p, q) == 1:
+                x = make_slope(p, q)
+                assert cf_minus(x).entries == cf_minus_oracle(x), x
+                done += 1
+    assert done == 13241
 
 
-def test_sort_key_matches_fraction_order():
-    # every slope with |num|, den <= 6, and inf, against the Fraction key
-    box = all_slopes_in_box(6)
-    shuffled = box[:]
-    random.Random(7).shuffle(shuffled)
-    assert sorted(shuffled, key=slope_sort_key) == sorted(box, key=sort_key_oracle)
-    for a in box:
-        for b in box:
-            ka, kb, oa, ob = slope_sort_key(a), slope_sort_key(b), sort_key_oracle(a), sort_key_oracle(b)
-            assert (ka < kb, ka == kb, ka > kb) == (oa < ob, oa == ob, oa > ob), (a, b)
+def _runs_of(entries):
+    """The runs (entry, count) of entries: each maximal run of 2s, and
+    each other entry on its own."""
+    runs = []
+    for e in entries:
+        if runs and e == 2 == runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([e, 1])
+    return [tuple(run) for run in runs]
+
+
+def test_cf_runs_of_one_long_run_of_twos():
+    # (10**k + 1) / 10**k = [2, ..., 2], 10**k entries, is one block of
+    # the geodesic: one run, read without spelling the entries out
+    for k in range(13):
+        assert list(cf_runs(make_slope(10**k + 1, 10**k))) == [(2, 10**k)], k
+    assert cf_minus(make_slope(10**5 + 1, 10**5)).entries == cf_minus_oracle(make_slope(10**5 + 1, 10**5))
+
+
+@given(st.lists(st.one_of(st.integers(3, 10**6).map(lambda a: [a]),
+                          st.integers(0, 4).map(lambda k: [2] * 10**k)), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_cf_runs_match_the_recurrence_on_long_runs_of_twos(pieces):
+    # entries up to 10**6 among runs of up to 10**4 2s, which the
+    # recurrence spells out one division at a time
+    entries = tuple(e for piece in pieces for e in piece)
+    x = cf_value(ContinuedFraction(entries))
+    assert cf_minus_oracle(x) == entries
+    assert list(cf_runs(x)) == _runs_of(entries)
+    assert cf_minus(x).entries == entries
 
 
 def test_det_antisymmetry():

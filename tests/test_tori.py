@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fareytight.slopes import DomainError, INF, ONE, ZERO, det, farey_sum, is_edge, make_slope, parse_slope
-from fareytight.slopes import ContinuedFraction, cf_minus
+from fareytight.slopes import ContinuedFraction
 from fareytight import _output
 from fareytight._output import ClassTexts, decorated_texts, minus_texts
 from fareytight.paths import FareyPath, minimal_path
@@ -33,6 +33,7 @@ from fareytight.tori import (
 
 from helpers import (
     bfs_shorten,
+    cf_minus_oracle,
     cf_value,
     euler_class,
     phi_oracle,
@@ -181,7 +182,7 @@ def test_block_sizes_are_continued_fraction_entries_exhaustive():
             if math.gcd(p, q) != 1:
                 continue
             r = make_slope(p, q)
-            entries = cf_minus(make_slope(q, p)).entries
+            entries = cf_minus_oracle(make_slope(q, p))
             path = minimal_path(r, make_slope(1, entries[0] - 1))
             assert signed_blocks(path).sizes == _signed_sizes_from_cf(entries), r
             assert phi(r) == phi_oracle(r), r
