@@ -40,6 +40,8 @@ _TRACED = "the per-structure layer: perfbench/tracer.py wraps it by name, or onl
 _SURGERY = "Legendrian cable surgery, lengthening and shortening, which no command reaches"
 _DUNDER = "dunder"
 _LONG = "only a listing longer than _output._KEPT_CHARS enters it"
+_WHOLE = ("library API: the whole answer as one value, where the command writes it in pieces (cf_runs, "
+          "exceptional_members); perfbench/tracer.py wraps it by name")
 
 # what `scripts/reach.py --max-den 6` prints, each name with the reason it stays
 UNREACHED = {
@@ -69,9 +71,12 @@ UNREACHED = {
     "tori.consistently_shorten": _SURGERY,
     "tori._shorten_lift": _SURGERY,
 
-    "atlas.exceptional_slopes": "library API: the set of exceptional_members; perfbench/tracer.py wraps it by name",
-    "slopes.neighbors_in_interval": "library API: the neighbours in any arc, on the fan window of exceptional_members; "
-                                    "perfbench/tracer.py wraps it by name",
+    "slopes.cf_minus": _WHOLE,
+    "slopes.ContinuedFraction.__init__": "library API: the value that cf_minus returns",
+    "slopes.ContinuedFraction.__str__": "library API: the value that cf_minus returns",
+    "atlas.exceptional_slopes": _WHOLE,
+    "slopes.neighbors_in_interval": "library API: the neighbours in any arc, from the fan window that "
+                                    "exceptional_members reads; perfbench/tracer.py wraps it by name",
     "slopes.cw_interval_contains": "library API: the arc predicate, which neighbors_in_interval reads",
     "paths.FareyPath.__init__": "library API: a path from its vertices, as the README and the tests build one",
     "slopes.farey_sum": "library API: perfbench/workloads.py builds the surgery inputs with it",

@@ -1,11 +1,13 @@
 """The output text of the CLI: paths, listings and DOT, made in pieces.
 
 One rule sizes every piece: it holds as many units, rows of a listing,
-vertices or edge indices of a path, cells of a DOT triangle, as
-_BYTES_PER_WRITE holds at the _size of the largest unit, and one at
-least (per_write); where units are made one at a time, the rows of
-`sweep` and the invisible edges of a DOT triangle, a piece holds those
-that start within one stretch of _BYTES_PER_WRITE (_joined).  So no
+vertices or edge indices of a path, entries of `cf`, slopes of
+`exceptional`, cells of a DOT triangle, as _BYTES_PER_WRITE holds at
+the _size of the largest unit, and one at least (per_write); where
+units are made one at a time, the rows of `sweep` and the invisible
+edges of a DOT triangle, a piece holds those that start within one
+stretch of _BYTES_PER_WRITE (_joined); `cf` and `exceptional` join
+their pieces while they fit in one write (separated).  So no
 write keeps more than _BYTES_PER_WRITE bytes in its string, besides one
 unit: half of glibc's default mmap threshold (128 KiB), so that the
 string and its UTF-8 copy are not mapped afresh for every write.  No
@@ -89,18 +91,25 @@ def _numbered(template: str, lo: int, hi: int) -> Iterator[str]:
 def format_vertices(path, template: str) -> Iterator[str]:
     """template % (t, ..., t), one t for each "%s" of template, for the
     text t of each vertex strictly between start and end, made from the
-    block integers, per_write of a block's widest member to a text.  A
-    member's num and den are linear in k, so on a block they are largest
+    block integers (format_members)."""
+    vectors = path.block_vectors
+    for j, (pivot, base, m) in enumerate(vectors):
+        # the last member of all is the end
+        yield from format_members(template, pivot, base, 1, m + 1 if j < len(vectors) - 1 else m)
+
+
+def format_members(template: str, pivot, base, lo: int, hi: int) -> Iterator[str]:
+    """template % (t, ..., t) for the text t of each member base +
+    k*pivot, k = lo..hi-1, of a fan, per_write of the widest member to a
+    text.  A member's num and den are linear in k, so they are largest
     in absolute value at an end member: the bits of those, at most
     0.30103 decimal digits a bit and one more digit for each of the two,
-    a "/" and a sign bound the text of every member of the block."""
-    vectors = path.block_vectors
-    for j, ((pd, pn), (ud, un), m) in enumerate(vectors):
-        stop = m if j < len(vectors) - 1 else m - 1  # the last member of all is the end
-        bits = max(abs(un), abs(un + m * pn)).bit_length() + max(abs(ud), abs(ud + m * pd)).bit_length()
-        step = per_write(template.replace("%s", "x" * (bits * 30103 // 100000 + 4)))
-        for lo in range(1, stop + 1, step):
-            yield _format_members(template, (pd, pn), (ud, un), lo, min(lo + step, stop + 1))
+    a "/" and a sign bound the text of every member."""
+    (pd, pn), (ud, un) = pivot, base
+    bits = sum(max(abs(u + lo * p), abs(u + (hi - 1) * p)).bit_length() for p, u in ((pn, un), (pd, ud)))
+    step = per_write(template.replace("%s", "x" * (bits * 30103 // 100000 + 4)))
+    for a in range(lo, hi, step):
+        yield _format_members(template, pivot, base, a, min(a + step, hi))
 
 
 def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
@@ -162,6 +171,41 @@ def path_text(path, fmt: str) -> Iterator[str]:
             yield from _numbered(",%s", e + 1, e + size)
             e += size
         yield "]]}"
+
+
+def separated(head: str, pieces, tail: str) -> Iterator[str]:
+    """head, the text of pieces, each item in it led by a separator of
+    one character, less the first separator, then tail: in writes of
+    whole pieces that hold at most _BYTES_PER_WRITE characters together,
+    or of one piece, so an answer that fits in one write is one."""
+    pieces, out, size = iter(pieces), [], 0
+    for piece in itertools.chain((head, next(pieces, " ")[1:]), pieces, (tail,)):
+        if out and size + len(piece) > _BYTES_PER_WRITE:
+            yield "".join(out)
+            out, size = [], 0
+        out.append(piece)
+        size += len(piece)
+    yield "".join(out)
+
+
+def cf_text(fmt: str, x: Slope, runs) -> Iterator[str]:
+    """The text of `cf x` from its runs (entry, count), [a0,...,an] or
+    {"x": ..., "entries": [...]}: a piece holds per_write of a run's
+    entries, one string product."""
+    units = ((",%d" % entry, count) for entry, count in runs)
+    pieces = (unit * min(step, count - a) for unit, count in units for step in [per_write(unit)]
+              for a in range(0, count, step))
+    head, tail = ('{"x":"%s","entries":[' % x, "]}\n") if fmt == "json" else ("[", "]\n")
+    return separated(head, pieces, tail)
+
+
+def exceptional_text(fmt: str, obj: dict, pivot, base, ranges) -> Iterator[str]:
+    """The text of `exceptional`, the fan members base + j*pivot over
+    ranges in turn (format_members): space-separated, or obj with them
+    as its last key."""
+    head, template, tail = ((_json(obj)[:-1] + ',"exceptional":[', ',"%s"', "]}\n") if fmt == "json"
+                            else ("", " %s", "\n"))
+    return separated(head, (t for r in ranges for t in format_members(template, pivot, base, r.start, r.stop)), tail)
 
 
 def emit_dot_triangle(r: Slope) -> Iterator[str]:

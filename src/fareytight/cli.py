@@ -17,13 +17,13 @@ import sys
 from collections.abc import Iterator
 from functools import cache
 
-from .slopes import DomainError, ParseError, Slope, cf_minus, parse_slope
-from .slopes import _farey_walk, _text
+from .slopes import DomainError, ParseError, Slope, cf_runs, parse_slope
+from .slopes import _farey_walk
 from .paths import minimal_path
 from .tori import count_tight, phi
 from .cables import cable_surgery_slope, reglue_map
 from .atlas import Fillability, MixedTorus, exceptional_members, structure_cells, verdict_summary
-from ._output import _json, emit_dot_triangle, listing, path_text, sweep_text
+from ._output import _json, cf_text, emit_dot_triangle, exceptional_text, listing, path_text, sweep_text
 
 
 def _line(args, obj, text: str) -> str:
@@ -45,8 +45,8 @@ def _cmd_phi(args) -> Iterator[str]:
 
 
 def _cmd_cf(args) -> Iterator[str]:
-    cf = cf_minus(args.x)
-    yield _line(args, {"x": str(args.x), "entries": list(cf.entries)}, str(cf))
+    runs = list(cf_runs(args.x))  # raises on a bad x before any output; a few runs to a digit of x
+    yield from cf_text(args.format, args.x, runs)
 
 
 def _cmd_path(args) -> Iterator[str]:
@@ -120,11 +120,9 @@ def _cmd_sweep(args) -> Iterator[str]:
 
 def _cmd_exceptional(args) -> Iterator[str]:
     torus = MixedTorus(args.s0, args.s1, args.s_neg1)
-    (pd, pn), (ud, un), ranges = exceptional_members(torus, args.paper_mode)
-    found = [_text(ud + j * pd, un + j * pn) for r in ranges for j in r]  # in ascending order
-    obj = {"s0": str(args.s0), "s1": str(args.s1), "s_neg1": str(args.s_neg1),
-           "paper_mode": args.paper_mode, "exceptional": found}
-    yield _line(args, obj, " ".join(found))
+    members = exceptional_members(torus, args.paper_mode)  # raises before any output
+    obj = {"s0": str(args.s0), "s1": str(args.s1), "s_neg1": str(args.s_neg1), "paper_mode": args.paper_mode}
+    yield from exceptional_text(args.format, obj, *members)
 
 
 def _cmd_dot(args) -> Iterator[str]:

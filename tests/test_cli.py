@@ -19,16 +19,19 @@ from fareytight._output import _BYTES_PER_WRITE
 from fareytight.atlas import TightStructureId, TrianglePosition, n_of
 from fareytight.cli import main
 from fareytight.paths import minimal_path
-from fareytight.slopes import INF, ZERO, make_slope, parse_slope
+from fareytight.slopes import INF, ZERO, ContinuedFraction, make_slope, parse_slope
 from fareytight.tori import enumerate_tight, phi
 
 from helpers import (
     all_slopes_in_box,
+    cf_minus_oracle,
+    cf_value,
     classify_oracle,
     listing_oracle,
     main_oracle,
     path_output_oracle,
     path_texts_oracle,
+    sort_key_oracle,
 )
 
 
@@ -1196,7 +1199,87 @@ def test_sweep_writes_are_bounded(monkeypatch, fmt):
         assert len(sink.writes) <= len(text) // bound + 1, (fmt, bound)
 
 
+def _cf_oracle_text(x, fmt: str) -> tuple[str, int]:
+    """The text of `cf x` made in one piece from cf_minus_oracle, and
+    its unit: a separator and the longest entry."""
+    entries = [str(e) for e in cf_minus_oracle(x)]
+    text = ",".join(entries)
+    return ('{"x":"%s","entries":[%s]}\n' % (x, text) if fmt == "json" else "[%s]\n" % text,
+            1 + max(map(len, entries)))
+
+
+def _exceptional_oracle_text(argv, members, fmt: str) -> tuple[str, int]:
+    """The text of `exceptional s0 s1 s_neg1` (argv) made in one piece
+    from its member slopes, ascending, and its unit: a separator, quotes
+    in JSON, and the longest member."""
+    texts = [str(t) for t in members]
+    if fmt == "json":
+        obj = {"s0": argv[0], "s1": argv[1], "s_neg1": argv[2], "paper_mode": False, "exceptional": texts}
+        return json.dumps(obj, separators=(",", ":")) + "\n", 3 + max(map(len, texts))
+    return " ".join(texts) + "\n", 1 + max(map(len, texts))
+
+
+def _long_answers(fmt: str):
+    """(argv, text, unit) of `cf` and `exceptional` answers many writes
+    long, each text made in one piece by an oracle that shares no code
+    with the command."""
+    # one run of 10**5 2s; runs of 2s around an entry of 31 digits
+    entries = (3,) + (2,) * 60000 + (10**30,) + (2,) * 50000 + (7,)
+    for x in (make_slope(10**5 + 1, 10**5), cf_value(ContinuedFraction(entries))):
+        yield (["cf", str(x)], *_cf_oracle_text(x, fmt))
+    # the fan of 0 from -1 through inf to 1: -1/k, then 1/k, then inf, k < 30000
+    n = 30000
+    members = [make_slope(-1, k) for k in range(1, n)] + [make_slope(1, k) for k in range(n - 1, 0, -1)] + [INF]
+    argv = ["0", "1/%d" % n, "-1/%d" % n]
+    yield (["exceptional", *argv], *_exceptional_oracle_text(argv, members, fmt))
+    # the fan of 1/3, whose neighbours are p/(3p + 1) and p/(3p - 1), on the
+    # arc from 30000/90001 through 0, inf and 1/2 to 30000/89999: the
+    # members pass inf between 0 and 1/2
+    members = [make_slope(p, 3 * p + 1) for p in range(n)] + [make_slope(p, 3 * p - 1) for p in range(1, n)]
+    argv = ["1/3", "%d/%d" % (n, 3 * n + 1), "%d/%d" % (n, 3 * n - 1)]
+    yield (["exceptional", *argv], *_exceptional_oracle_text(argv, sorted(members, key=sort_key_oracle), fmt))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cf_and_exceptional_writes_are_bounded(monkeypatch, fmt):
+    # answers of 200 KB to 780 KB: each equals its oracle text; no write
+    # holds more than _BYTES_PER_WRITE and one unit, and two writes in a
+    # row hold more than the bound together, so the writes are few; the
+    # same with the bound patched to 2,000 characters, so that writes cut
+    # the runs of 2s and the ranges of members many times
+    for argv, want, unit in _long_answers(fmt):
+        assert len(want) > 3 * _BYTES_PER_WRITE, argv
+        for bound in (_BYTES_PER_WRITE, 2000):
+            sink = RecordingSink()
+            with monkeypatch.context() as patch, contextlib.redirect_stdout(sink):
+                patch.setattr(_output, "_BYTES_PER_WRITE", bound)
+                assert main(argv + ["--format", fmt]) == 0, argv
+            assert "".join(sink.writes) == want, (argv, bound)
+            assert max(map(len, sink.writes)) <= bound + unit, (argv, bound)
+            assert all(len(a) + len(b) > bound for a, b in zip(sink.writes, sink.writes[1:])), (argv, bound)
+
+
+def test_cf_and_exceptional_answers_that_fit_are_one_write():
+    # an answer that fits in _BYTES_PER_WRITE is written at once: small
+    # ones, an empty one, and 40 to 60 KB in one run of 2s, in 500 runs,
+    # and in the three ranges of members of the fan of 0
+    argvs = [["cf", "25/9"], ["cf", "7"], ["cf", "20001/20000"],
+             ["cf", str(cf_value(ContinuedFraction(((3,) + (2,) * 99) * 250)))],
+             ["exceptional", "1/4", "2/9", "1/3"], ["exceptional", "0", "1/2", "1/3"],
+             ["exceptional", "1/4", "2/9", "1/3", "--paper-mode"], ["exceptional", "0", "1/3500", "-1/3500"]]
+    for argv in argvs:
+        for fmt in ("text", "json"):
+            sink = RecordingSink()
+            with contextlib.redirect_stdout(sink):
+                assert main(argv + ["--format", fmt]) == 0, argv
+            assert len(sink.writes) == 1 and len(sink.writes[0]) < _BYTES_PER_WRITE, (argv, fmt)
+            if argv[0] == "cf":
+                assert sink.writes[0] == _cf_oracle_text(parse_slope(argv[1]), fmt)[0], argv
+    assert len(sink.writes[0]) > 50_000
+
+
 def test_dot_triangle_writes_are_bounded():
+
     # dot triangle 1/3000: n = 2999 and 4,498,500 cells, 424 MB of DOT;
     # a row of cells was one write of up to 234 KB.  No write holds more
     # than _BYTES_PER_WRITE and one cell, and no cell is longer than one
