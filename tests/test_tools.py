@@ -1,10 +1,11 @@
 """The benchmark's smoke run, the CLI digest, surgery digest and reach
 scripts, the library's import and the CLI, each run as its own
-process."""
+process, and the table of scripts/mutants.py."""
 
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +148,22 @@ def test_reach_script():
     assert res.returncode == 0, res.stdout + res.stderr
     assert sorted(res.stdout.splitlines()) == sorted(reach.UNREACHED)
     assert all(reach.UNREACHED.values())
+
+
+def test_mutants_table_matches_the_tree():
+    # each row of scripts/mutants.py applies to the tree: its old text
+    # occurs exactly once in its file and each test it names is defined.
+    # No mutant runs here; scripts/mutants.py runs them
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [row[0] for row in mutants.MUTANTS]
+    assert len(set(names)) == len(names) == 10
+    for name, path, old, new, tests in mutants.MUTANTS:
+        assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1 and old != new, name
+        for test in tests:
+            file, func = test.split("::")
+            assert re.search(r"^def %s\(" % func, (ROOT / file).read_text(encoding="utf-8"), re.M), (name, test)
 
 
 def test_listing_into_closed_pipe():
