@@ -106,7 +106,8 @@ def format_members(template: str, pivot, base, lo: int, hi: int) -> Iterator[str
     0.30103 decimal digits a bit and one more digit for each of the two,
     a "/" and a sign bound the text of every member."""
     (pd, pn), (ud, un) = pivot, base
-    bits = sum(max(abs(u + lo * p), abs(u + (hi - 1) * p)).bit_length() for p, u in ((pn, un), (pd, ud)))
+    bits = (max(abs(un + lo * pn), abs(un + (hi - 1) * pn)).bit_length()
+            + max(abs(ud + lo * pd), abs(ud + (hi - 1) * pd)).bit_length())
     step = per_write(template.replace("%s", "x" * (bits * 30103 // 100000 + 4)))
     for a in range(lo, hi, step):
         yield _format_members(template, pivot, base, a, min(a + step, hi))
@@ -127,7 +128,7 @@ def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
     # |ud + k*pd| <= 1 exactly where a <= k < b
     a = min(max(lo, -((1 + sign * ud) // (sign * pd))), hi)
     b = max(min(hi, (1 - sign * ud) // (sign * pd) + 1), a)
-    mid = "".join(template.replace("%s", _text(ud + k * pd, un + k * pn)) for k in range(a, b))
+    mid = "".join([template.replace("%s", _text(ud + k * pd, un + k * pn)) for k in range(a, b)])
     return _fractions(template, pivot, base, lo, a) + mid + _fractions(template, pivot, base, b, hi)
 
 
@@ -189,12 +190,12 @@ def separated(head: str, pieces, tail: str) -> Iterator[str]:
 
 
 def cf_text(fmt: str, x: Slope, runs) -> Iterator[str]:
-    """The text of `cf x` from its runs (entry, count), [a0,...,an] or
-    {"x": ..., "entries": [...]}: a piece holds per_write of a run's
-    entries, one string product."""
-    units = ((",%d" % entry, count) for entry, count in runs)
-    pieces = (unit * min(step, count - a) for unit, count in units for step in [per_write(unit)]
-              for a in range(0, count, step))
+    """The text of `cf x` from the runs (entry, count) of cf_runs, [a0,
+    ...,an] or {"x": ..., "entries": [...]}: a piece is one entry, or
+    per_write of a run of 2s, one string product; every run of more than
+    one entry is a run of 2s."""
+    step = per_write(",2")
+    pieces = (",%d" % entry * min(step, count - a) for entry, count in runs for a in range(0, count, step))
     head, tail = ('{"x":"%s","entries":[' % x, "]}\n") if fmt == "json" else ("[", "]\n")
     return separated(head, pieces, tail)
 
@@ -205,7 +206,8 @@ def exceptional_text(fmt: str, obj: dict, pivot, base, ranges) -> Iterator[str]:
     as its last key."""
     head, template, tail = ((_json(obj)[:-1] + ',"exceptional":[', ',"%s"', "]}\n") if fmt == "json"
                             else ("", " %s", "\n"))
-    return separated(head, (t for r in ranges for t in format_members(template, pivot, base, r.start, r.stop)), tail)
+    pieces = (piece for r in ranges if r for piece in format_members(template, pivot, base, r.start, r.stop))
+    return separated(head, pieces, tail)
 
 
 def emit_dot_triangle(r: Slope) -> Iterator[str]:
