@@ -165,8 +165,6 @@ def cw_interval_contains(x: Slope, a: Slope, b: Slope) -> bool:
     """
     if a == b:
         raise DomainError("interval endpoints must be distinct")
-    if x == a or x == b:
-        return False
     if _pos_lt(a, b):
         return _pos_lt(a, x) and _pos_lt(x, b)
     return _pos_lt(a, x) or _pos_lt(x, b)
