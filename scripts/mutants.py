@@ -11,15 +11,13 @@ ends otherwise (a test that is not found, a collection error).  It needs
 the standard library and pytest, and hypothesis where a named test uses
 it.
 
-    python3 scripts/mutants.py [NAME ...]
+    python3 scripts/mutants.py
 
-With names, only those rows run.  tests/test_tools.py checks, without
-running a mutant, that each old text occurs exactly once in its file
-and that each named test exists.  A change that claims that a test
-kills a mutant adds the row here.
+tests/test_tools.py checks, without running a mutant, that each old
+text occurs exactly once in its file and that each named test exists.
+A change that claims that a test kills a mutant adds the row here.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -90,18 +88,12 @@ def run_mutant(name: str, path: str, old: str, new: str, tests: list[str]) -> st
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", help="run only the mutants of these names")
-    args = ap.parse_args()
-    rows = [row for row in MUTANTS if not args.names or row[0] in args.names]
-    if len(rows) != len(set(args.names) or MUTANTS):
-        ap.error("unknown mutant name")
     failed = 0
-    for row in rows:
+    for row in MUTANTS:
         verdict = run_mutant(*row)
         failed += verdict != "killed"
         print("%-8s %s" % (verdict, row[0]), flush=True)
-    print("%d of %d mutants killed" % (len(rows) - failed, len(rows)))
+    print("%d of %d mutants killed" % (len(MUTANTS) - failed, len(MUTANTS)))
     return 1 if failed else 0
 
 

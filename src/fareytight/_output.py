@@ -128,7 +128,7 @@ def _format_members(template: str, pivot, base, lo: int, hi: int) -> str:
     # |ud + k*pd| <= 1 exactly where a <= k < b
     a = min(max(lo, -((1 + sign * ud) // (sign * pd))), hi)
     b = max(min(hi, (1 - sign * ud) // (sign * pd) + 1), a)
-    mid = "".join([template.replace("%s", _text(ud + k * pd, un + k * pn)) for k in range(a, b)])
+    mid = "".join(template.replace("%s", _text(ud + k * pd, un + k * pn)) for k in range(a, b))
     return _fractions(template, pivot, base, lo, a) + mid + _fractions(template, pivot, base, b, hi)
 
 
@@ -179,6 +179,9 @@ def separated(head: str, pieces, tail: str) -> Iterator[str]:
     one character, less the first separator, then tail: in writes of
     whole pieces that hold at most _BYTES_PER_WRITE characters together,
     or of one piece, so an answer that fits in one write is one."""
+    # for pieces already sized by per_write, each close to the bound:
+    # _joined would put two of them that start in one stretch into one
+    # write of twice the bound
     pieces, out, size = iter(pieces), [], 0
     for piece in itertools.chain((head, next(pieces, " ")[1:]), pieces, (tail,)):
         if out and size + len(piece) > _BYTES_PER_WRITE:
@@ -252,6 +255,9 @@ def _joined(texts) -> Iterator[str]:
     before they are made: a piece holds the texts that start, counted in
     bytes of _size, in one stretch of _BYTES_PER_WRITE, so it is no
     larger than that and its last text."""
+    # for small rows made one at a time: no check per row, and as few
+    # writes as the bound allows (separated would cut before a row that
+    # does not fit)
     texts, sized = itertools.tee(texts)
     starts = itertools.accumulate(map(_size, sized), initial=0)
     for _, piece in itertools.groupby(zip(starts, texts), key=lambda st: st[0] // _BYTES_PER_WRITE):

@@ -1279,7 +1279,6 @@ def test_cf_and_exceptional_answers_that_fit_are_one_write():
 
 
 def test_dot_triangle_writes_are_bounded():
-
     # dot triangle 1/3000: n = 2999 and 4,498,500 cells, 424 MB of DOT;
     # a row of cells was one write of up to 234 KB.  No write holds more
     # than _BYTES_PER_WRITE and one cell, and no cell is longer than one
