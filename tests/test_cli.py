@@ -19,7 +19,7 @@ from fareytight._output import _BYTES_PER_WRITE
 from fareytight.atlas import TightStructureId, TrianglePosition, n_of
 from fareytight.cli import main
 from fareytight.paths import minimal_path
-from fareytight.slopes import INF, ZERO, ContinuedFraction, make_slope, parse_slope
+from fareytight.slopes import INF, ZERO, ContinuedFraction, cf_minus, make_slope, parse_slope
 from fareytight.tori import enumerate_tight, phi
 
 from helpers import (
@@ -82,6 +82,7 @@ def test_cf_text(capsys):
     code, out, _ = run(capsys, "cf", "25/9")
     assert code == 0
     assert out == "[3,5,2]\n"
+    assert str(cf_minus(parse_slope("25/9"))) == out[:-1]
 
 
 def test_cf_json(capsys):

@@ -206,14 +206,17 @@ def test_neighbors_in_interval_fixtures():
 
 
 def test_neighbors_in_interval_infinite_cases():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="neighbour set inside the interval is infinite"):
         neighbors_in_interval(S("1/4"), S("1/5"), S("1/3"))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="neighbour set inside the interval is infinite"):
         neighbors_in_interval(S("1/4"), S("1/4"), S("1/3"))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="neighbour set inside the interval is infinite"):
         neighbors_in_interval(S("1/4"), S("1/3"), S("1/4"))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="interval endpoints must be distinct"):
         neighbors_in_interval(S("1/4"), S("1/3"), S("1/3"))
+    # the distinct-endpoints error comes first, even where s0 is both endpoints
+    with pytest.raises(DomainError, match="interval endpoints must be distinct"):
+        neighbors_in_interval(S("1/4"), S("1/4"), S("1/4"))
 
 
 def test_neighbors_in_interval_matches_scan():
