@@ -48,8 +48,8 @@ MUTANTS = [
      "        lo = 1\n", "        lo = 0\n",
      ["tests/test_atlas.py::test_exceptional_slopes_paper_mode_drops_zero",
       "tests/test_atlas.py::test_exceptional_members_ascend_as_the_sorted_scan"]),
-    ("cf and exceptional write every piece alone", "src/fareytight/_output.py",
-     "        if out and size + len(piece) > _BYTES_PER_WRITE:", "        if out:",
+    ("the joiner writes every text alone", "src/fareytight/_output.py",
+     '    if size:\n        yield "".join(out)', "    yield from out",
      ["tests/test_cli.py::test_cf_and_exceptional_answers_that_fit_are_one_write"]),
     # run by hand before this table existed
     ("Side high reads last_all_plus", "src/fareytight/atlas.py",

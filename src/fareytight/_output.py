@@ -3,13 +3,17 @@
 One rule sizes every piece: it holds as many units, rows of a listing,
 vertices or edge indices of a path, entries of `cf`, slopes of
 `exceptional`, cells of a DOT triangle, as _BYTES_PER_WRITE holds at
-the _size of the largest unit, and one at least (per_write); where
-units are made one at a time, the rows of `sweep` and the invisible
-edges of a DOT triangle, a piece holds those that start within one
-stretch of _BYTES_PER_WRITE (_joined); `cf` and `exceptional` join
-their pieces while they fit in one write (separated).  So no
-write keeps more than _BYTES_PER_WRITE bytes in its string, besides one
-unit: half of glibc's default mmap threshold (128 KiB), so that the
+the _size of the largest unit, and one at least (per_write).  One rule
+joins pieces: the ASCII texts of `cf`, `exceptional` and `sweep` and
+the invisible edges of a DOT triangle are joined as they come and cut
+into writes of exactly _BYTES_PER_WRITE characters (_joined), so an
+answer that fits in one write is one.  Paths and the cells of a DOT
+triangle are written a piece at a time.  Listings write per_write rows
+at a time instead: such a write is one join over runs of rows, with no
+text made per row, where a cut at a character would copy each byte once
+more, and their rows may hold the arrow →, two bytes a character.  So
+no write keeps more than _BYTES_PER_WRITE bytes in its string, besides
+one unit: half of glibc's default mmap threshold (128 KiB), so that the
 string and its UTF-8 copy are not mapped afresh for every write.  No
 text is made per row where rows share their parts: a listing row is P's
 text and a suffix, the verdict of `classify` or the edges from 1/n on in
@@ -34,6 +38,9 @@ from .tori import ShuffleClass, feature_column
 from .atlas import Fillability, TrianglePosition, cell_tallies, n_of
 
 _BYTES_PER_WRITE = 1 << 16
+
+# the fan of inf, (pivot, base) as (den, num): its members 0 + k*inf are the integers k
+_INTEGERS = (0, 1), (1, 0)
 
 # the s + 1 texts of a signed block of s edges are kept where they hold
 # at most this many characters, and made when read where they hold more:
@@ -77,25 +84,6 @@ def _fill(template: str, spec: str, columns: list) -> str:
         for i in range(width):
             args[i::width] = columns[i % len(columns)]
     return (template.replace("%s", spec) * size) % tuple(args)
-
-
-def _numbered(template: str, lo: int, hi: int) -> Iterator[str]:
-    """template with the number l in each "%s", for l = lo..hi-1,
-    joined, in pieces of per_write of its text at l = hi, which no l
-    below hi outgrows."""
-    step = per_write(template.replace("%s", str(hi)))
-    for a in range(lo, hi, step):
-        yield _fill(template, "%d", [range(a, min(a + step, hi))])
-
-
-def format_vertices(path, template: str) -> Iterator[str]:
-    """template % (t, ..., t), one t for each "%s" of template, for the
-    text t of each vertex strictly between start and end, made from the
-    block integers (format_members)."""
-    vectors = path.block_vectors
-    for j, (pivot, base, m) in enumerate(vectors):
-        # the last member of all is the end
-        yield from format_members(template, pivot, base, 1, m + 1 if j < len(vectors) - 1 else m)
 
 
 def format_members(template: str, pivot, base, lo: int, hi: int) -> Iterator[str]:
@@ -160,36 +148,23 @@ _PATH_TEMPLATES = {
 def path_text(path, fmt: str) -> Iterator[str]:
     """The text of the path in pieces, with no newline at the end: text,
     the vertices joined by arrows; json, {"vertices": [...], "blocks":
-    [[1], [2, 3, 4]]}, with one-based edge indices; or dot."""
+    [[1], [2, 3, 4]]}, with one-based edge indices; or dot.  The inner
+    vertices are members of the fans of the blocks, and the edge indices
+    members of the fan of inf (format_members)."""
     start, template, end = _PATH_TEMPLATES[fmt]
     yield start % path.start
-    yield from format_vertices(path, template)
+    vectors = path.block_vectors
+    for j, (pivot, base, m) in enumerate(vectors):
+        # the last member of all is the end
+        yield from format_members(template, pivot, base, 1, m + 1 if j < len(vectors) - 1 else m)
     yield end % path.end
     if fmt == "json":
         e = 1
         for size in blocks(path).sizes:
             yield ("],[%d" if e > 1 else "[[%d") % e
-            yield from _numbered(",%s", e + 1, e + size)
+            yield from format_members(",%s", *_INTEGERS, e + 1, e + size)
             e += size
         yield "]]}"
-
-
-def separated(head: str, pieces, tail: str) -> Iterator[str]:
-    """head, the text of pieces, each item in it led by a separator of
-    one character, less the first separator, then tail: in writes of
-    whole pieces that hold at most _BYTES_PER_WRITE characters together,
-    or of one piece, so an answer that fits in one write is one."""
-    # for pieces already sized by per_write, each close to the bound:
-    # _joined would put two of them that start in one stretch into one
-    # write of twice the bound
-    pieces, out, size = iter(pieces), [], 0
-    for piece in itertools.chain((head, next(pieces, " ")[1:]), pieces, (tail,)):
-        if out and size + len(piece) > _BYTES_PER_WRITE:
-            yield "".join(out)
-            out, size = [], 0
-        out.append(piece)
-        size += len(piece)
-    yield "".join(out)
 
 
 def cf_text(fmt: str, x: Slope, runs) -> Iterator[str]:
@@ -200,7 +175,7 @@ def cf_text(fmt: str, x: Slope, runs) -> Iterator[str]:
     step = per_write(",2")
     pieces = (",%d" % entry * min(step, count - a) for entry, count in runs for a in range(0, count, step))
     head, tail = ('{"x":"%s","entries":[' % x, "]}\n") if fmt == "json" else ("[", "]\n")
-    return separated(head, pieces, tail)
+    return _joined(itertools.chain((head, next(pieces)[1:]), pieces, (tail,)))
 
 
 def exceptional_text(fmt: str, obj: dict, pivot, base, ranges) -> Iterator[str]:
@@ -210,13 +185,14 @@ def exceptional_text(fmt: str, obj: dict, pivot, base, ranges) -> Iterator[str]:
     head, template, tail = ((_json(obj)[:-1] + ',"exceptional":[', ',"%s"', "]}\n") if fmt == "json"
                             else ("", " %s", "\n"))
     pieces = (piece for r in ranges if r for piece in format_members(template, pivot, base, r.start, r.stop))
-    return separated(head, pieces, tail)
+    return _joined(itertools.chain((head, next(pieces, " ")[1:]), pieces, (tail,)))
 
 
 def emit_dot_triangle(r: Slope) -> Iterator[str]:
     """DOT text of r's verdict triangle in pieces, one % operation for
-    each piece of a run of cells in one position (_numbered), and no
-    newline at the end; r is checked before the first piece."""
+    each piece of a run of cells in one position (format_members on the
+    integers), and no newline at the end; r is checked before the first
+    piece."""
     n = n_of(r)
     styles = {}  # label text and colour of a cell, per position
     for pos, found in cell_tallies(r).items():
@@ -227,10 +203,10 @@ def emit_dot_triangle(r: Slope) -> Iterator[str]:
     yield "\n  node [shape=box, style=filled];"
     node = '\n  "k%d_l%%s" [label="k=%d l=%%s\\n%s", fillcolor="%s"];'
     for k, lo, hi, pos in TrianglePosition.runs(n):
-        yield from _numbered(node % ((k, k) + styles[pos]), lo, hi)
+        yield from format_members(node % ((k, k) + styles[pos]), *_INTEGERS, lo, hi)
     for k in range(1, n + 1):
         yield "\n  { rank=same;"
-        yield from _numbered(' "k%d_l%%s";' % k, 0, n - k + 1)
+        yield from format_members(' "k%d_l%%s";' % k, *_INTEGERS, 0, n - k + 1)
         yield " }"
     yield from _joined('\n  "k%d_l0" -> "k%d_l0" [style=invis];' % (k, k + 1) for k in range(1, n))
     yield "\n}"
@@ -251,17 +227,18 @@ def sweep_text(fmt: str, tallies) -> Iterator[str]:
 
 
 def _joined(texts) -> Iterator[str]:
-    """texts joined as they come, for rows whose length is not known
-    before they are made: a piece holds the texts that start, counted in
-    bytes of _size, in one stretch of _BYTES_PER_WRITE, so it is no
-    larger than that and its last text."""
-    # for small rows made one at a time: no check per row, and as few
-    # writes as the bound allows (separated would cut before a row that
-    # does not fit)
-    texts, sized = itertools.tee(texts)
-    starts = itertools.accumulate(map(_size, sized), initial=0)
-    for _, piece in itertools.groupby(zip(starts, texts), key=lambda st: st[0] // _BYTES_PER_WRITE):
-        yield "".join(text for _, text in piece)
+    """ASCII texts joined as they come and cut into writes of exactly
+    _BYTES_PER_WRITE characters, then one write of the rest, if any."""
+    out, size = [], 0
+    for text in texts:
+        out.append(text)
+        size += len(text)
+        if size >= _BYTES_PER_WRITE:
+            joined, cut = "".join(out), size - size % _BYTES_PER_WRITE
+            yield from (joined[a : a + _BYTES_PER_WRITE] for a in range(0, cut, _BYTES_PER_WRITE))
+            out, size = [joined[cut:]], size - cut
+    if size:
+        yield "".join(out)
 
 
 class ClassTexts:
