@@ -283,9 +283,7 @@ def neighbors_in_interval(s0: Slope, a: Slope, b: Slope) -> frozenset[Slope]:
     neighbour fan of s0 accumulates at s0, so an arc whose closure
     touches s0 contains infinitely many neighbours.
     """
-    if a == b:
-        raise DomainError("interval endpoints must be distinct")
-    if s0 == a or s0 == b or cw_interval_contains(s0, a, b):
+    if cw_interval_contains(s0, a, b) or s0 in (a, b):  # raises first where a == b
         raise DomainError("neighbour set inside the interval is infinite")
     (pd, pn), (ud, un), lo, hi = _fan_window(s0, a, b)
     return frozenset(make_slope(un + j * pn, ud + j * pd) for j in range(lo, hi))
