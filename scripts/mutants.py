@@ -60,6 +60,13 @@ MUTANTS = [
     ("the integers start at 1", "src/fareytight/_output.py",
      "_INTEGERS = (0, 1), (1, 0)", "_INTEGERS = (0, 1), (1, 1)",
      ["tests/test_cli.py::test_path_json", "tests/test_cli.py::test_dot_triangle_golden"]),
+    ("enumerate r s glues a path's tail before its head", "src/fareytight/_output.py",
+     "[t + q + u for t, u in zip(ts, us)]", "[t + u + q for t, u in zip(ts, us)]",
+     ["tests/test_cli.py::test_enumerate_tsv_rows_match_the_classes"]),
+    ("MobiusMap takes floats", "src/fareytight/cables.py",
+     "if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):",
+     "if False:",
+     ["tests/test_cables.py::test_mobius_map_validation_and_repr"]),
     # run by hand before this table existed
     ("Side high reads last_all_plus", "src/fareytight/atlas.py",
      '(last_all_plus if pos.side == "low" else last_all_minus)',

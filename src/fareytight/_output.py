@@ -371,18 +371,17 @@ def _write_rows(runs, pre, post, groups, count: int, suffixes, longest: str, sep
     l), lo <= l < hi, that share key; the first run is the cells (1, l),
     l < n, of a triangle, or the one cell (0, 0, 1, None) of a listing
     without k and l.  A cell holds count rows: row i is text i of P, read
-    as groups(a, b) gives texts a..b-1 (ClassTexts.groups, or the groups
-    (p, ts, q, us) of the texts p + t + q + u), or nothing where groups
-    is None; then the suffix of its run, where suffixes(key) is (starts,
-    texts) and rows starts[j]..starts[j+1]-1 end in texts[j].  No row is
-    longer than longest, which is ASCII exactly when they are.  A row of
-    cell (k, l) is pre % k, l (neither when pre is None), post, its text,
-    then ends(k, l) if given; sep separates rows.  No text is made per
-    row: in a triangle whose cells fit in a write, P's texts are joined
-    into one list once; each group of a run is one join, one repetition
-    where P is None, with the suffix in its separator; and a run of
-    one-row cells with no ends is one join over the numbers l, around the
-    one row of its key."""
+    as groups(a, b) gives texts a..b-1 (ClassTexts.groups), or nothing
+    where groups is None; then the suffix of its run, where suffixes(key)
+    is (starts, texts) and rows starts[j]..starts[j+1]-1 end in texts[j].
+    No row is longer than longest, which is ASCII exactly when they are.
+    A row of cell (k, l) is pre % k, l (neither when pre is None), post,
+    its text, then ends(k, l) if given; sep separates rows.  No text is
+    made per row here: in a triangle whose cells fit in a write, P's texts
+    are joined into one list once; each group of a run is one join, one
+    repetition where P is None, with the suffix in its separator; and a
+    run of one-row cells with no ends is one join over the numbers l,
+    around the one row of its key."""
     # "".format(l) is empty, as l is written only with k; the first row drops sep
     label, skip = (str if pre is not None else "".format), len(sep)
     runs = iter(runs)
@@ -403,14 +402,8 @@ def _write_rows(runs, pre, post, groups, count: int, suffixes, longest: str, sep
             if groups is None:
                 pieces.append((h + v) * (a - c))
                 continue
-            for group in groups(c, a):
-                p, ts = group[0], group[1]
-                if len(group) == 2:
-                    pieces += (h, p, (v + h + p).join(ts), v)
-                    continue
-                rows = [None, group[2], None, v + h + p] * len(ts)
-                rows[::4], rows[2::4], rows[-1] = ts, group[3], v
-                pieces += (h, p, *rows)
+            for p, ts in groups(c, a):
+                pieces += (h, p, (v + h + p).join(ts), v)
         return pieces
 
     pieces, labels, single = [], [], {}  # labels[l] is label(l), made once; single[key] the row of a one-row cell
@@ -464,10 +457,10 @@ def listing(fmt: str, r: Slope, path, runs, s: Slope | None = None, verdicts=Non
     suffix: in `classify`, P's minus counts in JSON and nothing of P
     otherwise, then the verdict, one suffix to a run of rows
     (_verdict_runs); in `enumerate`, P as JSON or its decorated path, the
-    minus counts of P before it in the TSV of `enumerate r s`, and in the
-    text of `enumerate r` the edges from 1/n on (ends).  A JSON array,
-    whose row head holds the text that P's JSON shares on every class;
-    TSV under a header; or text rows."""
+    minus counts of P before it in the TSV of `enumerate r s`, glued into
+    one text per row, and in the text of `enumerate r` the edges from 1/n
+    on (ends).  A JSON array, whose row head holds the text that P's JSON
+    shares on every class; TSV under a header; or text rows."""
     triangle, ends = s is None, None
     if verdicts is not None:
         P = minus_texts(path, "]}") if fmt == "json" else None
@@ -486,7 +479,9 @@ def listing(fmt: str, r: Slope, path, runs, s: Slope | None = None, verdicts=Non
     groups = P.groups if P else None
     if fmt == "tsv" and not triangle:
         minus = minus_texts(path, "\t", "")
-        groups = lambda a, b: (m + d for m, d in zip(minus.groups(a, b), P.groups(a, b), strict=True))
+        # the two split alike, so group i of each holds the same classes: glue their texts
+        groups = lambda a, b: ((p, [t + q + u for t, u in zip(ts, us)])
+                               for (p, ts), (q, us) in zip(minus.groups(a, b), P.groups(a, b), strict=True))
         longest = minus.longest + longest
     if not triangle:
         runs = [(0, 0, 1, None)]

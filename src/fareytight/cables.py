@@ -18,11 +18,15 @@ from .tori import SolidTorusStructure, shuffle_canonical, _refined_signs, _short
 
 class MobiusMap(_Value):
     """Matrix [[a,b],[c,d]], determinant 1, acting on the vector
-    (den,num) of a slope; the slope y/x maps to (c*x+d*y)/(a*x+b*y)."""
+    (den,num) of a slope; the slope y/x maps to (c*x+d*y)/(a*x+b*y).
+    Its entries are ints, so a power with an exponent that is not an
+    int raises too."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):
+            raise DomainError("Mobius map entries must be integers")
         if a * d - b * c != 1:
             raise DomainError("Mobius map must have determinant 1")
         object.__setattr__(self, "a", a)

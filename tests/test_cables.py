@@ -55,6 +55,10 @@ def test_mobius_map_validation_and_repr():
     assert m.to_json() == {"m": [[11, -25], [4, -9]]}
     with pytest.raises(DomainError):
         MobiusMap(2, 0, 0, 1)  # det 2
+    with pytest.raises(DomainError, match="integers"):
+        MobiusMap(1.0, 0, 0, 1)  # det 1, but a float entry
+    with pytest.raises(DomainError, match="integers"):
+        reglue_map(2, 1, -1) ** 0.5  # trace 2, but a float exponent
 
 
 def test_mobius_compose_and_pow():

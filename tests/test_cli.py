@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import re
 import shlex
@@ -750,16 +751,20 @@ def test_enumerate_tsv_rows_match_the_classes(monkeypatch):
     # the decorated path of each class, written 3 rows at a time, the
     # byte bound patched to 3 units, so that writes cut the groups of
     # ClassTexts; on paths with no signed block, one, and several, which
-    # ClassTexts splits into two factors
-    for r, s in (("1/3", "1/2"), ("-1/3", "inf"), ("9/25", "1/2"), ("41/187", "1/4"), ("29/81", "1/2")):
+    # ClassTexts splits into two factors.  With _KEPT_CHARS 0 the texts
+    # of every block are made when read (_Made), so each glued text comes
+    # from _product_text
+    cases = (("1/3", "1/2"), ("-1/3", "inf"), ("9/25", "1/2"), ("41/187", "1/4"), ("29/81", "1/2"))
+    for (r, s), kept in itertools.product(cases, (_output._KEPT_CHARS, 0)):
         rows = ["%s\t%s\t%s\t%s\n" % (r, s, ",".join(map(str, c.iso_class.minus_counts)), c.iso_class)
                 for c in enumerate_tight(parse_slope(r), parse_slope(s))]
         argv = ["enumerate", r, s, "--format", "tsv"]
         unit, sink = _unit_bytes(argv), RecordingSink()
         with monkeypatch.context() as patch, contextlib.redirect_stdout(sink):
             patch.setattr(_output, "_BYTES_PER_WRITE", 3 * unit)
+            patch.setattr(_output, "_KEPT_CHARS", kept)
             assert main(argv) == 0
-        assert sink.writes[1:] == ["".join(rows[a : a + 3]) for a in range(0, len(rows), 3)], (r, s)
+        assert sink.writes[1:] == ["".join(rows[a : a + 3]) for a in range(0, len(rows), 3)], (r, s, kept)
         assert sink.writes[0] == "r\ts\tminus\tP\n"
 
 
