@@ -55,12 +55,12 @@ def test_cli_digests_script():
 
 # sha256 of the whole output of each digest script, and its line count:
 # a change that alters any output byte on purpose updates these and says
-# why.  cli_digests.py --max-den 6 exits 0 on 4,028 lines, 3 on 610 and 4
-# on 25, and never 2, so no argparse text, which differs between Python
-# versions, is in it.
+# why.  cli_digests.py at its default --max-den 50 exits 0 on 12,961
+# lines, 3 on 610 and 4 on 1,760, and never 2, so no argparse text, which
+# differs between Python versions, is in it.
 DIGEST_GOLDENS = [
-    (["scripts/cli_digests.py", "--max-den", "6"], 4663,
-     "35aeef1d1b021d2ad9cf4cf49d0db711ebfa8f0adf1352ca7b9c8c52a0fc3eb9"),
+    (["scripts/cli_digests.py"], 15331,
+     "fb4e7616d933e7ad0a25d8b9128c3bbfb5bfba6ee89ab14f6166657249d9ce0a"),
     (["scripts/surgery_digests.py"], 51480,
      "80bdb2181b3310c16887ecdc32cd1f2f22a02b7acf9b2d2cac5b026a9fa3bc47"),
 ]
