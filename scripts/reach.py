@@ -42,6 +42,8 @@ _DUNDER = "dunder"
 _LONG = "only a listing longer than _output._KEPT_CHARS enters it"
 _WHOLE = ("library API: the whole answer as one value, where the command writes it in pieces (cf_runs, "
           "exceptional_members); perfbench/tracer.py wraps it by name")
+_BUILT = ("library API: a Slope per vertex or a tuple of edge indices per block, which no command "
+          "builds, as every text of a path is made from its block integers")
 
 # what `scripts/reach.py --max-den 6` prints, each name with the reason it stays
 UNREACHED = {
@@ -82,6 +84,9 @@ UNREACHED = {
     "slopes.farey_sum": "library API: perfbench/workloads.py builds the surgery inputs with it",
     "slopes.rationals_in": "library API: the list form of the coefficients that sweep reads",
     "tori.is_tight": "library API: the predicate form of consistently_shorten",
+    "paths._slope": _BUILT,
+    "paths.FareyPath.vertices": _BUILT,
+    "paths.BlockDecomposition.runs": _BUILT,
 
     "paths.FareyPath.__len__": _DUNDER,
     "paths.FareyPath.__eq__": _DUNDER,

@@ -32,7 +32,7 @@ import operator
 from collections.abc import Iterator
 from functools import lru_cache, partial
 
-from .slopes import Slope, _text, make_slope
+from .slopes import Slope, _text
 from .paths import blocks
 from .tori import ShuffleClass, feature_column
 from .atlas import Fillability, TrianglePosition, cell_tallies, n_of
@@ -310,9 +310,9 @@ def decorated_texts(path, end: str = "") -> ClassTexts:
     texts of a block are kept as a list, or, where that would hold more
     than _KEPT_CHARS characters, a _Made that cuts each text when it is
     read, so that memory does not grow with the square of a long block."""
-    vs, pieces = [str(v) for v in path.vertices], []
-    for run in path.signed_blocks.runs:
-        plus, minus, cuts = _signed_run([vs[e + 1] for e in run])
+    vs, pieces = list(path._texts()), []
+    for r in path.signed_blocks._ranges():  # signed edge e ends at vertex e + 1
+        plus, minus, cuts = _signed_run(vs[r.start + 1 : r.stop + 1])
         block = _Made(len(cuts), partial(_signed_text, plus, minus, cuts))
         pieces.append(block if len(cuts) * len(plus) > _KEPT_CHARS else block[:])
     return _class_texts("%s → %s" % (vs[0], vs[1]), pieces, end)
@@ -445,7 +445,7 @@ def _reciprocal_tails(n: int):
     that the decorated path of (k, l, P) appends to P, with l minus signs
     at the clockwise end, then the newline."""
     # the edges into 1/(n-1), ..., 1/1: the first n - j end at 1/j
-    plus, minus, cuts = _signed_run([str(make_slope(1, j)) for j in range(n - 1, 0, -1)])
+    plus, minus, cuts = _signed_run([_text(j, 1) for j in range(n - 1, 0, -1)])
     return lambda k, l: plus[: cuts[n - k - l]] + minus[cuts[n - k - l] : cuts[n - k]] + "\n"
 
 

@@ -177,6 +177,10 @@ class FareyPath:
         for (pd, pn), (ud, un), m in self._blocks:
             yield from fn(islice(count(ud + pd, pd), m), count(un + pn, pn))
 
+    def _texts(self) -> Iterator[str]:
+        """The text of each vertex, made from the block integers."""
+        return self._map_vertices(partial(map, _text))
+
     @property
     def vertices(self) -> tuple[Slope, ...]:
         if self._vertices is None:
@@ -214,7 +218,7 @@ class FareyPath:
         return "FareyPath.from_blocks(%r, %r, %r)" % (self._start, self._end, self._blocks)
 
     def __str__(self) -> str:
-        return " → ".join(self._map_vertices(partial(map, _text)))
+        return " → ".join(self._texts())
 
 
 def minimal_path(a: Slope, b: Slope) -> FareyPath:

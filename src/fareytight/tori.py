@@ -46,12 +46,10 @@ class DecoratedPath(_Value):
         object.__setattr__(self, "signs", signs)
 
     def __str__(self) -> str:
-        vs = self.path.vertices
-        out = [str(vs[0])]
-        for e in range(1, len(vs)):
-            mark = "" if e == 1 else ("+" if self.signs[e - 2] == 1 else "-")
-            out.append(" →%s %s" % (mark, vs[e]))
-        return "".join(out)
+        texts = self.path._texts()
+        # one mark per edge: none on the unsigned first edge
+        marks = itertools.chain([""], ("+" if s == 1 else "-" for s in self.signs))
+        return next(texts) + "".join(" →%s %s" % edge for edge in zip(marks, texts))
 
 
 def signed_blocks(path: FareyPath) -> BlockDecomposition:
@@ -99,9 +97,9 @@ class ShuffleClass(_Value):
     def to_json(self) -> dict:
         """JSON-ready form of the class."""
         # the unsigned first edge is reported as its own block with count 0
-        runs = [[e + 1 for e in run] for run in self.path.signed_blocks.runs]
+        runs = [list(range(r.start + 1, r.stop + 1)) for r in self.path.signed_blocks._ranges()]
         return {
-            "path": [str(v) for v in self.path.vertices],
+            "path": list(self.path._texts()),
             "blocks": [[1]] + runs,
             "minus": [0] + list(self.minus_counts),
         }
@@ -113,8 +111,8 @@ class ShuffleClass(_Value):
 def shuffle_canonical(d: DecoratedPath) -> ShuffleClass:
     """The shuffle class of a decorated path (on a minimal path this is
     the isotopy class of the structure it describes)."""
-    runs = d.path.signed_blocks.runs
-    return ShuffleClass(d.path, tuple(d.signs[run[0] - 1 : run[-1]].count(-1) for run in runs))
+    ranges = d.path.signed_blocks._ranges()
+    return ShuffleClass(d.path, tuple(d.signs[r.start - 1 : r.stop - 1].count(-1) for r in ranges))
 
 
 class SolidTorusStructure(_Value):
