@@ -63,6 +63,23 @@ MUTANTS = [
     ("enumerate r s glues a path's tail before its head", "src/fareytight/_output.py",
      "[t + q + u for t, u in zip(ts, us)]", "[t + u + q for t, u in zip(ts, us)]",
      ["tests/test_cli.py::test_enumerate_tsv_rows_match_the_classes"]),
+    # every text of a path from its block integers
+    ("the first edge gets a sign mark", "src/fareytight/tori.py",
+     'itertools.chain([""],', 'itertools.chain(["+"],',
+     ["tests/test_tori.py::test_decorated_path_str"]),
+    ("the tails write j for 1/j", "src/fareytight/_output.py",
+     "[_text(j, 1) for j in", "[_text(1, j) for j in",
+     ["tests/test_cli.py::test_listings_match_oracle_exhaustive"]),
+    ("P's JSON blocks lose their + 1", "src/fareytight/tori.py",
+     "list(range(r.start + 1, r.stop + 1))", "list(range(r.start, r.stop))",
+     ["tests/test_tori.py::test_shuffle_class_to_json", "tests/test_cli.py::test_listing_goldens"]),
+    # integers only, and facts stated once
+    ("rationals_in takes a float bound", "src/fareytight/slopes.py",
+     "if not isinstance(bound, int):", "if False:",
+     ["tests/test_slopes.py::test_farey_interval_domain"]),
+    ("the JSON keys lose their underscores", "src/fareytight/atlas.py",
+     '"".join("_" + c if c.isupper() else c', '"".join(c if c.isupper() else c',
+     ["tests/test_atlas.py::test_fillability_json_keys"]),
     ("MobiusMap takes floats", "src/fareytight/cables.py",
      "if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):",
      "if False:",

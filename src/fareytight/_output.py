@@ -175,6 +175,7 @@ def cf_text(fmt: str, x: Slope, runs) -> Iterator[str]:
     step = per_write(",2")
     pieces = (",%d" % entry * min(step, count - a) for entry, count in runs for a in range(0, count, step))
     head, tail = ('{"x":"%s","entries":[' % x, "]}\n") if fmt == "json" else ("[", "]\n")
+    # next(pieces) reads the first run, so a bad x raises before any output
     return _joined(itertools.chain((head, next(pieces)[1:]), pieces, (tail,)))
 
 

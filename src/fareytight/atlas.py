@@ -41,12 +41,8 @@ class Fillability(str, Enum):
         return _JSON_KEYS[self]
 
 
-_JSON_KEYS = {
-    Fillability.STEIN: "stein",
-    Fillability.STRONG_NOT_EXACT: "strong_not_exact",
-    Fillability.STRONG_STEIN_CONDITIONAL: "strong_stein_conditional",
-    Fillability.NOT_COVERED: "not_covered_by_paper",
-}
+# the key of each status in JSON tallies: its value in snake_case
+_JSON_KEYS = {s: "".join("_" + c if c.isupper() else c for c in s.value).lower().lstrip("_") for s in Fillability}
 
 # citation tags attached to verdicts, one per encoded result
 CITE_BASE_ROW = "Lemma 4.2"

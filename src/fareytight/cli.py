@@ -45,8 +45,7 @@ def _cmd_phi(args) -> Iterator[str]:
 
 
 def _cmd_cf(args) -> Iterator[str]:
-    runs = list(cf_runs(args.x))  # raises on a bad x before any output; a few runs to a digit of x
-    yield from cf_text(args.format, args.x, runs)
+    yield from cf_text(args.format, args.x, cf_runs(args.x))
 
 
 def _cmd_path(args) -> Iterator[str]:

@@ -207,6 +207,8 @@ def _farey_walk(a: Slope, b: Slope, bound: int) -> Iterator[Slope]:
             raise DomainError("sweep interval must lie inside (0,1]")
     if not _pos_lt(a, b):
         raise DomainError("empty sweep interval")
+    if not isinstance(bound, int):
+        raise DomainError("sweep bound must be an integer")
     if bound < 1:
         raise DomainError("sweep bound must be at least 1")
     u, v = (0, 1), (1, 0)

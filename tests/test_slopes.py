@@ -396,7 +396,7 @@ def test_farey_interval_domain():
         rationals_in(S("1/2"), S("1/2"), 10)
     with pytest.raises(DomainError):
         rationals_in(S("1/2"), S("1/3"), 10)
-    for bound in (0, -5):
+    for bound in (0, -5, 4.5, 7.9):
         with pytest.raises(DomainError):
             rationals_in(S("1/3"), S("1/2"), bound)
 

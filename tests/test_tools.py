@@ -158,7 +158,7 @@ def test_mutants_table_matches_the_tree():
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     names = [row[0] for row in mutants.MUTANTS]
-    assert len(set(names)) == len(names) == 17
+    assert len(set(names)) == len(names) == 22
     for name, path, old, new, tests in mutants.MUTANTS:
         assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1 and old != new, name
         for test in tests:
