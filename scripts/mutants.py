@@ -57,6 +57,9 @@ MUTANTS = [
     ("the joiner writes every text alone", "src/fareytight/_output.py",
      '    if size:\n        yield "".join(out)', "    yield from out",
      ["tests/test_cli.py::test_cf_and_exceptional_answers_that_fit_are_one_write"]),
+    ("a short range drops its last member", "src/fareytight/_output.py",
+     "for k in range(lo, hi)]", "for k in range(lo, hi - 1)]",
+     ["tests/test_cli.py::test_format_members_matches_a_text_per_member"]),
     ("the integers start at 1", "src/fareytight/_output.py",
      "_INTEGERS = (0, 1), (1, 0)", "_INTEGERS = (0, 1), (1, 1)",
      ["tests/test_cli.py::test_path_json", "tests/test_cli.py::test_dot_triangle_golden"]),
@@ -93,7 +96,7 @@ MUTANTS = [
      "itertools.product(*[range(size + 1) for size in", "itertools.product(*[[*range(size), 0] for size in",
      ["tests/test_tori.py::test_euler_class_tells_the_classes_apart"]),
     ("_parse skips --", "src/fareytight/cli.py",
-     'strings += rest  # every argument after the first "--" is positional', "continue",
+     'dashed = True  # every argument after the first "--" is positional', "continue",
      ["tests/test_cli.py::test_parse_matches_one_top_level_parse"]),
     ("_parse leaves choices unchecked", "src/fareytight/cli.py",
      'if "choices" in kw and value not in kw["choices"]:', "if False:",

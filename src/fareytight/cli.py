@@ -142,13 +142,19 @@ _STRICT = ("--strict", {"action": "store_true"})
 def _row(func, help: str, formats: str, args: list) -> tuple:
     """A command's function, help and arguments as (name, keywords of
     add_argument), a bare name a slope and --format last, then what
-    _parse reads off them: the options by name, each with its dest and
-    keywords, the positionals, and the default of each dest."""
+    _parse reads off them: the options by name, each with its dest,
+    keywords and count of values, the positionals, the default of each
+    dest that argv need not set, and the dests that it must set."""
     args = [(arg, {"type": _slope}) if isinstance(arg, str) else arg for arg in args]
     args += [("--format", {"choices": formats.split(), "default": formats.split()[0]})] if formats else []
-    options = {name: (name[2:].replace("-", "_"), kw) for name, kw in args if name[0] == "-"}
-    defaults = {dest: kw.get("default", False if "action" in kw else None) for dest, kw in options.values()}
-    return func, help, args, options, [(name, kw) for name, kw in args if name[0] != "-"], defaults
+    options = {name: (name[2:].replace("-", "_"), kw, 0 if "action" in kw else kw.get("nargs", 1))
+               for name, kw in args if name[0] == "-"}
+    positionals = [(name, kw) for name, kw in args if name[0] != "-"]
+    required = {dest for dest, kw, _ in options.values() if kw.get("required")}
+    required |= {name for name, kw in positionals if kw.get("nargs") != "?"}
+    defaults = {dest: kw.get("default", False if "action" in kw else None)
+                for dest, kw, *_ in [*options.values(), *positionals] if dest not in required}
+    return func, help, args, options, positionals, defaults, required
 
 
 # each command by name, from a row of its name, function, help, the
@@ -212,49 +218,41 @@ def _parsers() -> argparse.ArgumentParser:
 
 def _parse(argv: list[str]) -> argparse.Namespace | None:
     """The namespace of argv read off the row of the command that argv[0]
-    names: options by exact name, each with its count of values, anywhere
-    among the positionals, the positionals in order, and every argument
-    after "--" positional.  None where argparse writes help or an error,
-    and where it might read argv otherwise: --opt=value, an abbreviation,
-    an unknown option or a second "--"."""
+    names, in one pass: options by exact name, each with its count of
+    values, anywhere among the positionals, the positionals in order, and
+    every argument after "--" positional.  None where argparse writes
+    help or an error, and where it might read argv otherwise:
+    --opt=value, an abbreviation, an unknown option or a second "--"."""
     row = _COMMANDS.get(argv[0]) if argv else None
     if row is None:
         return None
-    func, _, _, options, positionals, defaults = row
-    parsed = argparse.Namespace()
-    values = vars(parsed)  # filled in place: Namespace(**values) sets one attribute at a time
+    func, _, _, options, positionals, defaults, required = row
+    values = vars(parsed := argparse.Namespace())  # filled in place: Namespace(**values) sets one attribute at a time
     values.update(defaults, command=argv[0], func=func)
-    strings, rest = [], iter(argv[1:])
+    i, p, dashed = 1, 0, False  # argv[i] is read next; a positional fills positionals[p]
     try:
-        for text in rest:
-            if text == "--":
-                strings += rest  # every argument after the first "--" is positional
-            elif _is_argument(text):
-                strings.append(text)
+        while i < len(argv):
+            text, i = argv[i], i + 1
+            if text == "--" and not dashed:
+                dashed = True  # every argument after the first "--" is positional
+            elif dashed and text != "--" or _is_argument(text):  # a second "--" is neither
+                dest, kw = positionals[p]  # an IndexError where no positional is left
+                if kw.get("nargs") == "+":
+                    values[dest] = values.get(dest, []) + [_value(kw, text)]
+                else:
+                    values[dest], p = _value(kw, text), p + 1
             elif text in options:
-                dest, kw = options[text]
-                found = [next(rest, "--") for _ in range(0 if "action" in kw else kw.get("nargs", 1))]
-                if not all(map(_is_argument, found)):  # a missing value reads as "--"
+                dest, kw, count = options[text]
+                found, i = argv[i : i + count], i + count  # short where argv ends first
+                if len(found) < count or not all(map(_is_argument, found)):
                     return None
                 found = [_value(kw, t) for t in found]
                 values[dest] = found if "nargs" in kw else found[0] if found else True  # store_true
             else:
                 return None
-        if "--" in strings or any(kw.get("required") and values[dest] is None
-                                  for dest, kw in options.values()):
-            return None
-        if not positionals:
-            return None if strings else parsed
-        *head, (last, kw) = positionals
-        nargs, extra = kw.get("nargs"), len(strings) - len(head)
-        if extra < (nargs != "?") or (nargs != "+" and extra > 1):
-            return None
-        values.update((name, _value(kw, t)) for (name, kw), t in zip(head, strings))
-        found = [_value(kw, t) for t in strings[len(head) :]]
-        values[last] = found if nargs == "+" else found[0] if found else kw.get("default")
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+    except (argparse.ArgumentTypeError, IndexError, TypeError, ValueError):
         return None
-    return parsed
+    return parsed if values.keys() >= required else None
 
 
 def _is_argument(text: str) -> bool:

@@ -8,6 +8,7 @@ import re
 import shlex
 import sys
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -744,6 +745,54 @@ def test_path_on_the_fans_of_0_and_inf():
             assert (0, "".join(pieces) + "\n", "") == want[fmt], (a, b, fmt)
             # a block of n members is cut into several writes
             assert len(path) < n or 2 * max(map(len, pieces)) < len(want[fmt][1]), (a, b, fmt)
+
+
+def _member_oracle(template: str, pivot, base, k: int) -> str:
+    """template with the text of member base + k*pivot of a fan, (den,
+    num) vectors, in place of each "%s": the text made by Fraction."""
+    d, n = base[0] + k * pivot[0], base[1] + k * pivot[1]
+    text = "inf" if d == 0 else str(Fraction(n, d))
+    return template % ((text,) * template.count("%s"))
+
+
+# (pivot, base) as (den, num): the fans of 0 (through inf at k = 0), of
+# inf (the integers), of 1/3 (through 0 at k = 0) and of 2/5, whose
+# members pass inf between k = -1 and 0
+MEMBER_FANS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((3, 1), (1, 0)), ((5, 2), (3, 1))]
+
+# a text, a JSON list, a path's arrows, and the DOT path and node
+# templates, which hold "%s" twice
+MEMBER_TEMPLATES = [" %s", ',"%s"', " → %s", _output._PATH_TEMPLATES["dot"][1],
+                    '\n  "k3_l%s" [label="k=3 l=%s\\nStein 2", fillcolor="palegreen"];']
+
+
+def test_format_members_matches_a_text_per_member(monkeypatch):
+    # format_members makes a short range a member at a time and a longer
+    # one in % operations over its runs: both equal the oracle's text of
+    # each member, on every range length from 0 to 40, starting on either
+    # side of the members with denominator 0 and +-1, in every template,
+    # with no empty piece
+    assert 0 < _output._SHORT < 40
+    for (pivot, base), template, lo in itertools.product(MEMBER_FANS, MEMBER_TEMPLATES, (-45, -21, -2, 0, 3)):
+        for size in range(41):
+            pieces = list(_output.format_members(template, pivot, base, lo, lo + size))
+            want = "".join(_member_oracle(template, pivot, base, k) for k in range(lo, lo + size))
+            assert "".join(pieces) == want and all(pieces), (pivot, base, template, lo, size)
+    # members of about 5,000 digits on the fan of F(12001)/F(12000), with
+    # the bound patched to 2,000 characters: each piece of a short range
+    # and of a long one holds at most the bound and one member
+    fib = [0, 1]
+    while len(fib) < 12002:
+        fib.append(fib[-1] + fib[-2])
+    pivot, base = (fib[12001], fib[12000]), (fib[12000], fib[11999])
+    monkeypatch.setattr(_output, "_BYTES_PER_WRITE", 2000)
+    for size in (8, 40):
+        for template in MEMBER_TEMPLATES:
+            texts = [_member_oracle(template, pivot, base, k) for k in range(-3, size - 3)]
+            assert min(map(len, texts)) > 4900
+            pieces = list(_output.format_members(template, pivot, base, -3, size - 3))
+            assert "".join(pieces) == "".join(texts) and len(pieces) > 1, (size, template)
+            assert max(map(len, pieces)) <= 2000 + max(map(len, texts)), (size, template)
 
 
 def test_enumerate_tsv_rows_match_the_classes(monkeypatch):
