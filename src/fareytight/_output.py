@@ -110,7 +110,7 @@ def format_members(template: str, pivot, base, lo: int, hi: int) -> Iterator[str
     the two ways cost about the same, in one process on Python 3.11 and a
     shared 2-vCPU Xeon: 5.2 against 6.1 µs on the fan of 1/3, 5.4 against
     4.9 µs on the fan of 0, 4.3 against 3.2 µs on the integers; fewer
-    members cost less a member at a time, down to 2.2 against 3.9 µs for
+    members cost less a member at a time, down to 2.2 against 4.0 µs for
     one member of the fan of 0."""
     (pd, pn), (ud, un) = pivot, base
     if hi - lo <= _SHORT:
@@ -193,12 +193,12 @@ def path_text(path, fmt: str) -> Iterator[str]:
 
 
 def cf_text(fmt: str, x: Slope, runs) -> Iterator[str]:
-    """The text of `cf x` from the runs (entry, count) of cf_runs, [a0,
-    ...,an] or {"x": ..., "entries": [...]}: an answer of fewer than
-    _SHORT runs and at most per_write(",2") entries is made in one join,
-    a string product per run; a longer one is made a piece at a time, a
-    piece one entry, or per_write of a run of 2s, one string product;
-    every run of more than one entry is a run of 2s."""
+    """The text of `cf x` from the runs (entry, count) that cf_runs
+    yields, read once, [a0,...,an] or {"x": ..., "entries": [...]}: an
+    answer of fewer than _SHORT runs and at most per_write(",2") entries
+    is made in one join, a string product per run; a longer one is made a
+    piece at a time, a piece one entry, or per_write of a run of 2s, one
+    string product; every run of more than one entry is a run of 2s."""
     step = per_write(",2")
     head, tail = ('{"x":"%s","entries":[' % x, "]}\n") if fmt == "json" else ("[", "]\n")
     first = list(itertools.islice(runs, _SHORT))  # reads the first run: a bad x raises before any output
