@@ -4,17 +4,19 @@ One rule sizes every piece: it holds as many units, rows of a listing,
 vertices or edge indices of a path, entries of `cf`, slopes of
 `exceptional`, cells of a DOT triangle, as _BYTES_PER_WRITE holds at
 the _size of the largest unit, and one at least (per_write).  A short
-range of fan members, at most _SHORT, is made a member at a time and
-sized by its widest text, so that it costs what its members cost; a
-longer one is sized from the bit lengths of its end members and made in
-% operations over its runs (format_members); the rule holds for both.
+range of fan members, at most _SHORT and not integers, is made a member
+at a time and sized by its widest text, so that it costs what its
+members cost; a longer one, or a range of integers, is sized from the
+bit lengths of its end members and made in % operations over its runs
+(format_members); the rule holds for both.
 One rule joins pieces: the ASCII texts of `cf`, `exceptional` and
 `sweep` and the invisible edges of a DOT triangle are joined as they
 come and cut into writes of exactly _BYTES_PER_WRITE characters, each
 cut from the pending texts and the head of the text that fills it
-(_joined), so an answer that fits in one write is one; a short answer
-of `cf` is one join.  Paths and the cells of a DOT triangle are written
-a piece at a time.  Listings write per_write rows at a time instead:
+(_joined), so an answer that fits in one write is one; an answer of
+`cf` of at most one write's worth of entries is one join.  Paths and
+the cells of a DOT triangle are written a piece at a time.  Listings
+write per_write rows at a time instead:
 such a write is one join over runs of rows, with no text made per row,
 where a cut at a character would copy each byte once more, and their
 rows may hold the arrow →, two bytes a character.  So no write keeps
@@ -45,9 +47,8 @@ from .atlas import Fillability, TrianglePosition, cell_tallies, n_of
 
 _BYTES_PER_WRITE = 1 << 16
 
-# format_members makes a range of at most this many members a member at
-# a time (its docstring gives the measured crossover), and cf_text an
-# answer of fewer runs in one join
+# format_members makes a range of at most this many fractions a member
+# at a time (its docstring gives the measured crossover)
 _SHORT = 8
 
 # the fan of inf, (pivot, base) as (den, num): its members 0 + k*inf are the integers k
@@ -101,19 +102,21 @@ def format_members(template: str, pivot, base, lo: int, hi: int) -> Iterator[str
     """template % (t, ..., t) for the text t of each member base +
     k*pivot, k = lo..hi-1, of a fan, per_write of the widest member to a
     text.  A range of at most _SHORT members is made a member at a time
-    and sized by its widest text.  A longer one is sized before it is
-    made: a member's num and den are linear in k, so they are largest in
+    and sized by its widest text, but on the fan of inf, the integers.
+    A longer one, or a range of integers, is sized before it is made: a
+    member's num and den are linear in k, so they are largest in
     absolute value at an end member, and the bits of those, at most
     0.30103 decimal digits a bit and one more digit for each of the two,
     a "/" and a sign bound the text of every member; then each text is
     made in at most three % operations (_format_members).  At 8 members
     the two ways cost about the same, in one process on Python 3.11 and a
     shared 2-vCPU Xeon: 5.2 against 6.1 µs on the fan of 1/3, 5.4 against
-    4.9 µs on the fan of 0, 4.3 against 3.2 µs on the integers; fewer
-    members cost less a member at a time, down to 2.2 against 4.0 µs for
-    one member of the fan of 0."""
+    4.9 µs on the fan of 0; fewer members cost less a member at a time,
+    down to 2.2 against 4.0 µs for one member of the fan of 0.  The
+    integers are one % operation, which costs less from about 4 members
+    on: 3.2 against 4.3 µs at 8."""
     (pd, pn), (ud, un) = pivot, base
-    if hi - lo <= _SHORT:
+    if pd and hi - lo <= _SHORT:
         texts = [template.replace("%s", _text(ud + k * pd, un + k * pn)) for k in range(lo, hi)]
         step = per_write(max(texts, key=len, default=template))
         for a in range(0, len(texts), step):
@@ -195,14 +198,19 @@ def path_text(path, fmt: str) -> Iterator[str]:
 def cf_text(fmt: str, x: Slope, runs) -> Iterator[str]:
     """The text of `cf x` from the runs (entry, count) that cf_runs
     yields, read once, [a0,...,an] or {"x": ..., "entries": [...]}: an
-    answer of fewer than _SHORT runs and at most per_write(",2") entries
-    is made in one join, a string product per run; a longer one is made a
-    piece at a time, a piece one entry, or per_write of a run of 2s, one
-    string product; every run of more than one entry is a run of 2s."""
+    answer of at most step = per_write(",2") entries is made in one join,
+    a string product per run; a longer one is made a piece at a time, a
+    piece one entry, or step entries of a run of 2s, one string product;
+    every run of more than one entry is a run of 2s.  The step + 1 runs
+    read ahead to tell the two apart are about as many as the pieces
+    that _joined keeps pending for one write.  The one join costs less
+    at every length, in one process on Python 3.11 and a shared 2-vCPU
+    Xeon: 1.2 against 2.3 µs at 1 run, 2.4 against 6.7 µs at 8, 20
+    against 66 µs at 100, in text."""
     step = per_write(",2")
     head, tail = ('{"x":"%s","entries":[' % x, "]}\n") if fmt == "json" else ("[", "]\n")
-    first = list(itertools.islice(runs, _SHORT))  # reads the first run: a bad x raises before any output
-    if len(first) < _SHORT and sum(count for _, count in first) <= step:
+    first = list(itertools.islice(runs, step + 1))  # reads the first run: a bad x raises before any output
+    if sum(count for _, count in first) <= step:
         return _joined([head + "".join([",%d" % entry * count for entry, count in first])[1:] + tail])
     pieces = (",%d" % entry * min(step, count - a) for entry, count in itertools.chain(first, runs)
               for a in range(0, count, step))
@@ -270,7 +278,7 @@ def _joined(texts) -> Iterator[str]:
             out.append(text[a:b])
             yield "".join(out)
             out, a = [], b
-        if size:  # out stays empty, so that a text that fills a write alone is written uncopied
+        if size:  # text[a:] is pending, "" if text is; none is if a write ended at its end
             out.append(text[a:])
     if size:
         yield "".join(out)
